@@ -1,10 +1,10 @@
 """nvfp4sim: a bit-accurate NumPy simulator of fully-quantized NVFP4 training.
 
-Layers: fpcodec (formats + rounding) -> blockquant (double-block matrix
-quantization + serialization) -> hadamard (random Hadamard transforms) ->
-qlinear (six-quantizer linear layer with outlier retention) -> oscillation
-(flip-risk tracking and suppression) -> trainer (desk-scale training harness)
--> cli (experiment commands).
+Layers: fpcodec (formats + rounding) -> blockquant (one block-view pipeline
+for 1x16 groups, 16x16 tiles and MXFP4) -> matrixio (matrix files) ->
+hadamard (random Hadamard transforms) -> qlinear (six-quantizer linear layer
+with outlier retention) -> oscillation (flip-risk tracking and suppression)
+-> trainer (desk-scale training harness) -> cli (experiment commands).
 """
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _SUBMODULES = (
     "blockquant",
     "cli",
-    "fastpath",
     "fpcodec",
     "hadamard",
     "matrixio",

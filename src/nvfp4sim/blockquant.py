@@ -1,26 +1,34 @@
-"""Double-block matrix quantization.
+"""Double-block matrix quantization on a block view.
 
-A matrix is quantized in two nested levels along a group axis:
+Every quantizer here is one scheme: an outer binary32 scale, an inner scale
+per block, and element rounding. They differ only in the block shape.
 
-* an outer block (128 elements, a full line, or the whole tensor) carries a
-  binary32 scale S_g = amax / (448 * grid_max), chosen so the rescaled block
-  fits the E4M3 x element-grid product range;
-* each inner block (16 consecutive elements, or a 16x16 tile) carries an
-  E4M3 scale S_b = round_e4m3(amax(X / S_g) / grid_max);
-* elements store low-bit codes P = round(X / (S_g * S_b)) clamped to the grid.
+The work grid is the matrix, or its transpose for COL_GROUPS_16X1 (making
+the transpose contract exact by construction). It is zero-padded to whole
+blocks and viewed, without a copy, as ``(R, br, C, bc)``:
 
-Zero-amax blocks take scale 1. Dimensions that don't divide the group pad
-with zeros conceptually: padded positions hold code 0 and never affect any
-amax. Dequantization is the float32 product P * S_b * S_g cropped back to the
+* ``(1, 16)`` for ROW_GROUPS_1X16 and COL_GROUPS_16X1;
+* ``(16, 16)`` tiles for SQUARE_16X16, which takes a per-tensor outer scale;
+* ``(1, 32)`` for MXFP4, which has E8M0 inner scales and no outer level.
+
+On that view one pipeline derives the scale chain:
+
+* an outer scale (whole tensor, one per grid row, or one per 128 grid
+  columns) S_g = amax / (448 * grid_max), taken from the 2-D grid, chosen so
+  the rescaled grid fits the E4M3 x element-grid product range;
+* an inner scale per block, stored as an ``(R, C)`` array in row-major
+  order: S_b = round_e4m3(min(amax(X / S_g) / grid_max, 448)), or for
+  MXFP4 the power-of-two ceiling of amax / grid_max, which makes the
+  division lossless;
+* the ratio X / S_g / S_b, clipped to the grid and rounded in row-major
+  grid order, so a stochastic rng is consumed one draw per padded position.
+
+Zero-amax blocks take scale 1. Padded positions hold code 0 and never affect
+any amax. Codes are stored row-major over the padded work grid. The
+reconstruction is the float32 product (P * S_b) * S_g cropped back to the
 logical shape, with both zero codes normalized to +0.0.
 
-Orientation fixes the group axis: ROW_GROUPS_1X16 groups along rows,
-COL_GROUPS_16X1 along columns (stored as the row-wise quantization of the
-transpose, making the transpose contract exact by construction), and
-SQUARE_16X16 uses 16x16 tiles with a per-tensor outer scale. Outer
-granularities tile along the same axis as the groups.
-
-Clamp events (elements pushed back inside the grid because the E4M3 scale
+Clamp events (elements pushed back inside the grid because the inner scale
 rounded down) are counted with a one-ulp tolerance so float32 roundoff at a
 block carrier doesn't register; they are the scheme's only bias source and
 are exported as a diagnostic.
@@ -35,18 +43,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fastpath
 from . import fpcodec as fc
 
 __all__ = [
     "Orientation",
     "OuterGranularity",
     "QuantizedMatrix",
+    "GROUP_FOR_SCALE",
     "as_matrix",
+    "crop_work_grid",
+    "layout_sizes",
     "quantize_double_block",
     "quantize_dequantize",
     "quantize_mxfp4",
-    "quantize_with_scales",
     "dequantize",
     "element_block_amax",
     "requantize",
@@ -56,11 +65,10 @@ __all__ = [
 F32 = np.float32
 _SCALE_TOP = np.float32(448.0)
 _CLAMP_TOL = 1 + 1e-6  # one-ulp grace before an overshoot counts as a clamp
+_OUTER_SPAN = 128  # grid columns per BLOCK_1X128 outer scale
 
-# The fused route prefers the compiled kernel when numba is importable; the
-# numpy expressions remain both the fallback and the reference the kernel is
-# tested against. Tests flip this flag to pin down each route separately.
-_FASTPATH_ENABLED = True
+# inner block length for each inner-scale format
+GROUP_FOR_SCALE = {"e4m3": 16, "e8m0": 32}
 
 
 class Orientation(enum.Enum):
@@ -115,34 +123,78 @@ class QuantizedMatrix:
         )
 
 
-# ── geometry helpers ─────────────────────────────────────────────────────────
+# ── the block view ───────────────────────────────────────────────────────────
 
 
 def _ceil_to(n: int, k: int) -> int:
     return -(-n // k) * k
 
 
-def _work_dims(q: QuantizedMatrix):
-    """(work_rows, padded_cols, real_cols) of the internal row-major grid."""
-    if q.orientation is Orientation.SQUARE_16X16:
-        return _ceil_to(q.rows, 16), _ceil_to(q.cols, 16), q.cols
-    if q.orientation is Orientation.ROW_GROUPS_1X16:
-        wr, real = q.rows, q.cols
-    else:
-        wr, real = q.cols, q.rows
-    return wr, _ceil_to(real, q.group), real
+def _block_shape(orientation: Orientation, group: int):
+    return (16, 16) if orientation is Orientation.SQUARE_16X16 else (1, group)
 
 
-def _pack(codes_grid: np.ndarray, bits: int) -> np.ndarray:
-    flat = codes_grid.reshape(-1).astype(np.uint8)
-    if bits != 4:
-        return flat
-    return (flat[0::2] | (flat[1::2] << 4)).astype(np.uint8)
+def _grid_shape(rows, cols, orientation, group):
+    """(work rows, work cols) of the zero-padded work grid."""
+    if orientation is Orientation.COL_GROUPS_16X1:
+        rows, cols = cols, rows
+    br, bc = _block_shape(orientation, group)
+    return _ceil_to(rows, br), _ceil_to(cols, bc)
+
+
+def _outer_grid(outer: OuterGranularity, wr: int, wc: int):
+    """Shape of the outer scales laid out over the work grid, row-major."""
+    if outer is OuterGranularity.PER_TENSOR:
+        return 1, 1
+    if outer is OuterGranularity.PER_ROW:
+        return wr, 1
+    return wr, -(-wc // _OUTER_SPAN)
+
+
+def layout_sizes(rows, cols, orientation, outer, element_fmt, group):
+    """(code bytes, inner scales, outer scales) stored for this layout.
+
+    Raises ValueError for square tiles with an outer level other than
+    per-tensor, which no block view can carry.
+    """
+    if orientation is Orientation.SQUARE_16X16 and outer is not OuterGranularity.PER_TENSOR:
+        raise ValueError("square tiles use a per-tensor outer scale")
+    wr, wc = _grid_shape(rows, cols, orientation, group)
+    br, bc = _block_shape(orientation, group)
+    n_codes = wr * wc // (2 if fc.get_format(element_fmt).bits == 4 else 1)
+    return n_codes, (wr // br) * (wc // bc), int(np.prod(_outer_grid(outer, wr, wc)))
+
+
+def _block_view(m: np.ndarray, orientation: Orientation, group: int):
+    """The zero-padded work grid of ``m`` and its ``(R, br, C, bc)`` view."""
+    work = m.T if orientation is Orientation.COL_GROUPS_16X1 else m
+    br, bc = _block_shape(orientation, group)
+    W = np.zeros(_grid_shape(*m.shape, orientation, group), dtype=F32)
+    W[: work.shape[0], : work.shape[1]] = work
+    return W, W.reshape(W.shape[0] // br, br, W.shape[1] // bc, bc)
+
+
+def _per_block(a: np.ndarray) -> np.ndarray:
+    """Broadcast an ``(R, C)`` per-block array over the ``(R, br, C, bc)`` view."""
+    return a[:, None, :, None]
+
+
+def _outer_per_block(sg: np.ndarray, n_blocks: int, bc: int) -> np.ndarray:
+    """Outer scales on their work-grid layout, one value per inner block."""
+    if sg.shape[1] > 1:  # one scale per 128 grid columns
+        sg = np.repeat(sg, _OUTER_SPAN // bc, axis=1)[:, :n_blocks]
+    return sg
+
+
+def crop_work_grid(grid: np.ndarray, orientation: Orientation, rows: int, cols: int):
+    """The logical ``(rows, cols)`` matrix of a padded work grid."""
+    if orientation is Orientation.COL_GROUPS_16X1:
+        return np.ascontiguousarray(grid[:cols, :rows].T)
+    return np.ascontiguousarray(grid[:rows, :cols])
 
 
 def unpacked_codes(q: QuantizedMatrix) -> np.ndarray:
     """The padded work grid of element codes (uint8), row-major."""
-    wr, wc, _ = _work_dims(q)
     fmt = fc.get_format(q.element_fmt)
     if fmt.bits == 4:
         flat = np.empty(q.codes.size * 2, dtype=np.uint8)
@@ -150,7 +202,7 @@ def unpacked_codes(q: QuantizedMatrix) -> np.ndarray:
         flat[1::2] = q.codes >> 4
     else:
         flat = q.codes
-    return flat.reshape(wr, wc)
+    return flat.reshape(_grid_shape(q.rows, q.cols, q.orientation, q.group))
 
 
 def element_block_amax(m, orientation: Orientation | str) -> np.ndarray:
@@ -161,159 +213,62 @@ def element_block_amax(m, orientation: Orientation | str) -> np.ndarray:
     """
     m = as_matrix(m)
     orientation = Orientation(orientation)
-    if orientation is Orientation.SQUARE_16X16:
-        r, c = m.shape
-        wr, wc = _ceil_to(r, 16), _ceil_to(c, 16)
-        W = np.zeros((wr, wc), dtype=F32)
-        W[:r, :c] = np.abs(m)
-        a = W.reshape(wr // 16, 16, wc // 16, 16).max(axis=(1, 3))
-        out = np.repeat(np.repeat(a, 16, 0), 16, 1)[:r, :c]
-        return np.ascontiguousarray(out, dtype=F32)
-    work = m if orientation is Orientation.ROW_GROUPS_1X16 else m.T
-    wr, real = work.shape
-    wc = _ceil_to(real, 16)
-    W = np.zeros((wr, wc), dtype=F32)
-    W[:, :real] = np.abs(work)
-    a = W.reshape(wr, wc // 16, 16).max(axis=2)
-    out = np.repeat(a, 16, axis=1)[:, :real]
-    if orientation is Orientation.COL_GROUPS_16X1:
-        out = out.T
-    return np.ascontiguousarray(out, dtype=F32)
+    W, blocks = _block_view(np.abs(m), orientation, GROUP_FOR_SCALE["e4m3"])
+    amax = np.broadcast_to(_per_block(blocks.max(axis=(1, 3))), blocks.shape)
+    return crop_work_grid(amax.reshape(W.shape), orientation, *m.shape)
 
 
-def _expand_scales(q: QuantizedMatrix):
-    """Per-element (sb, sg) broadcast over the padded work grid."""
-    wr, wc, _ = _work_dims(q)
-    if q.orientation is Orientation.SQUARE_16X16:
-        tr, tc = wr // 16, wc // 16
-        sb = np.repeat(np.repeat(q.inner_scales.reshape(tr, tc), 16, 0), 16, 1)
-        sg = q.outer_scales.reshape(1, 1)
-        return sb, sg
-    n_in = wc // q.group
-    sb = np.repeat(q.inner_scales.reshape(wr, n_in), q.group, axis=1)
-    if q.outer is OuterGranularity.PER_TENSOR:
-        sg = q.outer_scales.reshape(1, 1)
-    elif q.outer is OuterGranularity.PER_ROW:
-        sg = q.outer_scales.reshape(wr, 1)
-    else:
-        seg_lens = _segment_lengths(wc)
-        sg = np.repeat(q.outer_scales.reshape(wr, len(seg_lens)), seg_lens, axis=1)
-    return sb, sg
+# ── the pipeline ─────────────────────────────────────────────────────────────
 
 
-def _segment_lengths(wc: int):
-    offs = list(range(0, wc, 128))
-    return [min(128, wc - o) for o in offs]
+def _outer_scales(W: np.ndarray, outer: OuterGranularity | None, big: np.float32):
+    """Outer scales on their work-grid layout (see ``_outer_grid``).
 
-
-# ── core quantization ────────────────────────────────────────────────────────
-
-
-def _scales_for(absW, outer, big):
-    """(outer scales in storage layout, per-element broadcast view)."""
-    wr, wc = absW.shape
+    ``outer=None`` means no outer level (MXFP4): a single scale of 1.
+    """
+    if outer is None:
+        return np.ones((1, 1), dtype=F32)
+    absW = np.abs(W)
     if outer is OuterGranularity.PER_TENSOR:
-        a = np.float32(absW.max(initial=0.0))
-        sg_flat = np.array([a / big if a > 0 else 1.0], dtype=F32)
-        return sg_flat, sg_flat.reshape(1, 1)
-    if outer is OuterGranularity.PER_ROW:
-        a = absW.max(axis=1)
-        sg = np.where(a > 0, a / big, F32(1.0)).astype(F32)
-        return sg, sg.reshape(wr, 1)
-    offs = np.arange(0, wc, 128)
-    a = np.maximum.reduceat(absW, offs, axis=1)
-    sg = np.where(a > 0, a / big, F32(1.0)).astype(F32)
-    return sg.reshape(-1), np.repeat(sg, _segment_lengths(wc), axis=1)
+        a = np.float32(absW.max(initial=0.0)).reshape(1, 1)
+    elif outer is OuterGranularity.PER_ROW:
+        a = absW.max(axis=1, keepdims=True)
+    else:
+        a = np.maximum.reduceat(absW, np.arange(0, absW.shape[1], _OUTER_SPAN), axis=1)
+    return np.where(a > 0, a / big, F32(1.0)).astype(F32)
 
 
-def _block_scales(a_in: np.ndarray, grid_max: np.float32) -> np.ndarray:
-    t = np.minimum(a_in / grid_max, _SCALE_TOP)
+def _inner_scales(a_in: np.ndarray, grid_max: np.float32, scale_fmt: str):
+    """Inner scale per block from the block amax of the outer-scaled grid."""
+    t = a_in / grid_max
+    if scale_fmt == "e4m3":
+        t = np.minimum(t, _SCALE_TOP)
     pos = t > 0
     safe = np.where(pos, t, F32(1.0))
-    sb = fc.round_scale_e4m3(safe)
+    sb = fc.round_scale_e4m3(safe) if scale_fmt == "e4m3" else fc.e8m0_pow2_ceil(safe)
     return np.where(pos, sb, F32(1.0)).astype(F32)
 
 
-def _round_grid(ratio, fmt, mode, rng):
-    if mode is fc.RoundingMode.DETERMINISTIC:
-        return fc.round_codes_det(ratio, fmt)
-    if rng is None:
-        raise ValueError("stochastic quantization needs an rng")
-    return fc.round_codes_stoch(ratio, fmt, rng)
+def _plan(m, orientation, outer, fmt, scale_fmt="e4m3"):
+    """Derive the scale chain of ``m`` and its clipped ratio grid.
 
-
-def _grouped_ratio(work, group, outer, fmt):
-    """Shared scale/ratio pipeline for grouped orientations.
-
-    Returns (clipped ratio grid, sb storage, sg storage, per-element sb, sg
-    broadcast views, clamp count). Both the code-producing route and the fused
-    value route go through here so their arithmetic is identical op for op.
+    Returns ``(ratio, sb, sg, clamps)``: the ratio grid on the
+    ``(R, br, C, bc)`` block view, the ``(R, C)`` inner scales, the outer
+    scales on their work-grid layout, and the clamp count.
     """
-    wr, real = work.shape
-    wc = _ceil_to(real, group)
-    W = np.zeros((wr, wc), dtype=F32)
-    W[:, :real] = work
+    W, blocks = _block_view(m, orientation, GROUP_FOR_SCALE[scale_fmt])
     grid_max = np.float32(fmt.max)
-    big = _SCALE_TOP * grid_max
-
-    absW = np.abs(W)
-    sg_flat, sg_elem = _scales_for(absW, outer, big)
-    Xp = W / sg_elem
-    n_in = wc // group
-    a_in = np.abs(Xp).reshape(wr, n_in, group).max(axis=2)
-    sb = _block_scales(a_in, grid_max)
-    sb_elem = np.repeat(sb, group, axis=1)
-    ratio = Xp / sb_elem
+    sg = _outer_scales(W, outer, _SCALE_TOP * grid_max)
+    X = blocks / _per_block(_outer_per_block(sg, blocks.shape[2], blocks.shape[3]))
+    sb = _inner_scales(np.abs(X).max(axis=(1, 3)), grid_max, scale_fmt)
+    ratio = X / _per_block(sb)
     clamps = int(np.count_nonzero(np.abs(ratio) > grid_max * _CLAMP_TOL))
     np.clip(ratio, -grid_max, grid_max, out=ratio)
-    return ratio, sb, sg_flat, sb_elem, sg_elem, clamps
+    return ratio, sb, sg, clamps
 
 
-def _square_ratio(m, fmt):
-    """Shared scale/ratio pipeline for 16x16 tiles (per-tensor outer)."""
-    r_real, c_real = m.shape
-    wr, wc = _ceil_to(r_real, 16), _ceil_to(c_real, 16)
-    W = np.zeros((wr, wc), dtype=F32)
-    W[:r_real, :c_real] = m
-    grid_max = np.float32(fmt.max)
-    big = _SCALE_TOP * grid_max
-
-    a = np.float32(np.abs(W).max(initial=0.0))
-    sg = np.array([a / big if a > 0 else 1.0], dtype=F32)
-    Xp = W / sg[0]
-    tr, tc = wr // 16, wc // 16
-    tiles = np.abs(Xp).reshape(tr, 16, tc, 16)
-    a_in = tiles.max(axis=(1, 3))
-    sb = _block_scales(a_in, grid_max)
-    sb_elem = np.repeat(np.repeat(sb, 16, 0), 16, 1)
-    ratio = Xp / sb_elem
-    clamps = int(np.count_nonzero(np.abs(ratio) > grid_max * _CLAMP_TOL))
-    np.clip(ratio, -grid_max, grid_max, out=ratio)
-    return ratio, sb, sg, sb_elem, clamps
-
-
-def _quantize_grouped(work, group, outer, fmt, mode, rng):
-    """Quantize a row-major work array with groups along the last axis."""
-    ratio, sb, sg_flat, _, _, clamps = _grouped_ratio(work, group, outer, fmt)
-    codes_grid = _round_grid(ratio, fmt, mode, rng)
-    return codes_grid, sb.reshape(-1), sg_flat, clamps
-
-
-def _quantize_square(m, fmt, mode, rng):
-    ratio, sb, sg, _, clamps = _square_ratio(m, fmt)
-    codes_grid = _round_grid(ratio, fmt, mode, rng)
-    return codes_grid, sb.reshape(-1), sg, clamps
-
-
-def _round_values(ratio, fmt, mode, rng):
-    """Grid values for a clipped ratio grid, skipping the code round-trip.
-
-    Mirrors ``_round_grid`` followed by ``values_from_codes`` exactly: the
-    same magnitude-rounding cores run on the same array, so a stochastic rng
-    is consumed identically, and the sign is applied the way the code path
-    applies it (select on the sign bit, so -0 ratios yield -0 values here and
-    the final zero normalization equalizes both routes).
-    """
+def _codes(ratio: np.ndarray, fmt: fc.FormatSpec, mode, rng) -> np.ndarray:
+    """Sign-magnitude codes of a clipped ratio grid, rounded in row-major order."""
     ax = np.abs(ratio)
     if mode is fc.RoundingMode.DETERMINISTIC:
         mi = fc._mag_round_det(ax, fmt)
@@ -321,57 +276,50 @@ def _round_values(ratio, fmt, mode, rng):
         if rng is None:
             raise ValueError("stochastic quantization needs an rng")
         mi = fc._mag_round_stoch(ax, fmt, rng)
-    v = fmt.mag[mi]
-    return np.where(np.signbit(ratio), -v, v).astype(F32, copy=False)
+    sign = np.signbit(ratio).astype(np.uint8) << (fmt.bits - 1)
+    return mi.astype(np.uint8) | sign
 
 
-_OUTER_MODE = {
-    OuterGranularity.PER_TENSOR: fastpath.OUTER_PER_TENSOR,
-    OuterGranularity.PER_ROW: fastpath.OUTER_PER_ROW,
-    OuterGranularity.BLOCK_1X128: fastpath.OUTER_BLOCK_1X128,
-}
+def _reconstruct(codes, fmt, sb, sg, orientation, rows, cols) -> np.ndarray:
+    """(P * S_b) * S_g on the block view, cropped, zeros normalized to +0."""
+    _, _, n_blocks, bc = codes.shape
+    vals = fc.values_from_codes(codes, fmt)
+    grid = (vals * _per_block(sb)) * _per_block(_outer_per_block(sg, n_blocks, bc))
+    out = crop_work_grid(grid.reshape(-1, n_blocks * bc), orientation, rows, cols)
+    out[out == 0] = 0.0
+    return out
 
-_NO_DRAWS = np.zeros((1, 1), dtype=np.float64)
 
-
-def _fused_grouped_fast(work, group, outer, fmt, mode, rng):
-    """Compiled single-pass evaluation of the grouped fused route.
-
-    Pads and draws exactly like the numpy route (one uniform per padded grid
-    position for stochastic mode), then hands the grid to the kernel.
-    """
-    wr, real = work.shape
-    wc = _ceil_to(real, group)
-    W = np.zeros((wr, wc), dtype=F32)
-    W[:, :real] = work
-    grid_max = np.float32(fmt.max)
-    big = _SCALE_TOP * grid_max
-    if mode is fc.RoundingMode.DETERMINISTIC:
-        use_stoch = False
-        draws = _NO_DRAWS
+def _resolve(orientation, outer, mode, element_fmt):
+    orientation = Orientation(orientation)
+    if orientation is Orientation.SQUARE_16X16:
+        if outer is not None and OuterGranularity(outer) is not OuterGranularity.PER_TENSOR:
+            raise ValueError("square tiles use a per-tensor outer scale")
+        outer = OuterGranularity.PER_TENSOR
     else:
-        if rng is None:
-            raise ValueError("stochastic quantization needs an rng")
-        use_stoch = True
-        draws = rng.random((wr, wc))
-    e4 = fc.FP8_E4M3
-    out = np.empty((wr, wc), dtype=F32)
-    clamps = fastpath._grouped_values(
-        W,
-        group,
-        _OUTER_MODE[outer],
-        use_stoch,
-        draws,
-        fmt.mag,
-        fmt._pos_mids,
-        e4.mag,
-        e4._pos_mids,
-        grid_max,
-        big,
-        float(grid_max * _CLAMP_TOL),
-        out,
+        outer = OuterGranularity(outer) if outer is not None else OuterGranularity.BLOCK_1X128
+    return orientation, outer, fc.RoundingMode.coerce(mode), fc.get_format(element_fmt)
+
+
+def _packed(m, orientation, outer, fmt, scale_fmt, plan, mode, rng) -> QuantizedMatrix:
+    """The QuantizedMatrix of a plan: codes packed row-major over the work grid."""
+    ratio, sb, sg, clamps = plan
+    codes = _codes(ratio, fmt, mode, rng).reshape(-1)
+    if fmt.bits == 4:
+        codes = codes[0::2] | (codes[1::2] << 4)
+    return QuantizedMatrix(
+        rows=m.shape[0],
+        cols=m.shape[1],
+        orientation=orientation,
+        outer=outer,
+        element_fmt=fmt.name,
+        scale_fmt=scale_fmt,
+        group=GROUP_FOR_SCALE[scale_fmt],
+        codes=codes,
+        inner_scales=sb.reshape(-1),
+        outer_scales=sg.reshape(-1),
+        clamp_count=clamps,
     )
-    return out, int(clamps)
 
 
 def quantize_double_block(
@@ -384,31 +332,9 @@ def quantize_double_block(
 ) -> QuantizedMatrix:
     """Quantize a binary32 matrix with the two-level block scheme."""
     m = as_matrix(m)
-    orientation = Orientation(orientation)
-    mode = fc.RoundingMode.coerce(mode)
-    fmt = fc.get_format(element_fmt)
-    if orientation is Orientation.SQUARE_16X16:
-        if outer is not None and OuterGranularity(outer) is not OuterGranularity.PER_TENSOR:
-            raise ValueError("square tiles use a per-tensor outer scale")
-        outer = OuterGranularity.PER_TENSOR
-        codes_grid, sb, sg, clamps = _quantize_square(m, fmt, mode, rng)
-    else:
-        outer = OuterGranularity(outer) if outer is not None else OuterGranularity.BLOCK_1X128
-        work = m if orientation is Orientation.ROW_GROUPS_1X16 else m.T
-        codes_grid, sb, sg, clamps = _quantize_grouped(work, 16, outer, fmt, mode, rng)
-    return QuantizedMatrix(
-        rows=m.shape[0],
-        cols=m.shape[1],
-        orientation=orientation,
-        outer=outer,
-        element_fmt=fmt.name,
-        scale_fmt="e4m3",
-        group=16,
-        codes=_pack(codes_grid, fmt.bits),
-        inner_scales=sb,
-        outer_scales=sg,
-        clamp_count=clamps,
-    )
+    orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
+    plan = _plan(m, orientation, outer, fmt)
+    return _packed(m, orientation, outer, fmt, "e4m3", plan, mode, rng)
 
 
 def quantize_dequantize(
@@ -419,7 +345,7 @@ def quantize_dequantize(
     rng=None,
     element_fmt: str = "e2m1",
 ) -> tuple[np.ndarray, int]:
-    """Quantize and immediately reconstruct, without materializing codes.
+    """Quantize and immediately reconstruct, without packing codes.
 
     Returns ``(values, clamp_count)`` where ``values`` is bit-identical to
     ``dequantize(quantize_double_block(...))`` with the same arguments — the
@@ -428,33 +354,10 @@ def quantize_dequantize(
     routes are interchangeable mid-stream.
     """
     m = as_matrix(m)
-    orientation = Orientation(orientation)
-    mode = fc.RoundingMode.coerce(mode)
-    fmt = fc.get_format(element_fmt)
-    if orientation is Orientation.SQUARE_16X16:
-        if outer is not None and OuterGranularity(outer) is not OuterGranularity.PER_TENSOR:
-            raise ValueError("square tiles use a per-tensor outer scale")
-        ratio, _, sg, sb_elem, clamps = _square_ratio(m, fmt)
-        vals = _round_values(ratio, fmt, mode, rng)
-        out = (vals * sb_elem) * sg.reshape(1, 1)
-        out = out[: m.shape[0], : m.shape[1]]
-    else:
-        work = m if orientation is Orientation.ROW_GROUPS_1X16 else m.T
-        out_gran = (
-            OuterGranularity(outer) if outer is not None else OuterGranularity.BLOCK_1X128
-        )
-        if fastpath.AVAILABLE and _FASTPATH_ENABLED:
-            grid, clamps = _fused_grouped_fast(work, 16, out_gran, fmt, mode, rng)
-        else:
-            ratio, _, _, sb_elem, sg_elem, clamps = _grouped_ratio(work, 16, out_gran, fmt)
-            vals = _round_values(ratio, fmt, mode, rng)
-            grid = (vals * sb_elem) * sg_elem
-        out = grid[:, : work.shape[1]]
-        if orientation is Orientation.COL_GROUPS_16X1:
-            out = out.T
-    out = np.ascontiguousarray(out, dtype=F32)
-    out[out == 0] = 0.0
-    return out, clamps
+    orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
+    ratio, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    codes = _codes(ratio, fmt, mode, rng)
+    return _reconstruct(codes, fmt, sb, sg, orientation, *m.shape), clamps
 
 
 def quantize_mxfp4(m, mode: fc.RoundingMode | str = "det", rng=None) -> QuantizedMatrix:
@@ -464,55 +367,24 @@ def quantize_mxfp4(m, mode: fc.RoundingMode | str = "det", rng=None) -> Quantize
     division by the scale is lossless in float32.
     """
     m = as_matrix(m)
-    mode = fc.RoundingMode.coerce(mode)
-    fmt = fc.FP4_E2M1
-    group = 32
-    wr, real = m.shape
-    wc = _ceil_to(real, group)
-    W = np.zeros((wr, wc), dtype=F32)
-    W[:, :real] = m
-    n_in = wc // group
-    a_in = np.abs(W).reshape(wr, n_in, group).max(axis=2)
-    grid_max = np.float32(fmt.max)
-    pos = a_in > 0
-    sb = np.where(
-        pos, fc.e8m0_pow2_ceil(np.where(pos, a_in / grid_max, 1.0)), F32(1.0)
-    ).astype(F32)
-    ratio = W / np.repeat(sb, group, axis=1)
-    clamps = int(np.count_nonzero(np.abs(ratio) > grid_max * _CLAMP_TOL))
-    np.clip(ratio, -grid_max, grid_max, out=ratio)
-    codes_grid = _round_grid(ratio, fmt, mode, rng)
-    return QuantizedMatrix(
-        rows=wr,
-        cols=real,
-        orientation=Orientation.ROW_GROUPS_1X16,
-        outer=OuterGranularity.PER_TENSOR,
-        element_fmt=fmt.name,
-        scale_fmt="e8m0",
-        group=group,
-        codes=_pack(codes_grid, fmt.bits),
-        inner_scales=sb.reshape(-1),
-        outer_scales=np.ones(1, dtype=F32),
-        clamp_count=clamps,
+    mode, fmt = fc.RoundingMode.coerce(mode), fc.FP4_E2M1
+    plan = _plan(m, Orientation.ROW_GROUPS_1X16, None, fmt, scale_fmt="e8m0")
+    return _packed(
+        m, Orientation.ROW_GROUPS_1X16, OuterGranularity.PER_TENSOR, fmt, "e8m0",
+        plan, mode, rng,
     )
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Float32 reconstruction (P * S_b) * S_g, cropped, zeros normalized to +0."""
+    grid = unpacked_codes(q)
+    br, bc = _block_shape(q.orientation, q.group)
+    R, C = grid.shape[0] // br, grid.shape[1] // bc
+    codes = grid.reshape(R, br, C, bc)
+    sb = q.inner_scales.reshape(R, C)
+    sg = q.outer_scales.reshape(_outer_grid(q.outer, *grid.shape))
     fmt = fc.get_format(q.element_fmt)
-    vals = fc.values_from_codes(unpacked_codes(q), fmt)
-    sb, sg = _expand_scales(q)
-    out = (vals * sb) * sg
-    _, _, real = _work_dims(q)
-    if q.orientation is Orientation.SQUARE_16X16:
-        out = out[: q.rows, : q.cols]
-    else:
-        out = out[:, :real]
-        if q.orientation is Orientation.COL_GROUPS_16X1:
-            out = out.T
-    out = np.ascontiguousarray(out, dtype=F32)
-    out[out == 0] = 0.0
-    return out
+    return _reconstruct(codes, fmt, sb, sg, q.orientation, q.rows, q.cols)
 
 
 def requantize(
@@ -530,59 +402,3 @@ def requantize(
         dequantize(q), orientation, outer=outer, mode=mode, rng=rng,
         element_fmt=q.element_fmt,
     )
-
-
-def quantize_with_scales(
-    m,
-    ref: QuantizedMatrix,
-    mode: fc.RoundingMode | str = "det",
-    rng=None,
-    with_mag_codes: bool = False,
-):
-    """Quantize-dequantize `m` under `ref`'s frozen scale chain.
-
-    This is the live-scales quantizer view used by oscillation tracking: no
-    amax is recomputed, values outside the frozen range clamp to the grid.
-    Returns the dequantized values; with_mag_codes additionally returns the
-    per-element magnitude code (|P| index) in the logical layout.
-    """
-    m = as_matrix(m)
-    if m.shape != (ref.rows, ref.cols):
-        raise ValueError(f"shape {m.shape} does not match reference {ref.shape}")
-    fmt = fc.get_format(ref.element_fmt)
-    grid_max = np.float32(fmt.max)
-    mode = fc.RoundingMode.coerce(mode)
-
-    if ref.orientation is Orientation.SQUARE_16X16:
-        work = m
-    elif ref.orientation is Orientation.ROW_GROUPS_1X16:
-        work = m
-    else:
-        work = m.T
-    wr, wc, real = _work_dims(ref)
-    W = np.zeros((wr, wc), dtype=F32)
-    if ref.orientation is Orientation.SQUARE_16X16:
-        W[: m.shape[0], : m.shape[1]] = work
-    else:
-        W[:, :real] = work
-
-    sb, sg = _expand_scales(ref)
-    ratio = (W / sg) / sb
-    np.clip(ratio, -grid_max, grid_max, out=ratio)
-    codes_grid = _round_grid(ratio, fmt, mode, rng)
-    vals = (fc.values_from_codes(codes_grid, fmt) * sb) * sg
-
-    def crop(a):
-        if ref.orientation is Orientation.SQUARE_16X16:
-            return a[: ref.rows, : ref.cols]
-        a = a[:, :real]
-        return a.T if ref.orientation is Orientation.COL_GROUPS_16X1 else a
-
-    out = np.ascontiguousarray(crop(vals), dtype=F32)
-    out[out == 0] = 0.0
-    if not with_mag_codes:
-        return out
-    half = 1 << (fmt.bits - 1)
-    mags = np.ascontiguousarray(crop(codes_grid & (half - 1)))
-    return out, mags
-

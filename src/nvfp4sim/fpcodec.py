@@ -33,8 +33,6 @@ __all__ = [
     "decode",
     "round_det",
     "round_stoch",
-    "round_codes_det",
-    "round_codes_stoch",
     "values_from_codes",
     "round_fp4_det",
     "round_fp4_stoch",
@@ -176,25 +174,13 @@ def round_stoch(x, fmt: FormatSpec, rng):
     return np.copysign(out, a)
 
 
-def round_codes_det(x, fmt: FormatSpec) -> np.ndarray:
-    """Like round_det but returns sign-magnitude codes (uint8)."""
-    a = _as_float_array(x)
-    mi = _mag_round_det(np.abs(a), fmt)
-    sign = np.signbit(a).astype(np.uint8)
-    return (mi.astype(np.uint8)) | (sign << (fmt.bits - 1))
-
-
-def round_codes_stoch(x, fmt: FormatSpec, rng) -> np.ndarray:
-    a = _as_float_array(x)
-    mi = _mag_round_stoch(np.abs(a), fmt, rng)
-    sign = np.signbit(a).astype(np.uint8)
-    return (mi.astype(np.uint8)) | (sign << (fmt.bits - 1))
-
-
 def values_from_codes(codes: np.ndarray, fmt: FormatSpec, dtype=np.float32):
+    """Decode code arrays through one signed table; reserved codes give NaN."""
     half = 1 << (fmt.bits - 1)
-    v = fmt.mag[codes & (half - 1)]
-    return np.where(codes >= half, -v, v).astype(dtype, copy=False)
+    table = np.full(2 * half, np.nan, dtype=dtype)
+    table[: fmt.mag.size] = fmt.mag
+    table[half : half + fmt.mag.size] = -fmt.mag
+    return table[codes]
 
 
 # ── scalar codec surface ─────────────────────────────────────────────────────

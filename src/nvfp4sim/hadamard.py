@@ -16,7 +16,6 @@ any replay of it — see identical signs without storing them.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import math
 from typing import Tuple
@@ -28,7 +27,6 @@ from .blockquant import as_matrix
 
 __all__ = [
     "DEFAULT_BLOCK",
-    "ApplySide",
     "RhtContext",
     "hadamard_dense",
     "rht_context",
@@ -37,12 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK = 32
-
-
-class ApplySide(enum.Enum):
-    """Which side of the input the rotation multiplies (columns only)."""
-
-    RIGHT = "right"
 
 
 def _is_pow2(n: int) -> bool:
@@ -163,7 +155,6 @@ def _fwht_last_axis(blocks: np.ndarray, d: int) -> np.ndarray:
 def rht_apply(
     a,
     ctx: RhtContext,
-    side: ApplySide = ApplySide.RIGHT,
     *,
     keep_padding: bool = False,
 ) -> np.ndarray:
@@ -176,8 +167,6 @@ def rht_apply(
     other operand is transformed with the same context, because cropping
     discards coordinates the rotation moved mass into.
     """
-    if side is not ApplySide.RIGHT:
-        raise ValueError(f"only right-side application is supported, got {side!r}")
     m = as_matrix(a)
     if m.shape[1] != ctx.dim:
         raise ValueError(

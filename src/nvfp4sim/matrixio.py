@@ -19,7 +19,9 @@ CSV files hold dense matrices only, one row per line, values formatted with
 nine significant digits so binary32 values round-trip exactly.
 
 Malformed files raise :class:`FileFormatError` carrying the byte offset of
-the offending field (for truncation, the offset where the file ended).
+the offending field (for truncation, the offset where the file ended). That
+covers a quantized payload whose group or array counts do not fit its layout,
+and a non-finite dense entry, which neither writer produces.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ MAGIC = b"QMXF"
 VERSION = 1
 
 F32 = np.float32
+# the smallest magnitude that rounds to infinity in binary32
+_F32_OVERFLOW = 2.0**128 - 2.0**103
 
 _ORIENT_CODES = {
     Orientation.ROW_GROUPS_1X16: 0,
@@ -178,16 +182,23 @@ def _read_header(r: _Reader):
 
 def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
     orientation = r.coded(_ORIENT_NAMES, "orientation")
+    outer_at = r.pos
     outer = r.coded(_OUTER_NAMES, "outer granularity")
     element_fmt = r.coded(_ELEMENT_NAMES, "element format")
     scale_fmt = r.coded(_SCALE_NAMES, "scale format")
+    at = r.pos
     (group,) = r.unpack("<B", "group")
-    (n_codes,) = r.unpack("<Q", "code count")
-    codes = r.array(n_codes, np.uint8, "codes")
-    (n_inner,) = r.unpack("<Q", "inner-scale count")
-    inner = r.array(n_inner, F32, "inner scales")
-    (n_outer,) = r.unpack("<Q", "outer-scale count")
-    outer_scales = r.array(n_outer, F32, "outer scales")
+    if group != bq.GROUP_FOR_SCALE[scale_fmt]:
+        raise FileFormatError(f"group {group} does not fit {scale_fmt} scales", offset=at)
+    try:
+        n_codes, n_inner, n_outer = bq.layout_sizes(
+            rows, cols, orientation, outer, element_fmt, group
+        )
+    except ValueError as exc:
+        raise FileFormatError(str(exc), offset=outer_at) from None
+    codes = _counted_array(r, n_codes, np.uint8, "code")
+    inner = _counted_array(r, n_inner, F32, "inner-scale")
+    outer_scales = _counted_array(r, n_outer, F32, "outer-scale")
     (clamp_count,) = r.unpack("<Q", "clamp count")
     return QuantizedMatrix(
         rows=rows,
@@ -204,11 +215,23 @@ def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
     )
 
 
+def _counted_array(r: _Reader, expected: int, dtype, what: str) -> np.ndarray:
+    at = r.pos
+    (n,) = r.unpack("<Q", f"{what} count")
+    if n != expected:
+        raise FileFormatError(f"{what} count {n}, the layout holds {expected}", offset=at)
+    return r.array(n, dtype, f"{what}s")
+
+
 def _load_binary(data: bytes):
     r = _Reader(data)
     kind, rows, cols = _read_header(r)
     if kind == 0:
+        at = r.pos
         flat = r.array(rows * cols, F32, "dense payload")
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            raise FileFormatError("non-finite matrix entry", offset=at + 4 * int(bad[0]))
         return flat.reshape(rows, cols)
     return _read_quantized(r, rows, cols)
 
@@ -224,11 +247,14 @@ def _load_csv(data: bytes) -> np.ndarray:
             col_at = offset
             for tok in line.decode("ascii", errors="replace").split(","):
                 try:
-                    values.append(float(tok))
+                    v = float(tok)
                 except ValueError:
+                    v = float("nan")
+                if not abs(v) < _F32_OVERFLOW:  # also false for NaN
                     raise FileFormatError(
-                        f"not a number: {tok.strip()!r}", offset=col_at
-                    ) from None
+                        f"not a finite binary32 number: {tok.strip()!r}", offset=col_at
+                    )
+                values.append(v)
                 col_at += len(tok.encode("ascii", errors="replace")) + 1
             if width is None:
                 width = len(values)

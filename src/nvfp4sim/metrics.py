@@ -31,7 +31,6 @@ from . import qlinear as ql
 __all__ = [
     "error_stats",
     "boundary_matrix",
-    "sign_matrix",
     "BiasReport",
     "mc_backward_bias",
     "INPUT_CRAFTS",
@@ -110,14 +109,6 @@ def boundary_matrix(shape: Tuple[int, int], seed: int, offset: float = 0.3) -> n
     grid point when quantized along rows, so nearest rounding always rounds
     them toward zero while stochastic rounding stays unbiased."""
     return _boundary_from_rng(shape, fc.stream(seed, "boundary-matrix"), offset)
-
-
-def sign_matrix(shape: Tuple[int, int], seed: int) -> np.ndarray:
-    """Random ±1 matrix: one shared magnitude makes every element land on the
-    top FP4 code under any block orientation, so even deterministic rounding
-    reproduces it (to float32 scale round-off)."""
-    rng = fc.stream(seed, "sign-matrix")
-    return np.where(rng.random(size=shape) < 0.5, F32(-1.0), F32(1.0))
 
 
 def _craft(kind: str, shape: Tuple[int, int], seed: int, tag: str) -> np.ndarray:

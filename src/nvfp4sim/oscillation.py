@@ -51,10 +51,8 @@ __all__ = [
     "double_block_weight_view",
     "osci_risk",
     "oscillation_suppress",
-    "risk_fractions",
     "suppression_hook",
     "update_oscillation_stats",
-    "window_summary",
 ]
 
 
@@ -97,10 +95,10 @@ def double_block_weight_view(orientation, outer=None, element_fmt: str = "e2m1")
         q = bq.quantize_double_block(
             w, orientation, outer=outer, mode="det", element_fmt=fmt.name
         )
-        vals, mags = bq.quantize_with_scales(w, q, mode="det", with_mag_codes=True)
+        mags = bq.unpacked_codes(q) & top_code
         return QuantizedWeightView(
-            values=vals,
-            at_max_code=mags == top_code,
+            values=bq.dequantize(q),
+            at_max_code=bq.crop_work_grid(mags == top_code, orientation, q.rows, q.cols),
             block_amax=bq.element_block_amax(w, orientation),
         )
 
@@ -267,27 +265,3 @@ def suppression_hook(step: int, schedule: SuppressionSchedule) -> HookDecision:
     if t0 == schedule.t_accu + 1:
         return HookDecision(HookAction.SUPPRESS)
     return HookDecision(HookAction.NONE)
-
-
-# ── window export ────────────────────────────────────────────────────────────
-
-
-def risk_fractions(risks, thresholds) -> tuple:
-    """Fraction of elements with risk >= each threshold."""
-    r = np.asarray(risks)
-    n = r.size
-    return tuple(float(np.count_nonzero(r >= F32(t))) / n for t in thresholds)
-
-
-def window_summary(tracker: OscillationTracker, thresholds=(8.0, 16.0)) -> dict:
-    """Flat per-window statistics, ready to become one CSV row."""
-    risks = osci_risk(tracker)
-    out = {
-        "n": int(risks.size),
-        "max_risk": float(risks.max()) if risks.size else 0.0,
-        "mean_dist_m": float(tracker.dist_m.mean()) if risks.size else 0.0,
-        "mean_dist_q": float(tracker.dist_q.mean()) if risks.size else 0.0,
-    }
-    for t, frac in zip(thresholds, risk_fractions(risks, thresholds)):
-        out[f"frac_ge_{t:g}"] = frac
-    return out

@@ -103,6 +103,25 @@ def test_quantize_malformed_input_reports_byte_offset(tmp_path, capsys):
     assert any(ch.isdigit() for ch in err)
 
 
+def test_quantize_payload_shape_mismatch_exits_two(tmp_path, capsys):
+    src = tmp_path / "q.qmxf"
+    mio.save_quantized(src, bq.quantize_double_block(np.ones((4, 32), np.float32), "row"))
+    raw = bytearray(src.read_bytes())
+    raw[9:13] = (5).to_bytes(4, "little")  # header rows 4 -> 5
+    src.write_bytes(bytes(raw))
+    rc = cli.main(["quantize", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "byte 22" in capsys.readouterr().err
+
+
+def test_quantize_nonfinite_csv_exits_two(tmp_path, capsys):
+    src = tmp_path / "nf.csv"
+    src.write_text("1,nan\ninf,2\n")
+    rc = cli.main(["quantize", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "byte 2" in capsys.readouterr().err
+
+
 def test_quantize_stochastic_mode_uses_seed(tmp_path):
     m = rnd((16, 64), seed=4)
     src = tmp_path / "m.csv"

@@ -136,3 +136,88 @@ def test_nonfinite_dense_rejected(tmp_path):
     m = np.array([[1.0, np.inf]], F32)
     with pytest.raises(ValueError):
         mio.save_dense(tmp_path / "x.qmx", m)
+
+
+# ── payloads that disagree with their layout ─────────────────────────────────
+
+# byte offsets in a quantized dump: 17-byte header, then orientation, outer
+# granularity, element format, scale format and group, then the code count
+_OUTER_AT, _SCALE_AT, _GROUP_AT, _CODE_COUNT_AT = 18, 20, 21, 22
+
+
+def _quantized_bytes(tmp_path, q):
+    p = tmp_path / "q.qmxf"
+    mio.save_quantized(p, q)
+    return bytearray(p.read_bytes())
+
+
+def _load_patched(tmp_path, raw):
+    p = tmp_path / "patched.qmxf"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(mio.FileFormatError) as ei:
+        mio.load_matrix(p)
+    return ei.value.offset
+
+
+def test_header_shape_disagreeing_with_codes_is_rejected(tmp_path):
+    raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((4, 32), F32), "row"))
+    raw[9:13] = struct.pack("<I", 5)  # rows 4 -> 5
+    assert _load_patched(tmp_path, raw) == _CODE_COUNT_AT
+
+
+@pytest.mark.parametrize("group", [0, 32])
+def test_group_not_fitting_the_scale_format_is_rejected(tmp_path, group):
+    raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((4, 32), F32), "row"))
+    raw[_GROUP_AT] = group
+    assert _load_patched(tmp_path, raw) == _GROUP_AT
+
+
+def test_mxfp4_group_must_be_32(tmp_path):
+    raw = _quantized_bytes(tmp_path, bq.quantize_mxfp4(np.ones((2, 64), F32)))
+    assert raw[_SCALE_AT] == 1 and raw[_GROUP_AT] == 32
+    raw[_GROUP_AT] = 16
+    assert _load_patched(tmp_path, raw) == _GROUP_AT
+
+
+@pytest.mark.parametrize("which", ["inner", "outer"])
+def test_scale_counts_must_match_the_layout(tmp_path, which):
+    q = bq.quantize_double_block(np.ones((4, 32), F32), "row", outer="per-row")
+    raw = _quantized_bytes(tmp_path, q)
+    inner_at = _CODE_COUNT_AT + 8 + q.codes.size
+    at = inner_at if which == "inner" else inner_at + 8 + 4 * q.inner_scales.size
+    (n,) = struct.unpack_from("<Q", raw, at)
+    struct.pack_into("<Q", raw, at, n - 1)
+    assert _load_patched(tmp_path, raw) == at
+
+
+def test_square_tiles_with_a_per_row_outer_level_are_rejected(tmp_path):
+    raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((16, 16), F32), "square"))
+    raw[_OUTER_AT] = 1  # per-row
+    assert _load_patched(tmp_path, raw) == _OUTER_AT
+
+
+# ── non-finite dense input ───────────────────────────────────────────────────
+
+
+def test_nonfinite_csv_token_reports_offset(tmp_path):
+    p = tmp_path / "nf.csv"
+    p.write_text("1,nan\ninf,2\n")
+    with pytest.raises(mio.FileFormatError) as ei:
+        mio.load_matrix(p)
+    assert ei.value.offset == 2
+    for bad in ("-inf", "1e39"):  # 1e39 overflows binary32
+        p.write_text(f"1,2\n{bad},2\n")
+        with pytest.raises(mio.FileFormatError) as ei:
+            mio.load_matrix(p)
+        assert ei.value.offset == 4
+    p.write_text("3.4028235e38,-3.4028235e38\n")  # binary32's largest finite
+    assert np.all(np.isfinite(mio.load_matrix(p)))
+
+
+def test_nonfinite_dense_payload_reports_offset(tmp_path):
+    p = tmp_path / "nf.qmx"
+    payload = np.array([1.0, 2.0, np.nan, np.inf], F32)
+    p.write_bytes(mio.MAGIC + struct.pack("<IBII", 1, 0, 2, 2) + payload.tobytes())
+    with pytest.raises(mio.FileFormatError) as ei:
+        mio.load_matrix(p)
+    assert ei.value.offset == 17 + 2 * 4

@@ -108,6 +108,38 @@ def test_hook_rejects_nonpositive_step():
         osc.suppression_hook(0, s)
 
 
+# ── double-block quantizer view ──────────────────────────────────────────────
+
+VIEW_LAYOUTS = [
+    (bq.Orientation.ROW_GROUPS_1X16, bq.OuterGranularity.BLOCK_1X128, (5, 150)),
+    (bq.Orientation.COL_GROUPS_16X1, bq.OuterGranularity.PER_ROW, (37, 9)),
+    (bq.Orientation.SQUARE_16X16, None, (20, 35)),
+]
+
+
+@pytest.mark.parametrize("orientation,outer,shape", VIEW_LAYOUTS, ids=["row", "col", "square"])
+def test_weight_view_values_match_dequantize(orientation, outer, shape):
+    w = (np.random.Generator(np.random.Philox(43)).standard_normal(shape) * 3).astype(F32)
+    view = osc.double_block_weight_view(orientation, outer)(w)
+    q = bq.quantize_double_block(w, orientation, outer=outer)
+    np.testing.assert_array_equal(view.values, bq.dequantize(q))
+    np.testing.assert_array_equal(view.block_amax, bq.element_block_amax(w, orientation))
+
+
+@pytest.mark.parametrize("orientation,outer,shape", VIEW_LAYOUTS, ids=["row", "col", "square"])
+def test_weight_view_flags_block_carriers_at_max_code(orientation, outer, shape):
+    # every block's amax carrier lands on the top code (the E4M3 scale is at
+    # most 1/16 off, so its ratio stays above 5 and rounds to 6); the flags
+    # come back in the logical layout, ragged edges and transposes included
+    w = (np.random.Generator(np.random.Philox(53)).standard_normal(shape) * 3).astype(F32)
+    view = osc.double_block_weight_view(orientation, outer)(w)
+    assert view.at_max_code.shape == w.shape and view.at_max_code.dtype == bool
+    assert np.all(view.at_max_code[np.abs(w) == view.block_amax])
+    # top-code values are the largest in their block, and only they reach it
+    top = np.abs(view.values) == bq.element_block_amax(view.values, orientation)
+    np.testing.assert_array_equal(view.at_max_code, top)
+
+
 # ── accumulator mechanics ────────────────────────────────────────────────────
 
 
@@ -434,24 +466,3 @@ def test_post_reset_escape_needs_half_bin():
     w3 = out.copy()
     w3[0, 1] += F32(113.0)
     assert view(w3).values[0, 1] != q0
-
-
-# ── window export helpers ────────────────────────────────────────────────────
-
-
-def test_risk_fractions():
-    risks = np.array([[0.0, 4.0], [9.0, 17.0]], F32)
-    assert osc.risk_fractions(risks, (8.0, 16.0)) == (0.5, 0.25)
-
-
-def test_window_summary_keys_and_values():
-    tr = osc.OscillationTracker.zeros((2, 2))
-    tr.dist_m[:] = 1.0
-    tr.dist_q[:] = [[0.0, 4.0], [9.0, 17.0]]
-    s = osc.window_summary(tr, thresholds=(8.0, 16.0))
-    assert s["n"] == 4
-    assert s["frac_ge_8"] == 0.5
-    assert s["frac_ge_16"] == 0.25
-    assert s["max_risk"] == 17.0
-    assert np.isclose(s["mean_dist_m"], 1.0)
-    assert np.isclose(s["mean_dist_q"], 7.5)
