@@ -151,14 +151,24 @@ def _outer_grid(outer: OuterGranularity, wr: int, wc: int):
     return wr, -(-wc // _OUTER_SPAN)
 
 
+def _layout_outer(orientation: Orientation, outer) -> OuterGranularity:
+    """The outer granularity of a layout; ``None`` picks the default."""
+    square = orientation is Orientation.SQUARE_16X16
+    if outer is None:
+        return OuterGranularity.PER_TENSOR if square else OuterGranularity.BLOCK_1X128
+    outer = OuterGranularity(outer)
+    if square and outer is not OuterGranularity.PER_TENSOR:
+        raise ValueError("square tiles use a per-tensor outer scale")
+    return outer
+
+
 def layout_sizes(rows, cols, orientation, outer, element_fmt, group):
     """(code bytes, inner scales, outer scales) stored for this layout.
 
     Raises ValueError for square tiles with an outer level other than
     per-tensor, which no block view can carry.
     """
-    if orientation is Orientation.SQUARE_16X16 and outer is not OuterGranularity.PER_TENSOR:
-        raise ValueError("square tiles use a per-tensor outer scale")
+    outer = _layout_outer(orientation, outer)
     wr, wc = _grid_shape(rows, cols, orientation, group)
     br, bc = _block_shape(orientation, group)
     n_codes = wr * wc // (2 if fc.get_format(element_fmt).bits == 4 else 1)
@@ -292,18 +302,16 @@ def _reconstruct(codes, fmt, sb, sg, orientation, rows, cols) -> np.ndarray:
 
 def _resolve(orientation, outer, mode, element_fmt):
     orientation = Orientation(orientation)
-    if orientation is Orientation.SQUARE_16X16:
-        if outer is not None and OuterGranularity(outer) is not OuterGranularity.PER_TENSOR:
-            raise ValueError("square tiles use a per-tensor outer scale")
-        outer = OuterGranularity.PER_TENSOR
-    else:
-        outer = OuterGranularity(outer) if outer is not None else OuterGranularity.BLOCK_1X128
+    outer = _layout_outer(orientation, outer)
     return orientation, outer, fc.RoundingMode.coerce(mode), fc.get_format(element_fmt)
 
 
-def _packed(m, orientation, outer, fmt, scale_fmt, plan, mode, rng) -> QuantizedMatrix:
-    """The QuantizedMatrix of a plan: codes packed row-major over the work grid."""
-    ratio, sb, sg, clamps = plan
+def _packed(m, orientation, outer, fmt, mode, rng, scale_fmt="e4m3") -> QuantizedMatrix:
+    """Quantize ``m`` and pack its codes row-major over the work grid.
+
+    ``outer=None`` (MXFP4) is stored as a per-tensor outer scale of 1.
+    """
+    ratio, sb, sg, clamps = _plan(m, orientation, outer, fmt, scale_fmt)
     codes = _codes(ratio, fmt, mode, rng).reshape(-1)
     if fmt.bits == 4:
         codes = codes[0::2] | (codes[1::2] << 4)
@@ -311,7 +319,7 @@ def _packed(m, orientation, outer, fmt, scale_fmt, plan, mode, rng) -> Quantized
         rows=m.shape[0],
         cols=m.shape[1],
         orientation=orientation,
-        outer=outer,
+        outer=outer or OuterGranularity.PER_TENSOR,
         element_fmt=fmt.name,
         scale_fmt=scale_fmt,
         group=GROUP_FOR_SCALE[scale_fmt],
@@ -333,8 +341,7 @@ def quantize_double_block(
     """Quantize a binary32 matrix with the two-level block scheme."""
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    plan = _plan(m, orientation, outer, fmt)
-    return _packed(m, orientation, outer, fmt, "e4m3", plan, mode, rng)
+    return _packed(m, orientation, outer, fmt, mode, rng)
 
 
 def quantize_dequantize(
@@ -367,12 +374,8 @@ def quantize_mxfp4(m, mode: fc.RoundingMode | str = "det", rng=None) -> Quantize
     division by the scale is lossless in float32.
     """
     m = as_matrix(m)
-    mode, fmt = fc.RoundingMode.coerce(mode), fc.FP4_E2M1
-    plan = _plan(m, Orientation.ROW_GROUPS_1X16, None, fmt, scale_fmt="e8m0")
-    return _packed(
-        m, Orientation.ROW_GROUPS_1X16, OuterGranularity.PER_TENSOR, fmt, "e8m0",
-        plan, mode, rng,
-    )
+    mode = fc.RoundingMode.coerce(mode)
+    return _packed(m, Orientation.ROW_GROUPS_1X16, None, fc.FP4_E2M1, mode, rng, "e8m0")
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:

@@ -20,8 +20,9 @@ nine significant digits so binary32 values round-trip exactly.
 
 Malformed files raise :class:`FileFormatError` carrying the byte offset of
 the offending field (for truncation, the offset where the file ended). That
-covers a quantized payload whose group or array counts do not fit its layout,
-and a non-finite dense entry, which neither writer produces.
+covers a quantized payload whose group or array counts do not fit its layout
+or whose code bytes overflow a 6-bit element format, and a non-finite dense
+entry, which neither writer produces.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blockquant as bq
+from . import fpcodec as fc
 from .blockquant import Orientation, OuterGranularity, QuantizedMatrix
 
 __all__ = [
@@ -196,7 +198,16 @@ def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
         )
     except ValueError as exc:
         raise FileFormatError(str(exc), offset=outer_at) from None
+    codes_at = r.pos + 8  # past the u64 count
     codes = _counted_array(r, n_codes, np.uint8, "code")
+    bits = fc.get_format(element_fmt).bits
+    if bits != 4:  # wider codes are stored one per byte, high bits clear
+        bad = np.flatnonzero(codes >> bits)
+        if bad.size:
+            raise FileFormatError(
+                f"code byte {codes[bad[0]]} exceeds {bits}-bit {element_fmt}",
+                offset=codes_at + int(bad[0]),
+            )
     inner = _counted_array(r, n_inner, F32, "inner-scale")
     outer_scales = _counted_array(r, n_outer, F32, "outer-scale")
     (clamp_count,) = r.unpack("<Q", "clamp count")

@@ -190,6 +190,20 @@ def test_scale_counts_must_match_the_layout(tmp_path, which):
     assert _load_patched(tmp_path, raw) == at
 
 
+@pytest.mark.parametrize("fmt", ["e3m2", "e2m3"])
+def test_six_bit_code_bytes_must_fit_the_format(tmp_path, fmt):
+    m = np.linspace(-1, 1, 4 * 32, dtype=F32).reshape(4, 32)
+    q = bq.quantize_double_block(m, "row", element_fmt=fmt)
+    raw = _quantized_bytes(tmp_path, q)
+    p = tmp_path / "ok.qmxf"
+    p.write_bytes(bytes(raw))
+    np.testing.assert_array_equal(mio.load_matrix(p), bq.dequantize(q))
+    first = _CODE_COUNT_AT + 8
+    raw[first + 5] |= 0x40  # code 64 and up has no 6-bit pattern
+    raw[first + 9] = 0xFF
+    assert _load_patched(tmp_path, raw) == first + 5
+
+
 def test_square_tiles_with_a_per_row_outer_level_are_rejected(tmp_path):
     raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((16, 16), F32), "square"))
     raw[_OUTER_AT] = 1  # per-row
