@@ -177,34 +177,32 @@ def _print_report(report: tr.RunReport) -> None:
           f"resets {report.total_resets}, clamp events {report.clamp_total}")
 
 
-def _cmd_train(args) -> int:
+def _run_training(args, run) -> int:
+    """Load the run config, ``run`` it and report; a config that loading or
+    ``run`` rejects exits 2."""
     try:
         cfg = _load_run_config(args)
     except (ValueError, KeyError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
     try:
-        report = tr.train(cfg)
+        report = run(cfg)
+    except ValueError as exc:
+        return _fail(f"bad config: {exc}")
     except tr.TrainDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     _print_report(report)
     return EXIT_OK
+
+
+def _cmd_train(args) -> int:
+    return _run_training(args, tr.train)
 
 
 def _cmd_switch(args) -> int:
-    try:
-        cfg = _load_run_config(args)
-    except (ValueError, KeyError, TypeError) as exc:
-        return _fail(f"bad config: {exc}")
-    try:
-        report = tr.precision_switch_run(cfg, args.switch_step, args.mode)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except tr.TrainDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    _print_report(report)
-    return EXIT_OK
+    return _run_training(
+        args, lambda cfg: tr.precision_switch_run(cfg, args.switch_step, args.mode)
+    )
 
 
 # ── sweep ────────────────────────────────────────────────────────────────────
@@ -471,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _sub(subparsers, "osci-analyze",
              "Aggregate an oscillation export per step; with --paired, emit "
              "the per-threshold fraction deltas between two runs.",
-             "nvfp4sim osci-analyze run/oscillation.csv --out oscdir"
+             "nvfp4sim osci-analyze run/oscillation.csv --out oscdir "
              "--thresholds 8,16")
     p.add_argument("file", help="oscillation.csv from a training run")
     p.add_argument("--paired", default=None,

@@ -38,8 +38,6 @@ __all__ = [
 
 F32 = np.float32
 
-_BACKWARD_SITES = ("dy_for_dx", "w_for_dx", "dy_for_dw", "x_for_dw")
-
 INPUT_CRAFTS = ("gaussian", "boundary", "signs")
 
 
@@ -214,14 +212,14 @@ def mc_backward_bias(
     s2w = np.zeros_like(tw)
     backward_clamps = 0
     for i in range(draws):
-        dx, dw = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i))
+        dx, dw, clamps = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i))
         dx64 = dx.astype(np.float64)
         dw64 = dw.astype(np.float64)
         s1x += dx64
         s2x += dx64 * dx64
         s1w += dw64
         s2w += dw64 * dw64
-        backward_clamps += sum(cache.clamp_counts.get(site, 0) for site in _BACKWARD_SITES)
+        backward_clamps += sum(clamps.values())
 
     zx, mean_x, sem_x = _z_scores(s1x, s2x, tx, draws, nsigma)
     zw, mean_w, sem_w = _z_scores(s1w, s2w, tw, draws, nsigma)

@@ -13,7 +13,11 @@ Two architectures cover the training experiments:
 Both expose the same protocol: ``init_params(seed)``, ``quant_tags()``,
 ``weight_param(tag)``, ``forward_loss``, ``loss_and_grads``, ``input_acts``,
 driven by a mapping ``tag -> LayerQuantConfig`` (see :func:`uniform_cfgs`).
-The backward pass visits quantized layers in exactly the reverse of forward
+Each forward keeps its layers' ``(tag, LinearCache)`` pairs in forward
+order: ``input_acts`` returns each cache's raw layer input, and the clamp
+telemetry (``clamp_events``, ``clamp_by_layer``) sums each cache's forward
+clamp counts with the backward counts ``linear_backward`` returns.  The
+backward pass visits quantized layers in exactly the reverse of forward
 order, so a run is replayable from the generator key alone.
 
 Gradients follow the straight-through convention of the quantized layer:
@@ -46,23 +50,51 @@ def uniform_cfgs(model, base_cfg: ql.LayerQuantConfig) -> Dict[str, ql.LayerQuan
     }
 
 
-def _check_cfgs(model, cfgs: Mapping[str, ql.LayerQuantConfig]) -> None:
-    missing = [t for t in model.quant_tags() if t not in cfgs]
-    if missing:
-        raise ValueError(f"missing layer configs for {missing}")
+def _clamp_aux(caches, backward) -> dict:
+    """Clamp telemetry of one step: per layer, the forward counts held in
+    its cache plus the backward counts in ``backward[tag]``."""
+    by_layer = {
+        tag: sum(cache.clamp_counts.values()) + sum(backward.get(tag, {}).values())
+        for tag, cache in caches.items()
+    }
+    return {"clamp_events": sum(by_layer.values()), "clamp_by_layer": by_layer}
 
 
-def _collect_clamps(caches) -> Tuple[int, Dict[str, int]]:
-    by_layer = {}
-    for tag, cache in caches:
-        by_layer[tag] = by_layer.get(tag, 0) + sum(cache.clamp_counts.values())
-    return sum(by_layer.values()), by_layer
+class _QuantizedModel:
+    """The protocol both models share.
+
+    A subclass sets ``_tags`` and implements ``_forward(params, batch, cfgs,
+    step) -> (loss, ctx)``, where ``ctx["caches"]`` maps each quantized
+    layer's tag to its :class:`~nvfp4sim.qlinear.LinearCache`, in forward
+    order.
+    """
+
+    def quant_tags(self) -> Tuple[str, ...]:
+        return self._tags
+
+    def weight_param(self, tag: str) -> str:
+        return f"{tag}.w"
+
+    def _run(self, params, batch, cfgs: Mapping[str, ql.LayerQuantConfig], step):
+        missing = [t for t in self._tags if t not in cfgs]
+        if missing:
+            raise ValueError(f"missing layer configs for {missing}")
+        return self._forward(params, batch, cfgs, step)
+
+    def forward_loss(self, params, batch, cfgs, step):
+        loss, ctx = self._run(params, batch, cfgs, step)
+        return loss, _clamp_aux(ctx["caches"], {})
+
+    def input_acts(self, params, batch, cfgs, step):
+        """The raw input of every quantized layer, keyed by tag."""
+        _, ctx = self._run(params, batch, cfgs, step)
+        return {tag: cache.x_raw for tag, cache in ctx["caches"].items()}
 
 
 # ── MLP ──────────────────────────────────────────────────────────────────────
 
 
-class MLP:
+class MLP(_QuantizedModel):
     """Bias-free ReLU MLP; hidden linears quantized, head binary32."""
 
     def __init__(self, widths: Tuple[int, ...] = (784, 256, 256, 10)):
@@ -77,12 +109,6 @@ class MLP:
     @property
     def name(self) -> str:
         return "mlp"
-
-    def quant_tags(self) -> Tuple[str, ...]:
-        return self._tags
-
-    def weight_param(self, tag: str) -> str:
-        return f"{tag}.w"
 
     def init_params(self, seed: int) -> Dict[str, np.ndarray]:
         params = {}
@@ -101,43 +127,32 @@ class MLP:
     def _forward(self, params, batch, cfgs, step):
         x, y = batch
         h = np.asarray(x, dtype=F32)
-        acts, caches, pre = {}, [], []
+        caches, pre = {}, []
         for tag in self._tags:
-            acts[tag] = h
-            a, cache = ql.linear_forward(h, params[f"{tag}.w"], cfgs[tag], step=step)
-            caches.append((tag, cache))
+            a, caches[tag] = ql.linear_forward(
+                h, params[f"{tag}.w"], cfgs[tag], step=step
+            )
             pre.append(a)
             h = np.maximum(a, F32(0.0))
         yhat = h @ params["head.w"].T
         err = yhat - np.asarray(y, dtype=F32)
         loss = float(np.mean(err.astype(np.float64) ** 2))
-        return loss, {"acts": acts, "caches": caches, "pre": pre, "h": h, "err": err}
-
-    def forward_loss(self, params, batch, cfgs, step):
-        _check_cfgs(self, cfgs)
-        loss, ctx = self._forward(params, batch, cfgs, step)
-        total, by_layer = _collect_clamps(ctx["caches"])
-        return loss, {"clamp_events": total, "clamp_by_layer": by_layer}
-
-    def input_acts(self, params, batch, cfgs, step):
-        _check_cfgs(self, cfgs)
-        _, ctx = self._forward(params, batch, cfgs, step)
-        return ctx["acts"]
+        return loss, {"caches": caches, "pre": pre, "h": h, "err": err}
 
     def loss_and_grads(self, params, batch, cfgs, step, rng):
-        _check_cfgs(self, cfgs)
-        loss, ctx = self._forward(params, batch, cfgs, step)
+        loss, ctx = self._run(params, batch, cfgs, step)
         err, h = ctx["err"], ctx["h"]
         dyhat = ((2.0 / err.size) * err).astype(F32)
         grads = {"head.w": dyhat.T @ h}
         dh = dyhat @ params["head.w"]
+        backward = {}
         for i in range(len(self._tags) - 1, -1, -1):
-            tag, cache = ctx["caches"][i]
+            tag = self._tags[i]
             da = (dh * (ctx["pre"][i] > 0)).astype(F32)
-            dh, dw = ql.linear_backward(da, cache, cfgs[tag], rng=rng, step=step)
-            grads[f"{tag}.w"] = dw
-        total, by_layer = _collect_clamps(ctx["caches"])
-        return loss, grads, {"clamp_events": total, "clamp_by_layer": by_layer}
+            dh, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
+                da, ctx["caches"][tag], cfgs[tag], rng=rng, step=step
+            )
+        return loss, grads, _clamp_aux(ctx["caches"], backward)
 
 
 # ── transformer building blocks ──────────────────────────────────────────────
@@ -172,7 +187,7 @@ def _softmax_causal(scores):
     return (e / np.sum(e, axis=-1, keepdims=True)).astype(F32)
 
 
-class TinyTransformer:
+class TinyTransformer(_QuantizedModel):
     """Pre-norm causal transformer with quantized block linears."""
 
     def __init__(
@@ -207,12 +222,6 @@ class TinyTransformer:
     @property
     def name(self) -> str:
         return "tiny-transformer"
-
-    def quant_tags(self) -> Tuple[str, ...]:
-        return self._tags
-
-    def weight_param(self, tag: str) -> str:
-        return f"{tag}.w"
 
     def init_params(self, seed: int) -> Dict[str, np.ndarray]:
         d, f, v = self.d_model, self.ffn_hidden, self.vocab
@@ -260,14 +269,14 @@ class TinyTransformer:
         scale = F32(1.0 / math.sqrt(hd))
 
         x = params["tok_emb"][ids] + params["pos_emb"][None, :length]
-        blocks = []
+        blocks, caches = [], {}
         for i in range(self.layers):
             blk = {"x0": x}
             g_a = params[f"l{i}.att_norm"]
             n1, r1 = _rmsnorm_fwd(x, g_a)
-            blk["n1"], blk["r1"] = n1, r1
+            blk["r1"] = r1
             n1_2 = n1.reshape(b * length, d)
-            qkv, blk["qkv_cache"] = ql.linear_forward(
+            qkv, caches[f"l{i}.qkv"] = ql.linear_forward(
                 n1_2, params[f"l{i}.qkv.w"], cfgs[f"l{i}.qkv"], step=step
             )
             trip = qkv.reshape(b, length, 3, h, hd).transpose(2, 0, 3, 1, 4)
@@ -276,8 +285,7 @@ class TinyTransformer:
             ctx = p @ v
             blk.update(q=q, k=k, v=v, p=p)
             ctx2 = ctx.transpose(0, 2, 1, 3).reshape(b * length, d)
-            blk["ctx2"] = ctx2
-            att, blk["att_cache"] = ql.linear_forward(
+            att, caches[f"l{i}.att_out"] = ql.linear_forward(
                 ctx2, params[f"l{i}.att_out.w"], cfgs[f"l{i}.att_out"], step=step
             )
             x = x + att.reshape(b, length, d)
@@ -285,17 +293,17 @@ class TinyTransformer:
             blk["x1"] = x
             g_f = params[f"l{i}.ffn_norm"]
             n2, r2 = _rmsnorm_fwd(x, g_f)
-            blk["n2"], blk["r2"] = n2, r2
+            blk["r2"] = r2
             n2_2 = n2.reshape(b * length, d)
-            uv, blk["ffn1_cache"] = ql.linear_forward(
+            uv, caches[f"l{i}.ffn1"] = ql.linear_forward(
                 n2_2, params[f"l{i}.ffn1.w"], cfgs[f"l{i}.ffn1"], step=step
             )
             fdim = self.ffn_hidden
             u, w_half = uv[:, :fdim], uv[:, fdim:]
             su, sig = _silu(u)
             s = (su * w_half).astype(F32)
-            blk.update(u=u, w_half=w_half, su=su, sig=sig, s=s)
-            ffn, blk["ffn2_cache"] = ql.linear_forward(
+            blk.update(u=u, w_half=w_half, su=su, sig=sig)
+            ffn, caches[f"l{i}.ffn2"] = ql.linear_forward(
                 s, params[f"l{i}.ffn2.w"], cfgs[f"l{i}.ffn2"], step=step
             )
             x = x + ffn.reshape(b, length, d)
@@ -317,58 +325,35 @@ class TinyTransformer:
             "b": b,
             "length": length,
             "x_final": x,
-            "n3": n3,
             "r3": r3,
             "n3_2": n3_2,
             "softmax": ez / sez,
             "targets": flat_t,
             "token_losses": token_losses,
             "blocks": blocks,
+            "caches": caches,
         }
 
-    def _caches(self, ctx):
-        out = []
-        for i, blk in enumerate(ctx["blocks"]):
-            out.append((f"l{i}.qkv", blk["qkv_cache"]))
-            out.append((f"l{i}.att_out", blk["att_cache"]))
-            out.append((f"l{i}.ffn1", blk["ffn1_cache"]))
-            out.append((f"l{i}.ffn2", blk["ffn2_cache"]))
-        return out
-
-    def forward_loss(self, params, batch, cfgs, step):
-        _check_cfgs(self, cfgs)
-        loss, ctx = self._forward(params, batch, cfgs, step)
-        total, by_layer = _collect_clamps(self._caches(ctx))
-        return loss, {"clamp_events": total, "clamp_by_layer": by_layer}
-
     def token_losses(self, params, batch, cfgs, step):
-        _check_cfgs(self, cfgs)
-        _, ctx = self._forward(params, batch, cfgs, step)
+        _, ctx = self._run(params, batch, cfgs, step)
         return ctx["token_losses"]
-
-    def input_acts(self, params, batch, cfgs, step):
-        _check_cfgs(self, cfgs)
-        _, ctx = self._forward(params, batch, cfgs, step)
-        acts = {}
-        for i, blk in enumerate(ctx["blocks"]):
-            b, length = blk["x0"].shape[0], blk["x0"].shape[1]
-            acts[f"l{i}.qkv"] = blk["n1"].reshape(b * length, self.d_model)
-            acts[f"l{i}.att_out"] = blk["ctx2"]
-            acts[f"l{i}.ffn1"] = blk["n2"].reshape(b * length, self.d_model)
-            acts[f"l{i}.ffn2"] = blk["s"]
-        return acts
 
     # ── backward ─────────────────────────────────────────────────────────
 
     def loss_and_grads(self, params, batch, cfgs, step, rng):
-        _check_cfgs(self, cfgs)
-        loss, ctx = self._forward(params, batch, cfgs, step)
+        loss, ctx = self._run(params, batch, cfgs, step)
         b, length = ctx["b"], ctx["length"]
         d, h = self.d_model, self.heads
         hd = d // h
         scale = F32(1.0 / math.sqrt(hd))
         n_tok = b * length
-        grads = {}
+        grads, backward = {}, {}
+
+        def linear_backward(tag, dy):
+            dx, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
+                dy, ctx["caches"][tag], cfgs[tag], rng=rng, step=step
+            )
+            return dx
 
         dlogits = ctx["softmax"].astype(F32)
         dlogits[np.arange(n_tok), ctx["targets"]] -= F32(1.0)
@@ -381,34 +366,21 @@ class TinyTransformer:
 
         for i in range(self.layers - 1, -1, -1):
             blk = ctx["blocks"][i]
-            fdim = self.ffn_hidden
 
             # ffn sublayer: x2 = x1 + ffn2(swiglu(ffn1(norm(x1))))
-            d_ffn = dx.reshape(n_tok, d)
-            ds, dw2 = ql.linear_backward(
-                d_ffn, blk["ffn2_cache"], cfgs[f"l{i}.ffn2"], rng=rng, step=step
-            )
-            grads[f"l{i}.ffn2.w"] = dw2
+            ds = linear_backward(f"l{i}.ffn2", dx.reshape(n_tok, d))
             sig, su, u, w_half = blk["sig"], blk["su"], blk["u"], blk["w_half"]
             du = (ds * w_half * (sig * (1.0 + u * (1.0 - sig)))).astype(F32)
             dw_half = (ds * su).astype(F32)
             duv = np.concatenate([du, dw_half], axis=1)
-            dn2_2, dw1 = ql.linear_backward(
-                duv, blk["ffn1_cache"], cfgs[f"l{i}.ffn1"], rng=rng, step=step
-            )
-            grads[f"l{i}.ffn1.w"] = dw1
-            dn2 = dn2_2.reshape(b, length, d)
+            dn2 = linear_backward(f"l{i}.ffn1", duv).reshape(b, length, d)
             dx1, grads[f"l{i}.ffn_norm"] = _rmsnorm_bwd(
                 dn2, blk["x1"], params[f"l{i}.ffn_norm"], blk["r2"]
             )
             dx = dx + dx1
 
             # attention sublayer: x1 = x0 + att_out(attend(qkv(norm(x0))))
-            d_att = dx.reshape(n_tok, d)
-            dctx2, dwo = ql.linear_backward(
-                d_att, blk["att_cache"], cfgs[f"l{i}.att_out"], rng=rng, step=step
-            )
-            grads[f"l{i}.att_out.w"] = dwo
+            dctx2 = linear_backward(f"l{i}.att_out", dx.reshape(n_tok, d))
             dctx = dctx2.reshape(b, length, h, hd).transpose(0, 2, 1, 3)
             p, q, k, v = blk["p"], blk["q"], blk["k"], blk["v"]
             dp = dctx @ v.transpose(0, 1, 3, 2)
@@ -418,11 +390,7 @@ class TinyTransformer:
             dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
             dtrip = np.stack([dq, dk, dv])  # (3, b, h, length, hd)
             dqkv = dtrip.transpose(1, 3, 0, 2, 4).reshape(n_tok, 3 * d)
-            dn1_2, dwq = ql.linear_backward(
-                dqkv, blk["qkv_cache"], cfgs[f"l{i}.qkv"], rng=rng, step=step
-            )
-            grads[f"l{i}.qkv.w"] = dwq
-            dn1 = dn1_2.reshape(b, length, d)
+            dn1 = linear_backward(f"l{i}.qkv", dqkv).reshape(b, length, d)
             dx0, grads[f"l{i}.att_norm"] = _rmsnorm_bwd(
                 dn1, blk["x0"], params[f"l{i}.att_norm"], blk["r1"]
             )
@@ -437,5 +405,4 @@ class TinyTransformer:
         dpos[:length] = dx.sum(axis=0)
         grads["pos_emb"] = dpos
 
-        total, by_layer = _collect_clamps(self._caches(ctx))
-        return loss, grads, {"clamp_events": total, "clamp_by_layer": by_layer}
+        return loss, grads, _clamp_aux(ctx["caches"], backward)

@@ -8,17 +8,18 @@ quantizers, one per matmul operand:
               dw = Q5(dy.T)   @ Q6(x_hat)      (stochastic by default)
 
 Every operand is quantized with 1x16 groups along its contraction axis
-(weights optionally in 16x16 square tiles).  Q4 and Q6 consume the cached
-*dequantized* forward operands so the backward sees exactly the tensors the
-forward multiplied; disabling that alignment (``align_xhat=False``) makes Q6
-quantize the raw activation instead.
+(weights optionally in 16x16 square tiles).  Site ``s`` is quantized when
+``quantize_<s>`` is set, in the element format ``format_<s>``.  Q4 and Q6
+consume the cached *dequantized* forward operands so the backward sees
+exactly the tensors the forward multiplied; disabling that alignment
+(``align_xhat=False``) makes Q6 quantize the raw activation instead.
 
 Backward matmuls can rotate both operands with a shared signed block-Hadamard
 transform along the contraction axis before quantization (``rht_dx`` /
 ``rht_dw``); the rotation is skipped when neither operand of that matmul is
 quantized, so disabling every site reproduces the binary32 reference layer
 bit-for-bit.  Sign vectors derive from ``(rht_seed, layer_tag, step, side)``
-with side tags "dx", "dw", and "fwd".
+with side tags "dx" and "dw".
 
 Outlier-channel retention splits the forward activation: selected columns
 bypass low-bit quantization (kept in ``e4m3`` with a shared current scale,
@@ -26,16 +27,19 @@ bypass low-bit quantization (kept in ``e4m3`` with a shared current scale,
 columns zeroed, and the matching weight-gradient columns are computed from
 the cached activation in full precision.
 
-The stochastic backward consumes its generator in the fixed site order
-Q3, Q4, Q5, Q6 (disabled sites draw nothing), which makes runs replayable
-from the generator key alone.
+``linear_forward`` returns ``(y, cache)``; the cache holds the forward
+sites' clamp counts.  ``linear_backward`` returns ``(dx, dw, clamps)``,
+where ``clamps`` maps each quantized backward site to its clamp count.  The
+stochastic backward consumes its generator in the fixed site order Q3, Q4,
+Q5, Q6 (disabled sites draw nothing), which makes runs replayable from the
+generator key alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +57,6 @@ __all__ = [
     "LayerQuantConfig",
     "LinearCache",
     "preset",
-    "set_site_enabled",
     "set_precision_mode",
     "select_outlier_channels",
     "linear_forward",
@@ -138,7 +141,6 @@ class LayerQuantConfig:
     format_x_for_dw: str = "e2m1"
     rht_dx: bool = True
     rht_dw: bool = True
-    rht_fwd: bool = False
     rht_block: int = hd.DEFAULT_BLOCK
     weight_block: Orientation = Orientation.ROW_GROUPS_1X16
     outer_granularity: OuterGranularity = OuterGranularity.BLOCK_1X128
@@ -223,14 +225,6 @@ def preset(name: str) -> LayerQuantConfig:
     raise ValueError(f"unknown preset {name!r}; choose from {_PRESETS}")
 
 
-def set_site_enabled(
-    cfg: LayerQuantConfig, site: str, enabled: bool
-) -> LayerQuantConfig:
-    if site not in QUANTIZER_SITES:
-        raise ValueError(f"unknown quantizer site {site!r}; choose from {QUANTIZER_SITES}")
-    return dataclasses.replace(cfg, **{f"quantize_{site}": enabled})
-
-
 def set_precision_mode(
     cfg: LayerQuantConfig, mode: PrecisionMode | str
 ) -> LayerQuantConfig:
@@ -259,7 +253,11 @@ def set_precision_mode(
 
 @dataclasses.dataclass
 class LinearCache:
-    """Forward-pass tensors the backward pass must see unchanged."""
+    """Forward-pass tensors the backward pass must see unchanged.
+
+    ``x_raw`` is the layer input as given; ``clamp_counts`` holds the clamp
+    counts of the quantized forward sites.
+    """
 
     x_hat: np.ndarray
     w_hat: np.ndarray
@@ -269,7 +267,6 @@ class LinearCache:
     n: int
     d: int
     c: int
-    fwd_ctx: Optional[hd.RhtContext]
     clamp_counts: Dict[str, int]
 
 
@@ -339,34 +336,33 @@ def select_outlier_channels(
 # ── quantizer plumbing ───────────────────────────────────────────────────────
 
 
-def _site_quantize(mat, orientation, outer, fmt, mode, rng):
-    return bq.quantize_dequantize(
-        mat, orientation, outer=outer, mode=mode, rng=rng, element_fmt=fmt
+def _quantize_site(cfg, site, m, orientation, mode, rng, clamps):
+    """``Q_site(m)`` under ``cfg``'s ``quantize_<site>`` / ``format_<site>``.
+
+    A bypassed site returns ``m`` itself; a quantized one records its clamp
+    count under ``clamps[site]``.
+    """
+    if not getattr(cfg, f"quantize_{site}"):
+        return m
+    m_hat, clamps[site] = bq.quantize_dequantize(
+        m,
+        orientation,
+        outer=cfg.outer_granularity,
+        mode=mode,
+        rng=rng,
+        element_fmt=getattr(cfg, f"format_{site}"),
     )
+    return m_hat
 
 
-def _rht_inverse(m: np.ndarray, ctx: hd.RhtContext) -> np.ndarray:
-    """Undo a right-side rotation: ``m @ (diag(signs) H).T``, cropped to dim."""
-    rows = m.shape[0]
-    if m.shape[1] != ctx.padded_dim:
-        raise ValueError(
-            f"expected padded width {ctx.padded_dim}, got {m.shape[1]}"
-        )
-    out = hd._fwht_last_axis(
-        m.reshape(rows, ctx.padded_dim // ctx.block, ctx.block), ctx.block
-    ).reshape(rows, ctx.padded_dim)
-    out = out * ctx.signs
-    return np.ascontiguousarray(out[:, : ctx.dim])
-
-
-def _rotate_pair(first, second_rows, dim, cfg, step, side):
+def _rotate_pair(first, second_rows, cfg, step, side):
     """Rotate a matmul's operands along the shared contraction axis.
 
     ``first`` has the contraction on its last axis; ``second_rows`` on its
     first.  Both keep the padded width so the contraction stays exact.
     """
     ctx = hd.rht_context(
-        dim,
+        first.shape[1],
         seed=cfg.rht_seed,
         layer=cfg.layer_tag,
         step=step,
@@ -375,7 +371,7 @@ def _rotate_pair(first, second_rows, dim, cfg, step, side):
     )
     a = hd.rht_apply(first, ctx, keep_padding=True)
     b = hd.rht_apply(second_rows.T, ctx, keep_padding=True).T
-    return a, b, ctx
+    return a, b
 
 
 # ── forward ──────────────────────────────────────────────────────────────────
@@ -385,13 +381,11 @@ def linear_forward(
     x,
     w,
     cfg: LayerQuantConfig,
-    rng=None,
     step: int = 0,
 ) -> Tuple[np.ndarray, LinearCache]:
     """Quantized forward matmul ``y = x_hat @ w_hat.T`` returning the cache.
 
-    Forward quantization is always round-to-nearest, so ``rng`` is unused and
-    accepted only for signature symmetry with the backward pass.
+    Forward quantization is always round-to-nearest.
     """
     x = as_matrix(x)
     w = as_matrix(w)
@@ -408,75 +402,29 @@ def linear_forward(
             raise ValueError(
                 f"outlier channel indices must lie in [0, {d}), got {outlier.channels}"
             )
-        if cfg.rht_fwd:
-            raise ValueError(
-                "outlier retention indexes raw input channels and cannot be "
-                "combined with a rotated forward"
-            )
 
     clamps: Dict[str, int] = {}
-    fwd_ctx = None
-    x_op, w_op = x, w
-    if cfg.rht_fwd and (cfg.quantize_fwd_x or cfg.quantize_fwd_w):
-        fwd_ctx = hd.rht_context(
-            d,
-            seed=cfg.rht_seed,
-            layer=cfg.layer_tag,
-            step=step,
-            side="fwd",
-            block=cfg.rht_block,
-        )
-        x_op = hd.rht_apply(x, fwd_ctx, keep_padding=True)
-        w_op = hd.rht_apply(w, fwd_ctx, keep_padding=True)
-
-    if cfg.quantize_fwd_x:
-        if outlier is not None:
-            x_zeroed = x_op.copy()
-            x_zeroed[:, a_idx] = 0.0
-            x_hat, clamps["fwd_x"] = _site_quantize(
-                x_zeroed,
-                Orientation.ROW_GROUPS_1X16,
-                cfg.outer_granularity,
-                cfg.format_fwd_x,
-                "det",
-                None,
-            )
-            x_hat[:, a_idx] = _cast_outlier(x_op[:, a_idx], outlier.precision)
-        else:
-            x_hat, clamps["fwd_x"] = _site_quantize(
-                x_op,
-                Orientation.ROW_GROUPS_1X16,
-                cfg.outer_granularity,
-                cfg.format_fwd_x,
-                "det",
-                None,
-            )
-    else:
-        x_hat = x_op
-
-    if cfg.quantize_fwd_w:
-        w_hat, clamps["fwd_w"] = _site_quantize(
-            w_op,
-            cfg.weight_block,
-            cfg.outer_granularity,
-            cfg.format_fwd_w,
-            "det",
-            None,
-        )
-    else:
-        w_hat = w_op
+    x_low = x
+    if outlier is not None and cfg.quantize_fwd_x:
+        x_low = x.copy()
+        x_low[:, a_idx] = 0.0
+    x_hat = _quantize_site(
+        cfg, "fwd_x", x_low, Orientation.ROW_GROUPS_1X16, "det", None, clamps
+    )
+    if x_low is not x:
+        x_hat[:, a_idx] = _cast_outlier(x[:, a_idx], outlier.precision)
+    w_hat = _quantize_site(cfg, "fwd_w", w, cfg.weight_block, "det", None, clamps)
 
     y = x_hat @ w_hat.T
     cache = LinearCache(
         x_hat=x_hat,
         w_hat=w_hat,
-        x_raw=x_op,
+        x_raw=x,
         step=step,
         layer_tag=cfg.layer_tag,
         n=n,
         d=d,
         c=c,
-        fwd_ctx=fwd_ctx,
         clamp_counts=clamps,
     )
     return y, cache
@@ -491,12 +439,13 @@ def linear_backward(
     cfg: LayerQuantConfig,
     rng=None,
     step: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Quantized backward pass returning ``(dx, dw)``.
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
+    """Quantized backward pass returning ``(dx, dw, clamps)``.
 
     Backward sites round stochastically when ``cfg.stochastic_backward`` is
     set (requires ``rng``), deterministically otherwise.  The generator is
-    consumed in the fixed order Q3, Q4, Q5, Q6.
+    consumed in the fixed order Q3, Q4, Q5, Q6.  ``clamps`` maps each
+    quantized backward site to its clamp count; ``cache`` is not modified.
     """
     dy = as_matrix(dy)
     if step is None:
@@ -510,64 +459,40 @@ def linear_backward(
             f"dy must have shape {(cache.n, cache.c)}, got {dy.shape}"
         )
     mode = "stoch" if cfg.stochastic_backward else "det"
-    backward_sites = (
-        cfg.quantize_dy_for_dx,
-        cfg.quantize_w_for_dx,
-        cfg.quantize_dy_for_dw,
-        cfg.quantize_x_for_dw,
-    )
-    if mode == "stoch" and any(backward_sites) and rng is None:
+    quantized = any(getattr(cfg, f"quantize_{s}") for s in QUANTIZER_SITES[2:])
+    if mode == "stoch" and quantized and rng is None:
         raise ValueError("stochastic backward rounding requires an rng")
-    outer = cfg.outer_granularity
+    clamps: Dict[str, int] = {}
 
     # dx = Q3(dy) @ Q4(w_hat), contraction along the output channels
-    a_op, b_op = dy, cache.w_hat
+    a, b = dy, cache.w_hat
     if cfg.rht_dx and (cfg.quantize_dy_for_dx or cfg.quantize_w_for_dx):
-        a_op, b_op, _ = _rotate_pair(dy, cache.w_hat, cache.c, cfg, step, "dx")
-    if cfg.quantize_dy_for_dx:
-        a_hat, cache.clamp_counts["dy_for_dx"] = _site_quantize(
-            a_op, Orientation.ROW_GROUPS_1X16, outer, cfg.format_dy_for_dx, mode, rng
-        )
-    else:
-        a_hat = a_op
-    if cfg.quantize_w_for_dx:
-        b_orient = (
-            Orientation.SQUARE_16X16
-            if cfg.weight_block is Orientation.SQUARE_16X16
-            else Orientation.COL_GROUPS_16X1
-        )
-        b_hat, cache.clamp_counts["w_for_dx"] = _site_quantize(
-            b_op, b_orient, outer, cfg.format_w_for_dx, mode, rng
-        )
-    else:
-        b_hat = b_op
+        a, b = _rotate_pair(a, b, cfg, step, "dx")
+    w_orient = (
+        Orientation.SQUARE_16X16
+        if cfg.weight_block is Orientation.SQUARE_16X16
+        else Orientation.COL_GROUPS_16X1
+    )
+    a_hat = _quantize_site(
+        cfg, "dy_for_dx", a, Orientation.ROW_GROUPS_1X16, mode, rng, clamps
+    )
+    b_hat = _quantize_site(cfg, "w_for_dx", b, w_orient, mode, rng, clamps)
     dx = a_hat @ b_hat
 
     # dw = Q5(dy.T) @ Q6(x_hat or raw x), contraction along the batch
-    x_src = cache.x_hat if cfg.align_xhat else cache.x_raw
-    at_op, bt_op = dy.T, x_src
+    at, bt = dy.T, (cache.x_hat if cfg.align_xhat else cache.x_raw)
     if cfg.rht_dw and (cfg.quantize_dy_for_dw or cfg.quantize_x_for_dw):
-        at_op, bt_op, _ = _rotate_pair(dy.T, x_src, cache.n, cfg, step, "dw")
-    if cfg.quantize_dy_for_dw:
-        at_hat, cache.clamp_counts["dy_for_dw"] = _site_quantize(
-            at_op, Orientation.ROW_GROUPS_1X16, outer, cfg.format_dy_for_dw, mode, rng
-        )
-    else:
-        at_hat = at_op
-    if cfg.quantize_x_for_dw:
-        bt_hat, cache.clamp_counts["x_for_dw"] = _site_quantize(
-            bt_op, Orientation.COL_GROUPS_16X1, outer, cfg.format_x_for_dw, mode, rng
-        )
-    else:
-        bt_hat = bt_op
+        at, bt = _rotate_pair(at, bt, cfg, step, "dw")
+    at_hat = _quantize_site(
+        cfg, "dy_for_dw", at, Orientation.ROW_GROUPS_1X16, mode, rng, clamps
+    )
+    bt_hat = _quantize_site(
+        cfg, "x_for_dw", bt, Orientation.COL_GROUPS_16X1, mode, rng, clamps
+    )
     dw = at_hat @ bt_hat
-
-    if cache.fwd_ctx is not None:
-        dx = _rht_inverse(dx, cache.fwd_ctx)
-        dw = _rht_inverse(dw, cache.fwd_ctx)
 
     if cfg.outlier and cfg.outlier.channels:
         a_idx = np.asarray(cfg.outlier.channels, dtype=np.intp)
         dw[:, a_idx] = dy.T @ cache.x_hat[:, a_idx]
 
-    return dx, dw
+    return dx, dw, clamps

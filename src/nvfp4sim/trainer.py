@@ -48,7 +48,7 @@ __all__ = [
 EXPORT_THRESHOLDS = (2.0, 4.0, 8.0, 16.0, 32.0)
 
 METRICS_SCHEMA = "train-metrics-v1"
-OSCILLATION_SCHEMA = "oscillation-v1"
+OSCILLATION_SCHEMA = "oscillation-v2"
 
 _MODEL_KINDS = ("mlp", "tiny-transformer")
 _TASK_KINDS = ("synthetic-regression", "char-lm")
@@ -146,38 +146,10 @@ class TrainRunConfig:
         return int(self.schedule["total_steps"])
 
     def to_dict(self) -> dict:
-        d = {
-            "model": _thaw(self.model),
-            "task": _thaw(self.task),
-            "optimizer": _thaw(self.optimizer),
-            "schedule": _thaw(self.schedule),
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "preset": self.preset,
-            "suppression": self.suppression.to_dict() if self.suppression else None,
-            "out_dir": self.out_dir,
-            "apply_resets": self.apply_resets,
-            "val_every": self.val_every,
-            "val_batches": self.val_batches,
-            "outlier_ratio": self.outlier_ratio,
-            "outlier_style": self.outlier_style,
-            "outlier_precision": self.outlier_precision,
-            "cfg_overrides": _thaw(self.cfg_overrides),
-            "site_subset": list(self.site_subset) if self.site_subset is not None else None,
-            "exclude_tags": list(self.exclude_tags),
-            "switch_step": self.switch_step,
-            "switch_mode": self.switch_mode,
-        }
-        return d
+        return _thaw(dataclasses.asdict(self))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainRunConfig":
-        d = dict(d)
-        if d.get("suppression") is not None:
-            d["suppression"] = osc.SuppressionSchedule.from_dict(d["suppression"])
-        if d.get("site_subset") is not None:
-            d["site_subset"] = tuple(d["site_subset"])
-        d["exclude_tags"] = tuple(d.get("exclude_tags", ()))
         return cls(**d)
 
 
@@ -370,7 +342,7 @@ def _write_metrics(out: Path, rows) -> None:
 
 
 _OSCI_COLUMNS = (
-    ["step", "layer", "n_elements", "n_risk_gt_tau", "n_reset", "max_risk",
+    ["step", "layer", "n_elements", "n_risk_ge_tau", "n_reset", "max_risk",
      "mean_risk"]
     + [f"n_gt_{t:g}" for t in EXPORT_THRESHOLDS]
 )
@@ -393,7 +365,8 @@ def _window_row(step: int, tag: str, tracker, tau: float, n_reset: int) -> dict:
         "step": step,
         "layer": tag,
         "n_elements": int(risks.size),
-        "n_risk_gt_tau": int(np.count_nonzero(risks > np.float32(tau))),
+        # oscillation_suppress resets by the same >= test: n_reset <= this
+        "n_risk_ge_tau": int(np.count_nonzero(risks >= np.float32(tau))),
         "n_reset": n_reset,
         "max_risk": float(risks.max()) if risks.size else 0.0,
         "mean_risk": float(risks.mean()) if risks.size else 0.0,
@@ -646,13 +619,10 @@ def save_state(state: MasterState, path) -> None:
     Trackers are transient window accumulators and are not saved; optimizer
     hyperparameters live in the run config, not the state.
     """
-    arrays = {"step": np.int64(state.step), "t": np.int64(state.opt.t)}
-    for k, v in state.params.items():
-        arrays[f"p:{k}"] = v
-    for k, v in state.opt.m.items():
-        arrays[f"m:{k}"] = v
-    for k, v in state.opt.v.items():
-        arrays[f"v:{k}"] = v
+    opt = state.opt.state_dict()
+    arrays = {"step": np.int64(state.step), "t": np.int64(opt["t"])}
+    for prefix, tensors in (("p", state.params), ("m", opt["m"]), ("v", opt["v"])):
+        arrays.update({f"{prefix}:{k}": v for k, v in tensors.items()})
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -660,13 +630,12 @@ def save_state(state: MasterState, path) -> None:
 def load_state(path) -> MasterState:
     """Inverse of :func:`save_state`; the optimizer gets default hyperparameters."""
     with np.load(path) as z:
-        params = {k[2:]: z[k] for k in z.files if k.startswith("p:")}
-        opt = optim.AdamW(params)
-        for k in z.files:
-            if k.startswith("m:"):
-                opt.m[k[2:]][...] = z[k]
-            elif k.startswith("v:"):
-                opt.v[k[2:]][...] = z[k]
-        opt.t = int(z["t"])
-        step = int(z["step"])
-    return MasterState(params=params, opt=opt, step=step, trackers={})
+        arrays = {k: z[k] for k in z.files}
+
+    def group(prefix):
+        return {k[2:]: v for k, v in arrays.items() if k.startswith(prefix + ":")}
+
+    params = group("p")
+    opt = optim.AdamW(params)
+    opt.load_state_dict({"t": arrays["t"], "m": group("m"), "v": group("v")})
+    return MasterState(params=params, opt=opt, step=int(arrays["step"]), trackers={})

@@ -1,7 +1,9 @@
 """Command-line surface tests: argument handling, file outputs, exit codes,
 and byte-exact reruns."""
 
+import argparse
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +210,21 @@ def test_train_command_divergence_exit_code(tmp_path, capsys):
     assert (out / "diverged.json").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    {"cfg_overrides": {"no_such_field": 1}},
+    {"cfg_overrides": {"rht_fwd": True}},
+    {"cfg_overrides": {"rht_block": 3}},
+    {"model": {"kind": "mlp-xl", "widths": [64, 32, 32, 8]}},
+    {"task": {"kind": "no-such-task"}},
+], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind"])
+def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra):
+    cfg_path = tmp_path / "cfg.json"
+    write_mlp_config(cfg_path, **extra)
+    rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad config: ")
+
+
 def test_switch_command_at_total_steps_matches_plain_train(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path)
@@ -248,7 +265,7 @@ def test_sweep_command_table(tmp_path):
 # ── osci-analyze ─────────────────────────────────────────────────────────────
 
 
-OSCI_HEADER = ("step,layer,n_elements,n_risk_gt_tau,n_reset,max_risk,mean_risk,"
+OSCI_HEADER = ("step,layer,n_elements,n_risk_ge_tau,n_reset,max_risk,mean_risk,"
                "n_gt_2,n_gt_4,n_gt_8,n_gt_16,n_gt_32")
 
 
@@ -339,6 +356,19 @@ def test_help_shows_an_example_invocation(sub, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "example:" in out
+
+
+def test_every_help_example_parses():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        example = sub.epilog.split("example:", 1)[1]
+        argv = shlex.split(example)
+        assert argv[:2] == ["nvfp4sim", name]
+        args = parser.parse_args(argv[1:])
+        assert args.command == name
+        assert not any(str(v).count("--") for v in vars(args).values()), args
 
 
 def test_unknown_subcommand_is_an_error(capsys):

@@ -390,8 +390,8 @@ def test_suppress_neutrality_forward_and_backward_bitwise():
     assert np.array_equal(y1, y2)
     assert np.array_equal(cache1.w_hat, cache2.w_hat)
 
-    dx1, dw1 = ql.linear_backward(dy, cache1, cfg, rng=fc.stream(77))
-    dx2, dw2 = ql.linear_backward(dy, cache2, cfg, rng=fc.stream(77))
+    dx1, dw1, _ = ql.linear_backward(dy, cache1, cfg, rng=fc.stream(77))
+    dx2, dw2, _ = ql.linear_backward(dy, cache2, cfg, rng=fc.stream(77))
     assert np.array_equal(dx1, dx2) and np.array_equal(dw1, dw2)
 
 

@@ -62,7 +62,7 @@ def test_forward_bypass_bit_exact():
 def test_backward_bypass_bit_exact():
     x, w, dy = rnd((9, 40), 3), rnd((7, 40), 4), rnd((9, 7), 5)
     _, cache = ql.linear_forward(x, w, ql.preset("fp32"), step=0)
-    dx, dw = ql.linear_backward(dy, cache, ql.preset("fp32"), step=0)
+    dx, dw, _ = ql.linear_backward(dy, cache, ql.preset("fp32"), step=0)
     np.testing.assert_array_equal(dx, dy @ w)
     np.testing.assert_array_equal(dw, dy.T @ x)
 
@@ -82,7 +82,7 @@ def test_all_sites_disabled_keeps_rht_flags_inert():
     )
     x, w, dy = rnd((8, 32), 6), rnd((16, 32), 7), rnd((8, 16), 8)
     y, cache = ql.linear_forward(x, w, cfg, step=3)
-    dx, dw = ql.linear_backward(dy, cache, cfg, rng=fc.stream(0), step=3)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(0), step=3)
     np.testing.assert_array_equal(y, x @ w.T)
     np.testing.assert_array_equal(dx, dy @ w)
     np.testing.assert_array_equal(dw, dy.T @ x)
@@ -102,7 +102,7 @@ def test_prop_bypass_purity_any_shape(seed, n, d, c):
     dy = g.normal(size=(n, c)).astype(F32)
     cfg = ql.preset("fp32")
     y, cache = ql.linear_forward(x, w, cfg, step=0)
-    dx, dw = ql.linear_backward(dy, cache, cfg, step=0)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, step=0)
     np.testing.assert_array_equal(y, x @ w.T)
     np.testing.assert_array_equal(dx, dy @ w)
     np.testing.assert_array_equal(dw, dy.T @ x)
@@ -139,7 +139,7 @@ def test_backward_zero_dy_gives_zero_grads():
     x, w = rnd((8, 32), 15), rnd((16, 32), 16)
     cfg = base_cfg()
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    dx, dw = ql.linear_backward(
+    dx, dw, _ = ql.linear_backward(
         np.zeros((8, 16), F32), cache, cfg, rng=fc.stream(1), step=0
     )
     np.testing.assert_array_equal(dx, np.zeros_like(dx))
@@ -156,7 +156,7 @@ def test_backward_matches_manual_reconstruction_with_rht():
     x, w = rnd((8, 32), 17), rnd((16, 32), 18)
     dy = rnd((8, 16), 19)
     _, cache = ql.linear_forward(x, w, cfg, step=5)
-    dx, dw = ql.linear_backward(dy, cache, cfg, rng=fc.stream(42), step=5)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(42), step=5)
 
     rng = fc.stream(42)
     outer = cfg.outer_granularity
@@ -191,7 +191,7 @@ def test_backward_matches_manual_reconstruction_no_rht_det():
     x, w = rnd((8, 32), 20), rnd((16, 32), 21)
     dy = rnd((8, 16), 22)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    dx, dw = ql.linear_backward(dy, cache, cfg, step=0)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, step=0)
 
     outer = cfg.outer_granularity
     q3 = bq.quantize_double_block(dy, bq.Orientation.ROW_GROUPS_1X16, outer=outer)
@@ -238,8 +238,8 @@ def test_align_xhat_ablation_switches_q6_input():
     x, w = rnd((8, 32), 27), rnd((16, 32), 28)
     dy = rnd((8, 16), 29)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    _, dw_aligned = ql.linear_backward(dy, cache, cfg, step=0)
-    _, dw_raw = ql.linear_backward(dy, cache, cfg_raw, step=0)
+    _, dw_aligned, _ = ql.linear_backward(dy, cache, cfg, step=0)
+    _, dw_raw, _ = ql.linear_backward(dy, cache, cfg_raw, step=0)
     assert not np.array_equal(dw_aligned, dw_raw)
 
     outer = cfg.outer_granularity
@@ -269,8 +269,8 @@ def _mc_backward(cfg, n_draws, seed, with_outlier=False):
     s1w = np.zeros_like(tw)
     s2w = np.zeros_like(tw)
     for i in range(n_draws):
-        dx, dw = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i), step=0)
-        assert sum(v for k, v in cache.clamp_counts.items() if not k.startswith("fwd")) == 0
+        dx, dw, clamps = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i), step=0)
+        assert sum(clamps.values()) == 0
         dx64, dw64 = dx.astype(np.float64), dw.astype(np.float64)
         s1x += dx64
         s2x += dx64**2
@@ -367,8 +367,8 @@ def test_outlier_dw_columns_noise_free():
     dy = rnd((16, 8), 37)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
     a = np.asarray(out.channels)
-    dx1, dw1 = ql.linear_backward(dy, cache, cfg, rng=fc.stream(38), step=0)
-    dx2, dw2 = ql.linear_backward(dy, cache, cfg, rng=fc.stream(39), step=0)
+    dx1, dw1, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(38), step=0)
+    dx2, dw2, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(39), step=0)
     # outlier columns carry no quantization noise: identical across rngs and
     # exactly the high-precision product; other columns differ between draws
     np.testing.assert_array_equal(dw1[:, a], dw2[:, a])
@@ -495,7 +495,7 @@ def test_square_weight_block_reuses_forward_weight():
     x, w = rnd((16, 32), 49), rnd((16, 32), 50)
     dy = rnd((16, 16), 51)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    dx, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(52), step=0)
+    dx, _, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(52), step=0)
     # the dX weight operand is a square-tile requantization of the cached
     # square-tile weight: codes are a fixed point there, so values re-derive
     # to the same grid up to one scale ulp
@@ -508,7 +508,7 @@ def test_presets_match_documented_recipes():
     assert all(
         getattr(b, f"quantize_{s}") for s in ql.QUANTIZER_SITES
     )
-    assert b.rht_dx and b.rht_dw and not b.rht_fwd
+    assert b.rht_dx and b.rht_dw
     assert b.weight_block is bq.Orientation.ROW_GROUPS_1X16
     assert b.outer_granularity is bq.OuterGranularity.BLOCK_1X128
     assert b.align_xhat and b.stochastic_backward and b.outlier is None
@@ -530,50 +530,7 @@ def test_config_dict_round_trip():
     assert ql.LayerQuantConfig.from_dict(cfg2.to_dict()) == cfg2
 
 
-# ── forward RHT ablation, errors, diagnostics ────────────────────────────────
-
-
-def test_rht_fwd_ablation_runs_and_bypass_is_exact():
-    cfg = base_cfg(rht_fwd=True)
-    x, w = rnd((8, 32), 53), rnd((16, 32), 54)
-    dy = rnd((8, 16), 55)
-    y, cache = ql.linear_forward(x, w, cfg, step=1)
-    dx, dw = ql.linear_backward(dy, cache, cfg, rng=fc.stream(56), step=1)
-    assert y.shape == (8, 16) and dx.shape == (8, 32) and dw.shape == (16, 32)
-    assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dw))
-    rel = np.linalg.norm(y - x @ w.T) / np.linalg.norm(x @ w.T)
-    assert rel < 0.5
-
-
-def test_rht_fwd_gradients_exact_when_backward_unquantized():
-    # with only the forward quantized, backward must return the exact
-    # gradients of the effective forward map y = x_hat @ w_hat.T, mapped back
-    # through the forward rotation
-    cfg = base_cfg(
-        rht_fwd=True,
-        quantize_dy_for_dx=False,
-        quantize_w_for_dx=False,
-        quantize_dy_for_dw=False,
-        quantize_x_for_dw=False,
-        rht_dx=False,
-        rht_dw=False,
-    )
-    x, w = rnd((8, 32), 57), rnd((16, 32), 58)
-    dy = rnd((8, 16), 59)
-    y, cache = ql.linear_forward(x, w, cfg, step=2)
-    dx, dw = ql.linear_backward(dy, cache, cfg, step=2)
-    ctx = hd.rht_context(32, seed=cfg.rht_seed, layer=cfg.layer_tag, step=2, side="fwd")
-    t = hd.rht_apply(np.eye(32, dtype=F32), ctx, keep_padding=True)  # rows: e_i S H
-    # d(x S H)/dx maps gradients back through t.T
-    np.testing.assert_allclose(dx, (dy @ cache.w_hat) @ t.T, rtol=1e-5, atol=1e-5)
-    np.testing.assert_allclose(dw, (dy.T @ cache.x_hat) @ t.T, rtol=1e-5, atol=1e-5)
-
-
-def test_rht_fwd_with_outliers_rejected():
-    out = ql.OutlierConfig(channels=(1,), ratio=3.125, precision="e4m3")
-    x, w = rnd((4, 32), 60), rnd((4, 32), 61)
-    with pytest.raises(ValueError):
-        ql.linear_forward(x, w, base_cfg(rht_fwd=True, outlier=out), step=0)
+# ── errors, diagnostics ──────────────────────────────────────────────────────
 
 
 def test_shape_mismatch_and_step_mismatch_rejected():
@@ -603,3 +560,23 @@ def test_clamp_counters_recorded():
     _, cache = ql.linear_forward(x, w, base_cfg(), step=0)
     assert cache.clamp_counts["fwd_x"] >= 1
     assert cache.clamp_counts["fwd_w"] == 0
+
+
+def test_backward_returns_its_clamp_counts_and_leaves_the_cache():
+    # the 448-carrier / 6.1 pair of test_clamp_counters_recorded, placed in
+    # one row of dy, clamps Q3; the counts come back, the cache keeps Q1/Q2's
+    cfg = base_cfg(rht_dx=False, rht_dw=False, stochastic_backward=False)
+    x, w = rnd((32, 32), 71), rnd((32, 32), 72)
+    _, cache = ql.linear_forward(x, w, cfg, step=0)
+    fwd_counts = dict(cache.clamp_counts)
+    dy = np.zeros((32, 32), F32)
+    dy[0, 0] = 448.0
+    dy[0, 16] = 6.1
+    _, _, clamps = ql.linear_backward(dy, cache, cfg, step=0)
+    assert set(clamps) == {"dy_for_dx", "w_for_dx", "dy_for_dw", "x_for_dw"}
+    q3 = bq.quantize_double_block(dy, bq.Orientation.ROW_GROUPS_1X16,
+                                  outer=cfg.outer_granularity)
+    assert clamps["dy_for_dx"] == q3.clamp_count >= 1
+    assert cache.clamp_counts == fwd_counts
+    _, _, none = ql.linear_backward(dy, cache, ql.preset("fp32"), step=0)
+    assert none == {}

@@ -189,11 +189,27 @@ def test_osci_rows_carry_counts_and_layer_tags():
     assert tags == {"fc0", "fc1"}
     for row in report.osci_rows:
         assert row["n_elements"] > 0
-        assert 0 <= row["n_reset"] <= row["n_risk_gt_tau"] <= row["n_elements"]
+        assert 0 <= row["n_reset"] <= row["n_risk_ge_tau"] <= row["n_elements"]
         assert row["max_risk"] >= 0.0
         # export thresholds are monotone: counts cannot grow as t rises
         counts = [row[f"n_gt_{t:g}"] for t in tr.EXPORT_THRESHOLDS]
         assert counts == sorted(counts, reverse=True)
+
+
+def test_window_row_counts_risk_exactly_at_tau():
+    # risk 8/1 is exactly tau: oscillation_suppress resets such elements, so
+    # the exported tau column must count them too
+    tau = 8.0
+    tracker = osc.OscillationTracker.zeros((2, 16))
+    tracker.dist_m[...] = 1.0
+    tracker.dist_q[0] = tau
+    w = fc.stream(0, "window-row").standard_normal((2, 16)).astype(F32)
+    view = osc.double_block_weight_view("row")
+    _, n_reset = osc.oscillation_suppress(w, view, tracker, tau)
+    row = tr._window_row(9, "fc0", tracker, tau, n_reset)
+    assert row["n_risk_ge_tau"] == 16
+    assert row["n_gt_8"] == 0
+    assert 0 < row["n_reset"] <= row["n_risk_ge_tau"]
 
 
 def test_reset_is_bitwise_neutral_through_next_step():
@@ -331,7 +347,7 @@ def test_metrics_files_schema_and_content(tmp_path):
     osci = (out / "oscillation.csv").read_text().splitlines()
     assert osci[0].startswith("#schema=")
     oheader = osci[1].split(",")
-    assert oheader[:7] == ["step", "layer", "n_elements", "n_risk_gt_tau",
+    assert oheader[:7] == ["step", "layer", "n_elements", "n_risk_ge_tau",
                            "n_reset", "max_risk", "mean_risk"]
     for t in tr.EXPORT_THRESHOLDS:
         assert f"n_gt_{t:g}" in oheader
