@@ -34,8 +34,6 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_BIASED = 4
 
-_FMT = "%.9g"
-
 SUMMARY_SCHEMA = "osci-summary-v1"
 DELTA_SCHEMA = "osci-delta-v1"
 SWEEP_SCHEMA = "sweep-v1"
@@ -57,25 +55,8 @@ def _json_safe(value):
     return value
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-
-
-def _write_table(path, schema: str, header: str, rows) -> None:
-    lines = [f"#schema={schema}", header]
-    lines.extend(rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _num(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return _FMT % x
-
-
 def _load_run_config(args, **extra) -> tr.TrainRunConfig:
+    """The ``--config`` file with ``--out``, ``--seed`` and ``extra`` applied."""
     d = dict(json.loads(Path(args.config).read_text(encoding="ascii")))
     d["out_dir"] = str(args.out)
     if getattr(args, "seed", None) is not None:
@@ -108,8 +89,8 @@ def _cmd_quantize(args) -> int:
     mio.save_quantized(out / "quantized.qmxf", q)
     stats = dict(mx.error_stats(m, bq.dequantize(q)))
     stats["clamp_count"] = int(q.clamp_count)
-    _write_json(out / "stats.json", _json_safe(stats))
-    _write_json(out / "config.json", {
+    tr.write_json(out / "stats.json", _json_safe(stats))
+    tr.write_json(out / "config.json", {
         "command": "quantize",
         "input": str(args.input),
         "orientation": args.orientation,
@@ -119,7 +100,7 @@ def _cmd_quantize(args) -> int:
         "seed": args.seed,
     })
     print(f"quantized {q.rows}x{q.cols} ({args.format}, outer {outer}): "
-          f"mse {_num(stats['mse'])}, clamps {stats['clamp_count']}")
+          f"mse {tr.fmt_num(stats['mse'])}, clamps {stats['clamp_count']}")
     return EXIT_OK
 
 
@@ -147,8 +128,8 @@ def _cmd_bench_bias(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "bias_report.json", _json_safe(report.to_dict()))
-    _write_json(out / "config.json", {
+    tr.write_json(out / "bias_report.json", _json_safe(report.to_dict()))
+    tr.write_json(out / "config.json", {
         "command": "bench-bias",
         "preset": args.preset,
         "shape": list(args.shape),
@@ -162,47 +143,41 @@ def _cmd_bench_bias(args) -> int:
         "outlier_style": args.outlier_style,
     })
     verdict = "passed" if report.passed else "FAILED"
-    print(f"bias check {verdict}: max |z| {_num(float(report.max_z))} "
-          f"over {args.draws} draws (limit {_num(args.nsigma)})")
+    print(f"bias check {verdict}: max |z| {tr.fmt_num(float(report.max_z))} "
+          f"over {args.draws} draws (limit {tr.fmt_num(args.nsigma)})")
     return EXIT_OK if report.passed else EXIT_BIASED
 
 
 # ── train / switch ───────────────────────────────────────────────────────────
 
 
-def _print_report(report: tr.RunReport) -> None:
-    print(f"ran {report.steps_run} steps: "
-          f"final train loss {_num(report.final_train_loss)}, "
-          f"final val loss {_num(report.final_val_loss)}, "
-          f"resets {report.total_resets}, clamp events {report.clamp_total}")
-
-
-def _run_training(args, run) -> int:
-    """Load the run config, ``run`` it and report; a config that loading or
-    ``run`` rejects exits 2."""
+def _run_training(args, **extra) -> int:
+    """Load the run config, train it and report; a config that loading or
+    ``train`` rejects exits 2."""
     try:
-        cfg = _load_run_config(args)
-    except (ValueError, KeyError, TypeError) as exc:
+        cfg = _load_run_config(args, **extra)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
     try:
-        report = run(cfg)
+        report = tr.train(cfg)
     except ValueError as exc:
         return _fail(f"bad config: {exc}")
     except tr.TrainDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    _print_report(report)
+    print(f"ran {len(report.rows)} steps: "
+          f"final train loss {tr.fmt_num(report.final_train_loss)}, "
+          f"final val loss {tr.fmt_num(report.final_val_loss)}, "
+          f"resets {report.total_resets}, clamp events {report.clamp_total}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    return _run_training(args, tr.train)
+    return _run_training(args)
 
 
 def _cmd_switch(args) -> int:
-    return _run_training(
-        args, lambda cfg: tr.precision_switch_run(cfg, args.switch_step, args.mode)
-    )
+    return _run_training(args, switch_step=args.switch_step, switch_mode=args.mode)
 
 
 # ── sweep ────────────────────────────────────────────────────────────────────
@@ -212,7 +187,7 @@ def _cmd_sweep(args) -> int:
     try:
         cfg = _load_run_config(args)
         subsets = json.loads(Path(args.subsets).read_text(encoding="ascii"))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
     if not isinstance(subsets, list):
         return _fail("subsets file must hold a JSON list")
@@ -225,24 +200,18 @@ def _cmd_sweep(args) -> int:
         return EXIT_DIVERGED
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(
-        out / "sweep.csv",
-        SWEEP_SCHEMA,
-        "subset,final_train_loss,final_val_loss,delta_vs_bypass",
-        (
-            f"{r['subset']},{_num(r['final_train_loss'])},"
-            f"{_num(r['final_val_loss'])},{_num(r['delta_vs_bypass'])}"
-            for r in rows
-        ),
+    columns = ("subset", "final_train_loss", "final_val_loss", "delta_vs_bypass")
+    tr.write_table(
+        out / "sweep.csv", SWEEP_SCHEMA, columns, ([r[c] for c in columns] for r in rows)
     )
-    _write_json(out / "config.json", {
+    tr.write_json(out / "config.json", {
         "command": "sweep",
         "config": cfg.to_dict(),
         "subsets": subsets,
     })
     for r in rows:
-        print(f"{r['subset']}: val loss {_num(r['final_val_loss'])} "
-              f"(delta vs bypass {_num(r['delta_vs_bypass'])})")
+        print(f"{r['subset']}: val loss {tr.fmt_num(r['final_val_loss'])} "
+              f"(delta vs bypass {tr.fmt_num(r['delta_vs_bypass'])})")
     return EXIT_OK
 
 
@@ -275,10 +244,14 @@ def _read_osci_table(path, thresholds):
             raise ValueError(f"{path}: no column for threshold {t:g} ({name!r})")
         count_cols[t] = col[name]
     table: dict = {}
-    for ln in lines[2:]:
+    for n, ln in enumerate(lines[2:], start=3):
         if not ln:
             continue
         cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(
+                f"{path}: line {n} has {len(cells)} cells, the header {len(header)}"
+            )
         step = int(cells[col["step"]])
         n_el, counts, n_reset = table.setdefault(step, [0, {t: 0 for t in thresholds}, 0])
         table[step][0] = n_el + int(cells[col["n_elements"]])
@@ -303,32 +276,26 @@ def _cmd_osci_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if paired is None:
-        header = ("step,n_elements,"
-                  + ",".join(f"frac_gt_{t:g}" for t in thresholds) + ",n_reset")
-        rows = []
-        for step in sorted(table):
-            n_el, _, n_reset = table[step]
-            fracs = _fractions(table[step], thresholds)
-            rows.append(f"{step},{n_el},"
-                        + ",".join(_num(f) for f in fracs) + f",{n_reset}")
-        _write_table(out / "osci_summary.csv", SUMMARY_SCHEMA, header, rows)
-        written = "osci_summary.csv"
-    else:
-        shared = sorted(set(table) & set(paired))
-        header = "step," + ",".join(
-            f"frac_gt_{t:g}_a,frac_gt_{t:g}_b,delta_gt_{t:g}" for t in thresholds
+        columns = ["step", "n_elements", *(f"frac_gt_{t:g}" for t in thresholds), "n_reset"]
+        rows = (
+            [step, table[step][0], *_fractions(table[step], thresholds), table[step][2]]
+            for step in sorted(table)
         )
+        written, schema = "osci_summary.csv", SUMMARY_SCHEMA
+    else:
+        columns = ["step"]
+        for t in thresholds:
+            columns += [f"frac_gt_{t:g}_a", f"frac_gt_{t:g}_b", f"delta_gt_{t:g}"]
         rows = []
-        for step in shared:
-            fa = _fractions(table[step], thresholds)
-            fb = _fractions(paired[step], thresholds)
-            cells = []
-            for a, b in zip(fa, fb):
-                cells.extend((_num(a), _num(b), _num(a - b)))
-            rows.append(f"{step}," + ",".join(cells))
-        _write_table(out / "osci_delta.csv", DELTA_SCHEMA, header, rows)
-        written = "osci_delta.csv"
-    _write_json(out / "config.json", {
+        for step in sorted(set(table) & set(paired)):
+            row = [step]
+            for a, b in zip(_fractions(table[step], thresholds),
+                            _fractions(paired[step], thresholds)):
+                row += [a, b, a - b]
+            rows.append(row)
+        written, schema = "osci_delta.csv", DELTA_SCHEMA
+    tr.write_table(out / written, schema, columns, rows)
+    tr.write_json(out / "config.json", {
         "command": "osci-analyze",
         "file": str(args.file),
         "paired": str(args.paired) if args.paired else None,

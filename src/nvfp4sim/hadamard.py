@@ -118,9 +118,6 @@ def rht_context(
     )
 
 
-_GEMM_MAX_BLOCK = 128
-
-
 @functools.lru_cache(maxsize=None)
 def _hadamard_pm1(d: int) -> np.ndarray:
     """Unnormalized +/-1 Hadamard matrix of size d, float32, read-only."""
@@ -129,27 +126,6 @@ def _hadamard_pm1(d: int) -> np.ndarray:
         h = np.block([[h, h], [h, -h]])
     h.flags.writeable = False
     return h
-
-
-def _fwht_last_axis(blocks: np.ndarray, d: int) -> np.ndarray:
-    """Multiply each length-d vector on the last axis by the Hadamard matrix.
-
-    Small blocks go through one BLAS product with the cached +/-1 matrix;
-    large ones use the classic O(d log d) butterfly.
-    """
-    if d <= _GEMM_MAX_BLOCK:
-        out = blocks.reshape(-1, d) @ _hadamard_pm1(d)
-        out *= np.float32(1.0 / math.sqrt(d))
-        return out.reshape(blocks.shape)
-    y = blocks
-    h = 1
-    while h < d:
-        y = y.reshape(y.shape[0], y.shape[1], -1, 2, h)
-        top = y[..., 0, :] + y[..., 1, :]
-        bot = y[..., 0, :] - y[..., 1, :]
-        y = np.stack((top, bot), axis=-2)
-        h *= 2
-    return y.reshape(y.shape[0], y.shape[1], d) * np.float32(1.0 / math.sqrt(d))
 
 
 def rht_apply(
@@ -177,9 +153,10 @@ def rht_apply(
     buf = np.zeros((rows, padded), dtype=np.float32)
     buf[:, : ctx.dim] = m
     buf *= ctx.signs
-    out = _fwht_last_axis(
-        buf.reshape(rows, padded // ctx.block, ctx.block), ctx.block
-    ).reshape(rows, padded)
+    # every block at once: one BLAS product with the cached +/-1 matrix
+    out = buf.reshape(-1, ctx.block) @ _hadamard_pm1(ctx.block)
+    out *= np.float32(1.0 / math.sqrt(ctx.block))
+    out = out.reshape(rows, padded)
     if keep_padding or padded == ctx.dim:
         return out
     return np.ascontiguousarray(out[:, : ctx.dim])

@@ -3,10 +3,13 @@
 One :class:`TrainRunConfig` describes a full run: model, task, AdamW with a
 warmup-then-cosine schedule, the per-layer quantization recipe (preset plus
 overrides), optional outlier-channel retention, optional oscillation
-suppression, and an optional mid-run precision switch.  ``train`` executes it
-step by step — batch, quantized forward/backward, optimizer update on the
-binary32 master weights, suppression hook — and returns a :class:`RunReport`;
-with ``out_dir`` set it also writes ``config.json``, ``metrics.csv`` and
+suppression, and an optional mid-run precision switch (``switch_step`` and
+``switch_mode``: every layer recipe changes mode once, after ``switch_step``).
+``train`` executes it step by step — batch, quantized forward/backward,
+optimizer update on the binary32 master weights, suppression hook — and
+records one :class:`StepRow` per step.  The returned :class:`RunReport`
+derives every total from those rows; with ``out_dir`` set ``train`` also
+writes ``config.json``, ``metrics.csv`` (the rows themselves) and
 ``oscillation.csv``.  Every random draw derives from ``cfg.seed`` through
 named counter streams, so reruns are byte-identical.
 """
@@ -14,10 +17,11 @@ named counter streams, so reruns are byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,12 +38,15 @@ __all__ = [
     "TrainDivergedError",
     "TrainRunConfig",
     "MasterState",
+    "StepRow",
     "RunReport",
     "train",
-    "precision_switch_run",
     "loss_decomposition_sweep",
     "save_state",
     "load_state",
+    "fmt_num",
+    "write_table",
+    "write_json",
 ]
 
 # risk thresholds exported per window; 16 is the measurement threshold used
@@ -168,41 +175,80 @@ class MasterState:
     trackers: Dict[str, osc.OscillationTracker]
 
 
+class StepRow(NamedTuple):
+    """One training step; the fields are the columns of ``metrics.csv``."""
+
+    step: int
+    train_loss: float
+    val_loss: Optional[float]  # None off the validation cadence
+    lr: float
+    resets: int
+    clamp_events: int
+
+
 @dataclasses.dataclass(frozen=True)
 class RunReport:
-    """Outcome of one training run; files are written only with ``out_dir``."""
+    """Outcome of one training run: one row per step plus the window exports."""
 
     config: TrainRunConfig
-    steps_run: int
-    losses: Tuple[float, ...]
-    val_records: Tuple[Tuple[int, float], ...]
-    reset_records: Tuple[Tuple[int, int], ...]
+    rows: Tuple[StepRow, ...]
     osci_rows: Tuple[dict, ...]
     outlier_channels: Dict[str, Tuple[int, ...]]
-    total_resets: int
-    clamp_total: int
-    out_dir: Optional[str]
+
+    @property
+    def losses(self) -> Tuple[float, ...]:
+        return tuple(r.train_loss for r in self.rows)
+
+    @property
+    def val_records(self) -> Tuple[Tuple[int, float], ...]:
+        return tuple((r.step, r.val_loss) for r in self.rows if r.val_loss is not None)
+
+    @property
+    def clamp_total(self) -> int:
+        return sum(r.clamp_events for r in self.rows)
+
+    @property
+    def total_resets(self) -> int:
+        return sum(r.resets for r in self.rows)
 
     @property
     def final_train_loss(self) -> float:
-        return self.losses[-1]
+        return self.rows[-1].train_loss
 
     @property
     def final_val_loss(self) -> float:
-        return self.val_records[-1][1]
+        return self.rows[-1].val_loss  # the last step always validates
 
 
 # ── construction from config ─────────────────────────────────────────────────
+
+
+def _construct(ctor, spec: dict, section: str):
+    """``ctor(**spec)``, with a key ``ctor`` does not take, or a required one
+    missing, rejected as ValueError naming the config ``section``."""
+    params = inspect.signature(ctor).parameters
+    unknown = sorted(set(spec) - set(params))
+    missing = [n for n, p in params.items() if p.default is p.empty and n not in spec]
+    if unknown or missing:
+        raise ValueError(
+            f"{section} ({ctor.__name__}): unknown keys {unknown}, missing keys "
+            f"{missing}; it takes {sorted(params)}"
+        )
+    return ctor(**spec)
 
 
 def _build_task(cfg: TrainRunConfig):
     spec = dict(cfg.task)
     kind = spec.pop("kind", None)
     if kind == "synthetic-regression":
-        return tasks.SyntheticRegression(**spec)
+        return _construct(tasks.SyntheticRegression, spec, "task")
     if kind == "char-lm":
-        spec["corpus_path"] = spec.pop("corpus_path")
-        return tasks.CharLM(**spec)
+        try:
+            return _construct(tasks.CharLM, spec, "task")
+        except OSError as exc:
+            raise ValueError(
+                f"task corpus_path {spec['corpus_path']!r}: {exc.strerror}"
+            ) from None
     raise ValueError(f"unknown task kind {kind!r}; choose from {_TASK_KINDS}")
 
 
@@ -212,7 +258,7 @@ def _build_model(cfg: TrainRunConfig, task):
     if kind == "mlp":
         if task.kind != "synthetic-regression":
             raise ValueError("the MLP trains on the synthetic-regression task")
-        model = models.MLP(**spec)
+        model = _construct(models.MLP, spec, "model")
         if model.widths[0] != task.in_dim or model.widths[-1] != task.out_dim:
             raise ValueError(
                 f"MLP widths {model.widths} do not match the task's "
@@ -227,7 +273,7 @@ def _build_model(cfg: TrainRunConfig, task):
             raise ValueError(
                 f"model declares vocab {declared} but the corpus has {task.vocab}"
             )
-        model = models.TinyTransformer(vocab=task.vocab, **spec)
+        model = _construct(models.TinyTransformer, {**spec, "vocab": task.vocab}, "model")
         if model.seq_len != task.seq_len:
             raise ValueError(
                 f"model seq_len {model.seq_len} does not match task "
@@ -323,22 +369,28 @@ def _tracked_views(model, cfgs):
     return views
 
 
-# ── metric formatting ────────────────────────────────────────────────────────
+# ── output files ─────────────────────────────────────────────────────────────
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % float(x)
+def fmt_num(x) -> str:
+    """A table cell: floats as ``%.9g``, None as empty, anything else ``str``."""
+    if isinstance(x, (float, np.floating)):
+        return "%.9g" % x
+    return "" if x is None else str(x)
 
 
-def _write_metrics(out: Path, rows) -> None:
-    lines = [f"#schema={METRICS_SCHEMA}"]
-    lines.append("step,train_loss,val_loss,lr,resets,clamp_events")
-    for step, loss, val, lr, resets, clamps in rows:
-        val_cell = _fmt(val) if val is not None else ""
-        lines.append(
-            f"{step},{_fmt(loss)},{val_cell},{_fmt(lr)},{resets},{clamps}"
-        )
-    out.write_text("\n".join(lines) + "\n", encoding="ascii")
+def write_table(path, schema: str, columns: Sequence[str], rows) -> None:
+    """Write a ``#schema=`` line, the column names, then one line per row."""
+    lines = [f"#schema={schema}", ",".join(columns)]
+    lines.extend(",".join(fmt_num(v) for v in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted ASCII JSON."""
+    Path(path).write_text(
+        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="ascii"
+    )
 
 
 _OSCI_COLUMNS = (
@@ -346,17 +398,6 @@ _OSCI_COLUMNS = (
      "mean_risk"]
     + [f"n_gt_{t:g}" for t in EXPORT_THRESHOLDS]
 )
-
-
-def _write_oscillation(out: Path, rows) -> None:
-    lines = [f"#schema={OSCILLATION_SCHEMA}", ",".join(_OSCI_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in _OSCI_COLUMNS:
-            v = row[col]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    out.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _window_row(step: int, tag: str, tracker, tau: float, n_reset: int) -> dict:
@@ -417,10 +458,7 @@ def train(cfg: TrainRunConfig) -> RunReport:
     if cfg.out_dir is not None:
         out_path = Path(cfg.out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "config.json").write_text(
-            json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="ascii",
-        )
+        write_json(out_path / "config.json", cfg.to_dict())
 
     sched = optim.CosineSchedule(
         peak_lr=float(cfg.optimizer["lr"]),
@@ -434,36 +472,19 @@ def train(cfg: TrainRunConfig) -> RunReport:
         betas=tuple(cfg.optimizer.get("betas", (0.9, 0.95))),
         weight_decay=float(cfg.optimizer.get("weight_decay", 0.0)),
     )
-    base_cfgs, outlier_channels = _build_layer_cfgs(model, task, params, cfg)
-    switched_cfgs = None
-    if cfg.switch_mode is not None:
-        switched_cfgs = {
-            t: ql.set_precision_mode(c, cfg.switch_mode)
-            for t, c in base_cfgs.items()
-        }
-
+    cfgs, outlier_channels = _build_layer_cfgs(model, task, params, cfg)
     track = cfg.suppression is not None
-    base_views = _tracked_views(model, base_cfgs) if track else {}
-    switched_views = (
-        _tracked_views(model, switched_cfgs) if track and switched_cfgs else {}
-    )
-    state = MasterState(params=params, opt=opt, step=0, trackers={})
-
+    views = _tracked_views(model, cfgs)
+    trackers: Dict[str, osc.OscillationTracker] = {}
     val_steps = _val_steps(cfg)
-    losses = []
-    val_records = []
-    reset_records = []
+    rows = []
     osci_rows = []
-    metric_rows = []
-    clamp_total = 0
-    total_resets = 0
 
     for step in range(1, cfg.total_steps + 1):
-        in_switched = cfg.switch_step is not None and step > cfg.switch_step
-        cfgs = switched_cfgs if in_switched else base_cfgs
-        views = switched_views if in_switched else base_views
-
         batch = task.batch("train", step, cfg.batch_size, cfg.seed)
+        if cfg.switch_step is not None and step == cfg.switch_step + 1:
+            cfgs = {t: ql.set_precision_mode(c, cfg.switch_mode) for t, c in cfgs.items()}
+            views = _tracked_views(model, cfgs)
         lr = sched.lr_at(step)
         rng = fc.stream(cfg.seed, "sr", step)
         loss, grads, aux = model.loss_and_grads(params, batch, cfgs, step=step, rng=rng)
@@ -479,32 +500,24 @@ def train(cfg: TrainRunConfig) -> RunReport:
                 },
             }
             if out_path is not None:
-                (out_path / "diverged.json").write_text(
-                    json.dumps(diagnostics, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii",
-                )
+                write_json(out_path / "diverged.json", diagnostics)
             raise TrainDivergedError(
                 f"loss became non-finite at step {step}", diagnostics
             )
-        losses.append(loss_f)
-        clamp_total += int(aux["clamp_events"])
         opt.step(grads, lr)
-        state.step = step
 
-        resets_this = 0
+        resets = 0
         if track:
             decision = osc.suppression_hook(step, cfg.suppression)
             if decision.action is osc.HookAction.ACCUMULATE:
                 for tag, view in views.items():
                     w = params[model.weight_param(tag)]
-                    tracker = state.trackers.get(tag)
-                    if tracker is None:
-                        tracker = osc.OscillationTracker.zeros(w.shape)
-                        state.trackers[tag] = tracker
-                    osc.update_oscillation_stats(w, view, tracker, decision.t0)
+                    if tag not in trackers:
+                        trackers[tag] = osc.OscillationTracker.zeros(w.shape)
+                    osc.update_oscillation_stats(w, view, trackers[tag], decision.t0)
             elif decision.action is osc.HookAction.SUPPRESS:
                 for tag, view in views.items():
-                    tracker = state.trackers.get(tag)
+                    tracker = trackers.get(tag)
                     if tracker is None:
                         continue
                     n_reset = 0
@@ -517,48 +530,28 @@ def train(cfg: TrainRunConfig) -> RunReport:
                     osci_rows.append(
                         _window_row(step, tag, tracker, cfg.suppression.tau_osci, n_reset)
                     )
-                    resets_this += n_reset
-                if resets_this or cfg.apply_resets:
-                    reset_records.append((step, resets_this))
-                total_resets += resets_this
+                    resets += n_reset
 
         val_loss = None
         if step in val_steps:
             val_loss = _validation_loss(model, task, params, cfgs, cfg, step)
-            val_records.append((step, val_loss))
-        metric_rows.append(
-            (step, loss_f, val_loss, lr, resets_this, int(aux["clamp_events"]))
+        rows.append(
+            StepRow(step, loss_f, val_loss, lr, resets, int(aux["clamp_events"]))
         )
 
     if out_path is not None:
-        _write_metrics(out_path / "metrics.csv", metric_rows)
-        _write_oscillation(out_path / "oscillation.csv", osci_rows)
-
+        write_table(out_path / "metrics.csv", METRICS_SCHEMA, StepRow._fields, rows)
+        write_table(
+            out_path / "oscillation.csv",
+            OSCILLATION_SCHEMA,
+            _OSCI_COLUMNS,
+            ([r[c] for c in _OSCI_COLUMNS] for r in osci_rows),
+        )
     return RunReport(
         config=cfg,
-        steps_run=cfg.total_steps,
-        losses=tuple(losses),
-        val_records=tuple(val_records),
-        reset_records=tuple(reset_records),
+        rows=tuple(rows),
         osci_rows=tuple(osci_rows),
         outlier_channels=outlier_channels,
-        total_resets=total_resets,
-        clamp_total=clamp_total,
-        out_dir=cfg.out_dir,
-    )
-
-
-def precision_switch_run(
-    cfg: TrainRunConfig, switch_step: int, mode: str
-) -> RunReport:
-    """Train in the base recipe until ``switch_step``, then in ``mode``.
-
-    ``switch_step == total_steps`` degenerates to the plain run (the switch
-    never takes effect), which makes unswitched/switched comparisons share
-    one code path.
-    """
-    return train(
-        dataclasses.replace(cfg, switch_step=int(switch_step), switch_mode=str(mode))
     )
 
 

@@ -210,19 +210,44 @@ def test_train_command_divergence_exit_code(tmp_path, capsys):
     assert (out / "diverged.json").exists()
 
 
-@pytest.mark.parametrize("extra", [
-    {"cfg_overrides": {"no_such_field": 1}},
-    {"cfg_overrides": {"rht_fwd": True}},
-    {"cfg_overrides": {"rht_block": 3}},
-    {"model": {"kind": "mlp-xl", "widths": [64, 32, 32, 8]}},
-    {"task": {"kind": "no-such-task"}},
-], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind"])
-def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra):
+@pytest.mark.parametrize("extra, named", [
+    ({"cfg_overrides": {"no_such_field": 1}}, "no_such_field"),
+    ({"cfg_overrides": {"rht_fwd": True}}, "rht_fwd"),
+    ({"cfg_overrides": {"rht_block": 3}}, "rht_block"),
+    ({"model": {"kind": "mlp-xl", "widths": [64, 32, 32, 8]}}, "mlp-xl"),
+    ({"task": {"kind": "no-such-task"}}, "no-such-task"),
+    ({"model": {"kind": "mlp", "widths": [64, 32, 32, 8], "depth": 3}}, "depth"),
+    ({"task": {"kind": "char-lm", "corpus_path": "no-such-dir/corpus.txt",
+               "seq_len": 32}}, "no-such-dir/corpus.txt"),
+], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
+        "model-key", "corpus-path"])
+def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
     rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: bad config: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ")
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{missing}"],
+    ["switch", "--config", "{missing}", "--switch-step", "5", "--mode", "fp6xfp4"],
+    ["sweep", "--config", "{missing}", "--subsets", "{subsets}"],
+    ["sweep", "--config", "{cfg}", "--subsets", "{missing}"],
+], ids=["train", "switch", "sweep", "sweep-subsets"])
+def test_missing_input_file_exits_two(tmp_path, capsys, argv):
+    paths = {"cfg": tmp_path / "cfg.json", "subsets": tmp_path / "subsets.json",
+             "missing": tmp_path / "missing.json"}
+    write_mlp_config(paths["cfg"])
+    paths["subsets"].write_text("[]", encoding="ascii")
+    argv = [a.format(**paths) for a in argv]
+    rc = cli.main(argv + ["--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ")
+    assert "missing.json" in err
 
 
 def test_switch_command_at_total_steps_matches_plain_train(tmp_path):
@@ -314,6 +339,15 @@ def test_osci_analyze_schema_mismatch(tmp_path, capsys):
     rc = cli.main(["osci-analyze", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "schema" in capsys.readouterr().err
+
+
+def test_osci_analyze_short_row_names_file_and_line(tmp_path, capsys):
+    src = osci_file(tmp_path / "o.csv", ["51,fc0,10,0,0,0,0,0,0,0,0,0",
+                                         "5,fc0,10"])
+    rc = cli.main(["osci-analyze", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "o.csv" in err and "line 4" in err
 
 
 def test_osci_analyze_unknown_threshold(tmp_path, capsys):

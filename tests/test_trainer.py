@@ -124,7 +124,7 @@ def test_bypass_run_matches_reference_loop():
         ref_losses.append(float(loss))
         opt.step(grads, sched.lr_at(step))
 
-    assert report.steps_run == 40
+    assert len(report.rows) == 40
     assert abs(report.final_train_loss - ref_losses[-1]) <= 1e-5
     np.testing.assert_allclose(report.losses, ref_losses, atol=1e-5)
 
@@ -173,7 +173,7 @@ def suppressed_cfg(**kw):
 
 def test_resets_fire_only_at_scheduled_steps():
     report = tr.train(suppressed_cfg())
-    reset_steps = [s for s, n in report.reset_records if n > 0]
+    reset_steps = [r.step for r in report.rows if r.resets]
     assert reset_steps, "tau 0.5 over a chunky FP4 grid should trigger resets"
     for s in reset_steps:
         assert s >= 10
@@ -218,7 +218,7 @@ def test_reset_is_bitwise_neutral_through_next_step():
     the master-weight rewrite is allowed to change the trajectory."""
     on = tr.train(suppressed_cfg(apply_resets=True))
     off = tr.train(suppressed_cfg(apply_resets=False))
-    reset_steps = [s for s, n in on.reset_records if n > 0]
+    reset_steps = [r.step for r in on.rows if r.resets]
     assert reset_steps
     first = reset_steps[0]
     # steps are 1-based; losses[i] is the loss at step i+1
@@ -259,22 +259,22 @@ def test_validation_cadence_without_schedule():
 
 def test_switch_at_total_steps_is_identity():
     plain = tr.train(mlp_cfg(preset="fp4-base"))
-    switched = tr.precision_switch_run(mlp_cfg(preset="fp4-base"), 40, "fp6xfp4")
+    switched = tr.train(mlp_cfg(preset="fp4-base", switch_step=40, switch_mode="fp6xfp4"))
     assert plain.losses == switched.losses
     assert plain.final_val_loss == switched.final_val_loss
 
 
 def test_switch_changes_trajectory_after_switch_step():
     plain = tr.train(mlp_cfg(preset="fp4-base"))
-    switched = tr.precision_switch_run(mlp_cfg(preset="fp4-base"), 20, "fp6xfp6")
+    switched = tr.train(mlp_cfg(preset="fp4-base", switch_step=20, switch_mode="fp6xfp6"))
     assert plain.losses[:20] == switched.losses[:20]
     assert plain.losses[20:] != switched.losses[20:]
 
 
 def test_switch_records_config(tmp_path):
     out = tmp_path / "sw"
-    cfg = mlp_cfg(preset="fp4-base", out_dir=str(out))
-    tr.precision_switch_run(cfg, 20, "fp6xfp4")
+    tr.train(mlp_cfg(preset="fp4-base", out_dir=str(out), switch_step=20,
+                     switch_mode="fp6xfp4"))
     snap = json.loads((out / "config.json").read_text())
     assert snap["switch_step"] == 20
     assert snap["switch_mode"] == "fp6xfp4"
@@ -343,6 +343,12 @@ def test_metrics_files_schema_and_content(tmp_path):
     val_steps = {s for s, _ in report.val_records}
     for r in rows:
         assert (r[2] != "") == (int(r[0]) in val_steps)
+    # the report's totals are the columns' sums, and the resets column agrees
+    # with the per-layer window export
+    assert report.clamp_total == sum(int(r[5]) for r in rows)
+    assert report.total_resets == sum(int(r[4]) for r in rows)
+    assert report.total_resets == sum(o["n_reset"] for o in report.osci_rows)
+    assert report.total_resets > 0
 
     osci = (out / "oscillation.csv").read_text().splitlines()
     assert osci[0].startswith("#schema=")
@@ -411,7 +417,7 @@ def test_master_state_roundtrip(tmp_path):
 
 def test_transformer_run_smoke(tmp_path):
     report = tr.train(transformer_cfg(tmp_path))
-    assert report.steps_run == 12
+    assert len(report.rows) == 12
     assert np.isfinite(report.final_train_loss)
     assert np.isfinite(report.final_val_loss)
     assert report.clamp_total >= 0
