@@ -1,7 +1,7 @@
 """nvfp4sim: a bit-accurate NumPy simulator of fully-quantized NVFP4 training.
 
 Layers: fpcodec (formats + rounding) -> blockquant (one block-view pipeline
-for 1x16 groups, 16x16 tiles and MXFP4) -> matrixio (matrix files) ->
+for 1x16 groups and 16x16 tiles) -> matrixio (matrix files) ->
 hadamard (random Hadamard transforms) -> qlinear (six-quantizer linear layer
 with outlier retention) -> oscillation (flip-risk tracking and suppression)
 -> trainer (desk-scale training harness) -> cli (experiment commands).

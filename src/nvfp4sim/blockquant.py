@@ -1,15 +1,15 @@
 """Double-block matrix quantization on a block view.
 
-Every quantizer here is one scheme: an outer binary32 scale, an inner scale
-per block, and element rounding. They differ only in the block shape.
+Every quantizer here is one scheme: an outer binary32 scale, an E4M3 inner
+scale per 16-element block, and element rounding. They differ only in the
+block shape.
 
 The work grid is the matrix, or its transpose for COL_GROUPS_16X1 (making
 the transpose contract exact by construction). It is zero-padded to whole
 blocks and viewed, without a copy, as ``(R, br, C, bc)``:
 
 * ``(1, 16)`` for ROW_GROUPS_1X16 and COL_GROUPS_16X1;
-* ``(16, 16)`` tiles for SQUARE_16X16, which takes a per-tensor outer scale;
-* ``(1, 32)`` for MXFP4, which has E8M0 inner scales and no outer level.
+* ``(16, 16)`` tiles for SQUARE_16X16, which takes a per-tensor outer scale.
 
 On that view one pipeline derives the scale chain:
 
@@ -17,9 +17,7 @@ On that view one pipeline derives the scale chain:
   columns) S_g = amax / (448 * grid_max), taken from the 2-D grid, chosen so
   the rescaled grid fits the E4M3 x element-grid product range;
 * an inner scale per block, stored as an ``(R, C)`` array in row-major
-  order: S_b = round_e4m3(min(amax(X / S_g) / grid_max, 448)), or for
-  MXFP4 the power-of-two ceiling of amax / grid_max, which makes the
-  division lossless;
+  order: S_b = round_e4m3(min(amax(X / S_g) / grid_max, 448));
 * the ratio X / S_g / S_b, clipped to the grid and rounded in row-major
   grid order, so a stochastic rng is consumed one draw per padded position.
 
@@ -49,16 +47,13 @@ __all__ = [
     "Orientation",
     "OuterGranularity",
     "QuantizedMatrix",
-    "GROUP_FOR_SCALE",
     "as_matrix",
     "crop_work_grid",
     "layout_sizes",
     "quantize_double_block",
     "quantize_dequantize",
-    "quantize_mxfp4",
     "dequantize",
     "element_block_amax",
-    "requantize",
     "unpacked_codes",
 ]
 
@@ -66,9 +61,7 @@ F32 = np.float32
 _SCALE_TOP = np.float32(448.0)
 _CLAMP_TOL = 1 + 1e-6  # one-ulp grace before an overshoot counts as a clamp
 _OUTER_SPAN = 128  # grid columns per BLOCK_1X128 outer scale
-
-# inner block length for each inner-scale format
-GROUP_FOR_SCALE = {"e4m3": 16, "e8m0": 32}
+_GROUP = 16  # elements per inner block
 
 
 class Orientation(enum.Enum):
@@ -97,8 +90,6 @@ class QuantizedMatrix:
     orientation: Orientation
     outer: OuterGranularity
     element_fmt: str  # e2m1 | e3m2 | e2m3
-    scale_fmt: str  # e4m3 | e8m0
-    group: int  # inner block length (16, or 32 for MXFP4)
     codes: np.ndarray  # packed uint8; 4-bit formats hold two codes per byte,
     # low nibble = lower linear index in the work grid
     inner_scales: np.ndarray  # float32, one per inner block, work-grid order
@@ -113,10 +104,10 @@ class QuantizedMatrix:
         if not isinstance(other, QuantizedMatrix):
             return NotImplemented
         return (
-            (self.rows, self.cols, self.orientation, self.outer) ==
-            (other.rows, other.cols, other.orientation, other.outer)
-            and (self.element_fmt, self.scale_fmt, self.group, self.clamp_count) ==
-            (other.element_fmt, other.scale_fmt, other.group, other.clamp_count)
+            (self.rows, self.cols, self.orientation, self.outer, self.element_fmt,
+             self.clamp_count) ==
+            (other.rows, other.cols, other.orientation, other.outer, other.element_fmt,
+             other.clamp_count)
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.inner_scales, other.inner_scales)
             and np.array_equal(self.outer_scales, other.outer_scales)
@@ -130,15 +121,15 @@ def _ceil_to(n: int, k: int) -> int:
     return -(-n // k) * k
 
 
-def _block_shape(orientation: Orientation, group: int):
-    return (16, 16) if orientation is Orientation.SQUARE_16X16 else (1, group)
+def _block_shape(orientation: Orientation):
+    return (_GROUP, _GROUP) if orientation is Orientation.SQUARE_16X16 else (1, _GROUP)
 
 
-def _grid_shape(rows, cols, orientation, group):
+def _grid_shape(rows, cols, orientation):
     """(work rows, work cols) of the zero-padded work grid."""
     if orientation is Orientation.COL_GROUPS_16X1:
         rows, cols = cols, rows
-    br, bc = _block_shape(orientation, group)
+    br, bc = _block_shape(orientation)
     return _ceil_to(rows, br), _ceil_to(cols, bc)
 
 
@@ -162,24 +153,24 @@ def _layout_outer(orientation: Orientation, outer) -> OuterGranularity:
     return outer
 
 
-def layout_sizes(rows, cols, orientation, outer, element_fmt, group):
+def layout_sizes(rows, cols, orientation, outer, element_fmt):
     """(code bytes, inner scales, outer scales) stored for this layout.
 
     Raises ValueError for square tiles with an outer level other than
     per-tensor, which no block view can carry.
     """
     outer = _layout_outer(orientation, outer)
-    wr, wc = _grid_shape(rows, cols, orientation, group)
-    br, bc = _block_shape(orientation, group)
+    wr, wc = _grid_shape(rows, cols, orientation)
+    br, bc = _block_shape(orientation)
     n_codes = wr * wc // (2 if fc.get_format(element_fmt).bits == 4 else 1)
     return n_codes, (wr // br) * (wc // bc), int(np.prod(_outer_grid(outer, wr, wc)))
 
 
-def _block_view(m: np.ndarray, orientation: Orientation, group: int):
+def _block_view(m: np.ndarray, orientation: Orientation):
     """The zero-padded work grid of ``m`` and its ``(R, br, C, bc)`` view."""
     work = m.T if orientation is Orientation.COL_GROUPS_16X1 else m
-    br, bc = _block_shape(orientation, group)
-    W = np.zeros(_grid_shape(*m.shape, orientation, group), dtype=F32)
+    br, bc = _block_shape(orientation)
+    W = np.zeros(_grid_shape(*m.shape, orientation), dtype=F32)
     W[: work.shape[0], : work.shape[1]] = work
     return W, W.reshape(W.shape[0] // br, br, W.shape[1] // bc, bc)
 
@@ -212,7 +203,7 @@ def unpacked_codes(q: QuantizedMatrix) -> np.ndarray:
         flat[1::2] = q.codes >> 4
     else:
         flat = q.codes
-    return flat.reshape(_grid_shape(q.rows, q.cols, q.orientation, q.group))
+    return flat.reshape(_grid_shape(q.rows, q.cols, q.orientation))
 
 
 def element_block_amax(m, orientation: Orientation | str) -> np.ndarray:
@@ -223,7 +214,7 @@ def element_block_amax(m, orientation: Orientation | str) -> np.ndarray:
     """
     m = as_matrix(m)
     orientation = Orientation(orientation)
-    W, blocks = _block_view(np.abs(m), orientation, GROUP_FOR_SCALE["e4m3"])
+    W, blocks = _block_view(np.abs(m), orientation)
     amax = np.broadcast_to(_per_block(blocks.max(axis=(1, 3))), blocks.shape)
     return crop_work_grid(amax.reshape(W.shape), orientation, *m.shape)
 
@@ -231,13 +222,8 @@ def element_block_amax(m, orientation: Orientation | str) -> np.ndarray:
 # ── the pipeline ─────────────────────────────────────────────────────────────
 
 
-def _outer_scales(W: np.ndarray, outer: OuterGranularity | None, big: np.float32):
-    """Outer scales on their work-grid layout (see ``_outer_grid``).
-
-    ``outer=None`` means no outer level (MXFP4): a single scale of 1.
-    """
-    if outer is None:
-        return np.ones((1, 1), dtype=F32)
+def _outer_scales(W: np.ndarray, outer: OuterGranularity, big: np.float32):
+    """Outer scales on their work-grid layout (see ``_outer_grid``)."""
     absW = np.abs(W)
     if outer is OuterGranularity.PER_TENSOR:
         a = np.float32(absW.max(initial=0.0)).reshape(1, 1)
@@ -248,29 +234,26 @@ def _outer_scales(W: np.ndarray, outer: OuterGranularity | None, big: np.float32
     return np.where(a > 0, a / big, F32(1.0)).astype(F32)
 
 
-def _inner_scales(a_in: np.ndarray, grid_max: np.float32, scale_fmt: str):
-    """Inner scale per block from the block amax of the outer-scaled grid."""
-    t = a_in / grid_max
-    if scale_fmt == "e4m3":
-        t = np.minimum(t, _SCALE_TOP)
+def _inner_scales(a_in: np.ndarray, grid_max: np.float32):
+    """E4M3 inner scale per block from the block amax of the outer-scaled grid."""
+    t = np.minimum(a_in / grid_max, _SCALE_TOP)
     pos = t > 0
-    safe = np.where(pos, t, F32(1.0))
-    sb = fc.round_scale_e4m3(safe) if scale_fmt == "e4m3" else fc.e8m0_pow2_ceil(safe)
+    sb = fc.round_scale_e4m3(np.where(pos, t, F32(1.0)))
     return np.where(pos, sb, F32(1.0)).astype(F32)
 
 
-def _plan(m, orientation, outer, fmt, scale_fmt="e4m3"):
+def _plan(m, orientation, outer, fmt):
     """Derive the scale chain of ``m`` and its clipped ratio grid.
 
     Returns ``(ratio, sb, sg, clamps)``: the ratio grid on the
     ``(R, br, C, bc)`` block view, the ``(R, C)`` inner scales, the outer
     scales on their work-grid layout, and the clamp count.
     """
-    W, blocks = _block_view(m, orientation, GROUP_FOR_SCALE[scale_fmt])
+    W, blocks = _block_view(m, orientation)
     grid_max = np.float32(fmt.max)
     sg = _outer_scales(W, outer, _SCALE_TOP * grid_max)
     X = blocks / _per_block(_outer_per_block(sg, blocks.shape[2], blocks.shape[3]))
-    sb = _inner_scales(np.abs(X).max(axis=(1, 3)), grid_max, scale_fmt)
+    sb = _inner_scales(np.abs(X).max(axis=(1, 3)), grid_max)
     ratio = X / _per_block(sb)
     clamps = int(np.count_nonzero(np.abs(ratio) > grid_max * _CLAMP_TOL))
     np.clip(ratio, -grid_max, grid_max, out=ratio)
@@ -306,30 +289,6 @@ def _resolve(orientation, outer, mode, element_fmt):
     return orientation, outer, fc.RoundingMode.coerce(mode), fc.get_format(element_fmt)
 
 
-def _packed(m, orientation, outer, fmt, mode, rng, scale_fmt="e4m3") -> QuantizedMatrix:
-    """Quantize ``m`` and pack its codes row-major over the work grid.
-
-    ``outer=None`` (MXFP4) is stored as a per-tensor outer scale of 1.
-    """
-    ratio, sb, sg, clamps = _plan(m, orientation, outer, fmt, scale_fmt)
-    codes = _codes(ratio, fmt, mode, rng).reshape(-1)
-    if fmt.bits == 4:
-        codes = codes[0::2] | (codes[1::2] << 4)
-    return QuantizedMatrix(
-        rows=m.shape[0],
-        cols=m.shape[1],
-        orientation=orientation,
-        outer=outer or OuterGranularity.PER_TENSOR,
-        element_fmt=fmt.name,
-        scale_fmt=scale_fmt,
-        group=GROUP_FOR_SCALE[scale_fmt],
-        codes=codes,
-        inner_scales=sb.reshape(-1),
-        outer_scales=sg.reshape(-1),
-        clamp_count=clamps,
-    )
-
-
 def quantize_double_block(
     m,
     orientation: Orientation | str,
@@ -338,10 +297,25 @@ def quantize_double_block(
     rng=None,
     element_fmt: str = "e2m1",
 ) -> QuantizedMatrix:
-    """Quantize a binary32 matrix with the two-level block scheme."""
+    """Quantize a binary32 matrix with the two-level block scheme; codes are
+    packed row-major over the work grid."""
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    return _packed(m, orientation, outer, fmt, mode, rng)
+    ratio, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    codes = _codes(ratio, fmt, mode, rng).reshape(-1)
+    if fmt.bits == 4:
+        codes = codes[0::2] | (codes[1::2] << 4)
+    return QuantizedMatrix(
+        rows=m.shape[0],
+        cols=m.shape[1],
+        orientation=orientation,
+        outer=outer,
+        element_fmt=fmt.name,
+        codes=codes,
+        inner_scales=sb.reshape(-1),
+        outer_scales=sg.reshape(-1),
+        clamp_count=clamps,
+    )
 
 
 def quantize_dequantize(
@@ -367,21 +341,10 @@ def quantize_dequantize(
     return _reconstruct(codes, fmt, sb, sg, orientation, *m.shape), clamps
 
 
-def quantize_mxfp4(m, mode: fc.RoundingMode | str = "det", rng=None) -> QuantizedMatrix:
-    """MX-style quantization: 1x32 groups, one E8M0 scale each, no outer level.
-
-    The power-of-two scale is the ceiling of amax/6, so |P| <= 6 exactly and
-    division by the scale is lossless in float32.
-    """
-    m = as_matrix(m)
-    mode = fc.RoundingMode.coerce(mode)
-    return _packed(m, Orientation.ROW_GROUPS_1X16, None, fc.FP4_E2M1, mode, rng, "e8m0")
-
-
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Float32 reconstruction (P * S_b) * S_g, cropped, zeros normalized to +0."""
     grid = unpacked_codes(q)
-    br, bc = _block_shape(q.orientation, q.group)
+    br, bc = _block_shape(q.orientation)
     R, C = grid.shape[0] // br, grid.shape[1] // bc
     codes = grid.reshape(R, br, C, bc)
     sb = q.inner_scales.reshape(R, C)
@@ -389,19 +352,3 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     fmt = fc.get_format(q.element_fmt)
     return _reconstruct(codes, fmt, sb, sg, q.orientation, q.rows, q.cols)
 
-
-def requantize(
-    q: QuantizedMatrix,
-    orientation: Orientation | str | None = None,
-    outer: OuterGranularity | str | None = None,
-    mode: fc.RoundingMode | str = "det",
-    rng=None,
-) -> QuantizedMatrix:
-    """Dequantize and re-quantize, optionally into a different blocking."""
-    orientation = q.orientation if orientation is None else Orientation(orientation)
-    if outer is None and orientation is not Orientation.SQUARE_16X16:
-        outer = q.outer
-    return quantize_double_block(
-        dequantize(q), orientation, outer=outer, mode=mode, rng=rng,
-        element_fmt=q.element_fmt,
-    )

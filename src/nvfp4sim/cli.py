@@ -2,14 +2,16 @@
 
 Subcommands cover the main workflows: ``quantize`` a matrix file through the
 double-block codec, ``bench-bias`` the quantized backward pass, ``train`` a
-model from a JSON config, ``switch`` precision mid-run, ``sweep`` quantizer
-site subsets, and ``osci-analyze`` exported oscillation tables.  Every
-subcommand writes a resolved ``config.json`` next to its outputs so a result
-directory is self-describing, and none of the outputs embed timestamps:
-rerunning a command with the same inputs reproduces the same bytes.
+model from a JSON config (a mid-run precision switch is the config's
+``switch_step`` and ``switch_mode``), ``sweep`` quantizer site subsets, and
+``osci-analyze`` exported oscillation tables.  Every subcommand creates its
+``--out`` directory before any work and writes a resolved ``config.json``
+next to its outputs so a result directory is self-describing, and none of
+the outputs embed timestamps: rerunning a command with the same inputs
+reproduces the same bytes.
 
-Exit codes: 0 success, 2 usage or input-format error, 3 training diverged,
-4 bias detected by ``bench-bias``.
+Exit codes: 0 success, 2 usage, input-format or output-directory error,
+3 training diverged, 4 bias detected by ``bench-bias``.
 """
 
 from __future__ import annotations
@@ -55,13 +57,12 @@ def _json_safe(value):
     return value
 
 
-def _load_run_config(args, **extra) -> tr.TrainRunConfig:
-    """The ``--config`` file with ``--out``, ``--seed`` and ``extra`` applied."""
+def _load_run_config(args) -> tr.TrainRunConfig:
+    """The ``--config`` file with ``--out`` and ``--seed`` applied."""
     d = dict(json.loads(Path(args.config).read_text(encoding="ascii")))
     d["out_dir"] = str(args.out)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         d["seed"] = args.seed
-    d.update(extra)
     return tr.TrainRunConfig.from_dict(d)
 
 
@@ -73,19 +74,15 @@ def _cmd_quantize(args) -> int:
         m = mio.load_matrix(args.input)
     except mio.FileFormatError as exc:
         return _fail(f"malformed matrix file at byte offset {exc.offset}: {exc}")
-    outer = args.outer
-    if outer is None:
-        outer = "per-tensor" if args.orientation == "square" else "1x128"
     rng = fc.stream(args.seed, "cli", "quantize") if args.mode == "stoch" else None
     try:
         q = bq.quantize_double_block(
-            m, args.orientation, outer=outer, mode=args.mode, rng=rng,
+            m, args.orientation, outer=args.outer, mode=args.mode, rng=rng,
             element_fmt=args.format,
         )
     except ValueError as exc:
         return _fail(str(exc))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mio.save_quantized(out / "quantized.qmxf", q)
     stats = dict(mx.error_stats(m, bq.dequantize(q)))
     stats["clamp_count"] = int(q.clamp_count)
@@ -94,12 +91,12 @@ def _cmd_quantize(args) -> int:
         "command": "quantize",
         "input": str(args.input),
         "orientation": args.orientation,
-        "outer": outer,
+        "outer": q.outer.value,
         "format": args.format,
         "mode": args.mode,
         "seed": args.seed,
     })
-    print(f"quantized {q.rows}x{q.cols} ({args.format}, outer {outer}): "
+    print(f"quantized {q.rows}x{q.cols} ({args.format}, outer {q.outer.value}): "
           f"mse {tr.fmt_num(stats['mse'])}, clamps {stats['clamp_count']}")
     return EXIT_OK
 
@@ -127,7 +124,6 @@ def _cmd_bench_bias(args) -> int:
         outlier_style=args.outlier_style,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tr.write_json(out / "bias_report.json", _json_safe(report.to_dict()))
     tr.write_json(out / "config.json", {
         "command": "bench-bias",
@@ -148,14 +144,14 @@ def _cmd_bench_bias(args) -> int:
     return EXIT_OK if report.passed else EXIT_BIASED
 
 
-# ── train / switch ───────────────────────────────────────────────────────────
+# ── train ────────────────────────────────────────────────────────────────────
 
 
-def _run_training(args, **extra) -> int:
+def _cmd_train(args) -> int:
     """Load the run config, train it and report; a config that loading or
     ``train`` rejects exits 2."""
     try:
-        cfg = _load_run_config(args, **extra)
+        cfg = _load_run_config(args)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
     try:
@@ -170,14 +166,6 @@ def _run_training(args, **extra) -> int:
           f"final val loss {tr.fmt_num(report.final_val_loss)}, "
           f"resets {report.total_resets}, clamp events {report.clamp_total}")
     return EXIT_OK
-
-
-def _cmd_train(args) -> int:
-    return _run_training(args)
-
-
-def _cmd_switch(args) -> int:
-    return _run_training(args, switch_step=args.switch_step, switch_mode=args.mode)
 
 
 # ── sweep ────────────────────────────────────────────────────────────────────
@@ -199,7 +187,6 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     columns = ("subset", "final_train_loss", "final_val_loss", "delta_vs_bypass")
     tr.write_table(
         out / "sweep.csv", SWEEP_SCHEMA, columns, ([r[c] for c in columns] for r in rows)
@@ -252,12 +239,17 @@ def _read_osci_table(path, thresholds):
             raise ValueError(
                 f"{path}: line {n} has {len(cells)} cells, the header {len(header)}"
             )
-        step = int(cells[col["step"]])
-        n_el, counts, n_reset = table.setdefault(step, [0, {t: 0 for t in thresholds}, 0])
-        table[step][0] = n_el + int(cells[col["n_elements"]])
-        for t, i in count_cols.items():
-            counts[t] += int(cells[i])
-        table[step][2] = n_reset + int(cells[col["n_reset"]])
+        try:
+            step, n_el, n_reset = (
+                int(cells[col[k]]) for k in ("step", "n_elements", "n_reset"))
+            counts = {t: int(cells[i]) for t, i in count_cols.items()}
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
+        entry = table.setdefault(step, [0, {t: 0 for t in thresholds}, 0])
+        entry[0] += n_el
+        for t, c in counts.items():
+            entry[1][t] += c
+        entry[2] += n_reset
     return table
 
 
@@ -274,7 +266,6 @@ def _cmd_osci_analyze(args) -> int:
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if paired is None:
         columns = ["step", "n_elements", *(f"frac_gt_{t:g}" for t in thresholds), "n_reset"]
         rows = (
@@ -406,20 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the config seed")
     p.set_defaults(func=_cmd_train)
 
-    p = _sub(subparsers, "switch",
-             "Train with a mid-run switch to a higher-precision mode.",
-             "nvfp4sim switch --config run.json --out rundir "
-             "--switch-step 4000 --mode fp6xfp4")
-    p.add_argument("--config", required=True, help="run config JSON file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
-    p.add_argument("--switch-step", type=int, required=True,
-                   help="last step of the low-precision phase")
-    p.add_argument("--mode", required=True, choices=["fp6xfp4", "fp6xfp6"],
-                   help="precision mode after the switch")
-    p.set_defaults(func=_cmd_switch)
-
     p = _sub(subparsers, "sweep",
              "Run one training job per quantizer-site subset and tabulate "
              "final losses against an all-bypass reference.",
@@ -451,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot create output directory {args.out}: {exc}")
     return args.func(args)
 
 

@@ -4,7 +4,7 @@ Everything downstream (block quantizers, quantized linear layers, the trainer)
 reduces to the operations in this file: sign-magnitude code tables for the
 4/6/8-bit microscaling element formats, deterministic round-to-nearest with
 ties broken toward the even code, unbiased stochastic rounding, E4M3 scale
-rounding, power-of-two (E8M0) scale ceiling, and counter-based RNG streams.
+rounding, and counter-based RNG streams.
 
 Code layout is sign-magnitude: the top bit is the sign, the low bits index an
 ascending magnitude table, so code order equals magnitude order within each
@@ -34,11 +34,7 @@ __all__ = [
     "round_det",
     "round_stoch",
     "values_from_codes",
-    "round_fp4_det",
-    "round_fp4_stoch",
-    "round_fp6",
     "round_scale_e4m3",
-    "e8m0_pow2_ceil",
     "stream",
 ]
 
@@ -211,32 +207,6 @@ def decode(code: int, fmt: FormatSpec) -> float:
     return -v if code >= half else v
 
 
-def _maybe_scalar(out, x):
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
-def round_fp4_det(x):
-    """Deterministic round to the E2M1 grid. |x| <= 6 by caller contract."""
-    return _maybe_scalar(round_det(x, FP4_E2M1), x)
-
-
-def round_fp4_stoch(x, rng):
-    """Stochastic round to the E2M1 grid; E[result] == x for |x| <= 6."""
-    return _maybe_scalar(round_stoch(x, FP4_E2M1, rng), x)
-
-
-def round_fp6(x, mode: RoundingMode | str, rng=None, variant: str = "e3m2"):
-    fmt = get_format(variant)
-    if fmt not in (FP6_E3M2, FP6_E2M3):
-        raise ValueError(f"{variant!r} is not a 6-bit format")
-    mode = RoundingMode.coerce(mode)
-    if mode is RoundingMode.DETERMINISTIC:
-        return _maybe_scalar(round_det(x, fmt), x)
-    if rng is None:
-        raise ValueError("stochastic rounding needs an rng")
-    return _maybe_scalar(round_stoch(x, fmt, rng), x)
-
-
 def round_scale_e4m3(s):
     """Round a positive scale to E4M3, ties to even code, result > 0.
 
@@ -249,16 +219,8 @@ def round_scale_e4m3(s):
     if np.any(a > FP8_E4M3.max):
         raise OverflowError(f"scale exceeds E4M3 max {FP8_E4M3.max}")
     mi = np.maximum(_mag_round_det(a, FP8_E4M3), 1)
-    return _maybe_scalar(FP8_E4M3.mag[mi].astype(a.dtype, copy=False), s)
-
-
-def e8m0_pow2_ceil(x):
-    """Smallest power of two >= x, clamped to the E8M0 range [2**-127, 2**127]."""
-    a = _as_float_array(x)
-    m, e = np.frexp(a)  # a = m * 2**e with m in [0.5, 1)
-    exp = np.where(m == 0.5, e - 1, e)
-    exp = np.clip(exp, -127, 127)
-    return _maybe_scalar(np.ldexp(np.ones_like(a), exp), x)
+    out = FP8_E4M3.mag[mi].astype(a.dtype, copy=False)
+    return float(out) if np.ndim(s) == 0 else out
 
 
 # ── seeded, counter-based RNG streams ────────────────────────────────────────

@@ -8,21 +8,22 @@ Binary layout (all integers little-endian):
     rows    u32
     cols    u32
     payload          kind 0: rows*cols float32, row-major
-                     kind 1: the quantized-matrix fields in declaration
-                             order — orientation u8, outer granularity u8,
-                             element format u8, scale format u8, group u8,
-                             then three length-prefixed arrays (u64 count):
-                             packed codes (bytes), inner scales (float32),
-                             outer scales (float32), and clamp count u64
+                     kind 1: orientation u8, outer granularity u8,
+                             element format u8, scale format u8 (always 0,
+                             E4M3), group u8 (always 16), then three
+                             length-prefixed arrays (u64 count): packed
+                             codes (bytes), inner scales (float32), outer
+                             scales (float32), and clamp count u64
 
 CSV files hold dense matrices only, one row per line, values formatted with
 nine significant digits so binary32 values round-trip exactly.
 
 Malformed files raise :class:`FileFormatError` carrying the byte offset of
 the offending field (for truncation, the offset where the file ended). That
-covers a quantized payload whose group or array counts do not fit its layout
-or whose code bytes overflow a 6-bit element format, and a non-finite dense
-entry, which neither writer produces.
+covers a quantized payload with a scale format byte (byte 20) other than 0 or
+a group byte (byte 21) other than 16, whose array counts do not fit its
+layout or whose code bytes overflow a 6-bit element format, and a non-finite
+dense entry, which neither writer produces.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ _OUTER_CODES = {
     OuterGranularity.PER_TENSOR: 2,
 }
 _ELEMENT_CODES = {"e2m1": 0, "e3m2": 1, "e2m3": 2}
-_SCALE_CODES = {"e4m3": 0, "e8m0": 1}
+_SCALE_BYTE = 0  # E4M3 inner scales
+_GROUP_BYTE = 16  # elements per inner block
 _ORIENT_NAMES = {v: k for k, v in _ORIENT_CODES.items()}
 _OUTER_NAMES = {v: k for k, v in _OUTER_CODES.items()}
 _ELEMENT_NAMES = {v: k for k, v in _ELEMENT_CODES.items()}
-_SCALE_NAMES = {v: k for k, v in _SCALE_CODES.items()}
 
 
 class FileFormatError(ValueError):
@@ -122,8 +123,8 @@ def save_quantized(path, q: QuantizedMatrix) -> None:
                 _ORIENT_CODES[q.orientation],
                 _OUTER_CODES[q.outer],
                 _ELEMENT_CODES[q.element_fmt],
-                _SCALE_CODES[q.scale_fmt],
-                q.group,
+                _SCALE_BYTE,
+                _GROUP_BYTE,
             )
         )
         f.write(struct.pack("<Q", codes.size))
@@ -187,15 +188,11 @@ def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
     outer_at = r.pos
     outer = r.coded(_OUTER_NAMES, "outer granularity")
     element_fmt = r.coded(_ELEMENT_NAMES, "element format")
-    scale_fmt = r.coded(_SCALE_NAMES, "scale format")
-    at = r.pos
-    (group,) = r.unpack("<B", "group")
-    if group != bq.GROUP_FOR_SCALE[scale_fmt]:
-        raise FileFormatError(f"group {group} does not fit {scale_fmt} scales", offset=at)
+    r.coded({_SCALE_BYTE: "e4m3"}, "scale format")
+    r.coded({_GROUP_BYTE: _GROUP_BYTE}, "group")
     try:
         n_codes, n_inner, n_outer = bq.layout_sizes(
-            rows, cols, orientation, outer, element_fmt, group
-        )
+            rows, cols, orientation, outer, element_fmt)
     except ValueError as exc:
         raise FileFormatError(str(exc), offset=outer_at) from None
     codes_at = r.pos + 8  # past the u64 count
@@ -217,8 +214,6 @@ def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
         orientation=orientation,
         outer=outer,
         element_fmt=element_fmt,
-        scale_fmt=scale_fmt,
-        group=group,
         codes=codes,
         inner_scales=inner,
         outer_scales=outer_scales,

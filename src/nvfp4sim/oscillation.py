@@ -84,10 +84,6 @@ def double_block_weight_view(orientation, outer=None, element_fmt: str = "e2m1")
     product the layer's forward pass consumes at that step.
     """
     orientation = bq.Orientation(orientation)
-    if orientation is bq.Orientation.SQUARE_16X16:
-        outer = None
-    elif outer is not None:
-        outer = bq.OuterGranularity(outer)
     fmt = fc.get_format(element_fmt)
     top_code = np.uint8((1 << (fmt.bits - 1)) - 1)
 

@@ -160,6 +160,9 @@ class LayerQuantConfig:
             raise ValueError(
                 "weight_block must be ROW_GROUPS_1X16 or SQUARE_16X16"
             )
+        if (self.weight_block is Orientation.SQUARE_16X16
+                and self.outer_granularity is not OuterGranularity.PER_TENSOR):
+            raise ValueError("weight_block square takes outer_granularity per-tensor")
         for site in QUANTIZER_SITES:
             fc.get_format(getattr(self, f"format_{site}"))
         if self.fp6_variant not in ("e3m2", "e2m3"):

@@ -337,10 +337,7 @@ def _build_layer_cfgs(model, task, params, cfg: TrainRunConfig):
         ]
         if eligible:
             calib = task.batch("train", 0, cfg.batch_size, cfg.seed)
-            bypass = {
-                t: dataclasses.replace(ql.preset("fp32"), layer_tag=t)
-                for t in model.quant_tags()
-            }
+            bypass = models.uniform_cfgs(model, ql.preset("fp32"))
             acts = model.input_acts(params, calib, bypass, step=0)
             for tag in eligible:
                 oc = ql.select_outlier_channels(
@@ -454,12 +451,6 @@ def train(cfg: TrainRunConfig) -> RunReport:
     """Run the configured training end to end; see the module docstring."""
     task = _build_task(cfg)
     model = _build_model(cfg, task)
-    out_path = None
-    if cfg.out_dir is not None:
-        out_path = Path(cfg.out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        write_json(out_path / "config.json", cfg.to_dict())
-
     sched = optim.CosineSchedule(
         peak_lr=float(cfg.optimizer["lr"]),
         warmup_steps=int(cfg.schedule.get("warmup_steps", 0)),
@@ -473,6 +464,11 @@ def train(cfg: TrainRunConfig) -> RunReport:
         weight_decay=float(cfg.optimizer.get("weight_decay", 0.0)),
     )
     cfgs, outlier_channels = _build_layer_cfgs(model, task, params, cfg)
+    out_path = None
+    if cfg.out_dir is not None:
+        out_path = Path(cfg.out_dir)
+        out_path.mkdir(parents=True, exist_ok=True)
+        write_json(out_path / "config.json", cfg.to_dict())
     track = cfg.suppression is not None
     views = _tracked_views(model, cfgs)
     trackers: Dict[str, osc.OscillationTracker] = {}

@@ -181,7 +181,7 @@ def test_bench_bias_sites_disabled_is_exact(tmp_path):
     assert report["passed"] is True
 
 
-# ── train / switch ───────────────────────────────────────────────────────────
+# ── train ────────────────────────────────────────────────────────────────────
 
 
 def test_train_command_writes_run_and_is_rerunnable(tmp_path, capsys):
@@ -219,8 +219,9 @@ def test_train_command_divergence_exit_code(tmp_path, capsys):
     ({"model": {"kind": "mlp", "widths": [64, 32, 32, 8], "depth": 3}}, "depth"),
     ({"task": {"kind": "char-lm", "corpus_path": "no-such-dir/corpus.txt",
                "seq_len": 32}}, "no-such-dir/corpus.txt"),
+    ({"cfg_overrides": {"weight_block": "square"}}, "outer_granularity"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
-        "model-key", "corpus-path"])
+        "model-key", "corpus-path", "square-outer"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -229,14 +230,14 @@ def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra,
     err = capsys.readouterr().err
     assert err.startswith("error: bad config: ")
     assert named in err
+    assert not (tmp_path / "r" / "config.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["train", "--config", "{missing}"],
-    ["switch", "--config", "{missing}", "--switch-step", "5", "--mode", "fp6xfp4"],
     ["sweep", "--config", "{missing}", "--subsets", "{subsets}"],
     ["sweep", "--config", "{cfg}", "--subsets", "{missing}"],
-], ids=["train", "switch", "sweep", "sweep-subsets"])
+], ids=["train", "sweep", "sweep-subsets"])
 def test_missing_input_file_exits_two(tmp_path, capsys, argv):
     paths = {"cfg": tmp_path / "cfg.json", "subsets": tmp_path / "subsets.json",
              "missing": tmp_path / "missing.json"}
@@ -250,13 +251,13 @@ def test_missing_input_file_exits_two(tmp_path, capsys, argv):
     assert "missing.json" in err
 
 
-def test_switch_command_at_total_steps_matches_plain_train(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
+def test_train_command_switch_at_total_steps_matches_plain_train(tmp_path):
+    cfg_path, switch_path = tmp_path / "cfg.json", tmp_path / "switch.json"
     write_mlp_config(cfg_path)
+    write_mlp_config(switch_path, switch_step=20, switch_mode="fp6xfp4")
     plain, switched = tmp_path / "plain", tmp_path / "switched"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(plain)]) == 0
-    assert cli.main(["switch", "--config", str(cfg_path), "--out", str(switched),
-                     "--switch-step", "20", "--mode", "fp6xfp4"]) == 0
+    assert cli.main(["train", "--config", str(switch_path), "--out", str(switched)]) == 0
     # switching exactly at the end changes nothing but the config snapshot
     assert (plain / "metrics.csv").read_bytes() == (switched / "metrics.csv").read_bytes()
     snap = json.loads((switched / "config.json").read_text())
@@ -350,6 +351,15 @@ def test_osci_analyze_short_row_names_file_and_line(tmp_path, capsys):
     assert "o.csv" in err and "line 4" in err
 
 
+def test_osci_analyze_non_integer_cell_names_file_and_line(tmp_path, capsys):
+    src = osci_file(tmp_path / "o.csv", ["51,fc0,10,0,0,0,0,0,0,0,0,0",
+                                         "x,fc0,1,0,0,0,0,0,0,0,0,0"])
+    rc = cli.main(["osci-analyze", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "o.csv" in err and "line 4" in err
+
+
 def test_osci_analyze_unknown_threshold(tmp_path, capsys):
     src = osci_file(tmp_path / "o.csv", ["51,fc0,10,0,0,0,0,0,0,0,0,0"])
     rc = cli.main(["osci-analyze", str(src), "--out", str(tmp_path / "o2"),
@@ -379,11 +389,40 @@ def test_osci_analyze_paired_delta_series(tmp_path):
     assert row2 == [102.0, 0.2, 0.4, -0.2]
 
 
+# ── output directory ─────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "{matrix}"],
+    ["bench-bias", "--shape", "4,16,8"],
+    ["train", "--config", "{cfg}"],
+    ["sweep", "--config", "{cfg}", "--subsets", "{subsets}"],
+    ["osci-analyze", "{osci}"],
+], ids=["quantize", "bench-bias", "train", "sweep", "osci-analyze"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_on_a_file_exits_two_before_any_work(tmp_path, capsys, argv, below):
+    paths = {"cfg": tmp_path / "cfg.json", "subsets": tmp_path / "subsets.json",
+             "matrix": tmp_path / "m.csv", "osci": tmp_path / "o.csv"}
+    write_mlp_config(paths["cfg"])
+    paths["subsets"].write_text("[]", encoding="ascii")
+    mio.save_csv(paths["matrix"], rnd((4, 16), seed=5))
+    osci_file(paths["osci"], ["51,fc0,10,0,0,0,0,0,0,0,0,0"])
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="ascii")
+    out = blocker / "x" if below else blocker
+    rc = cli.main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot create output directory {out}: ")
+    assert captured.out == ""
+    assert blocker.read_text(encoding="ascii") == "not a directory"
+
+
 # ── surface ──────────────────────────────────────────────────────────────────
 
 
 @pytest.mark.parametrize("sub", ["quantize", "bench-bias", "train", "sweep",
-                                 "osci-analyze", "switch"])
+                                 "osci-analyze"])
 def test_help_shows_an_example_invocation(sub, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([sub, "--help"])

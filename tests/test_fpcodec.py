@@ -142,10 +142,10 @@ def test_encode_rejects_unrepresentable():
 
 
 def test_round_fp4_det_worked_examples():
-    assert fc.round_fp4_det(2.4) == 2.0
-    assert fc.round_fp4_det(2.5) == 2.0  # tie: codes 4 (2.0) vs 5 (3.0) -> even
-    assert fc.round_fp4_det(6.0) == 6.0
-    r = fc.round_fp4_det(-0.2)
+    assert fc.round_det(2.4, fc.FP4_E2M1) == 2.0
+    assert fc.round_det(2.5, fc.FP4_E2M1) == 2.0  # tie: codes 4 (2.0) vs 5 (3.0) -> even
+    assert fc.round_det(6.0, fc.FP4_E2M1) == 6.0
+    r = fc.round_det(-0.2, fc.FP4_E2M1)
     assert r == 0.0 and math.copysign(1.0, r) == -1.0  # sign kept in the code
     assert fc.encode(r, fc.FP4_E2M1) == 8
 
@@ -162,8 +162,8 @@ def test_round_fp4_det_worked_examples():
     ],
 )
 def test_round_fp4_det_all_ties_to_even_code(x, want):
-    assert fc.round_fp4_det(x) == want
-    assert fc.round_fp4_det(-x) == -want
+    assert fc.round_det(x, fc.FP4_E2M1) == want
+    assert fc.round_det(-x, fc.FP4_E2M1) == -want
 
 
 def test_round_det_error_bound_uniform():
@@ -220,7 +220,7 @@ def test_round_stoch_unbiased_sample_points():
 
 def test_round_fp4_stoch_scalar_api():
     rng = fc.stream(11, "scalar")
-    vals = {fc.round_fp4_stoch(2.75, rng) for _ in range(64)}
+    vals = {fc.round_stoch(2.75, fc.FP4_E2M1, rng) for _ in range(64)}
     assert vals <= {2.0, 3.0} and len(vals) == 2
 
 
@@ -231,7 +231,7 @@ def test_round_fp6_det_nearest_by_table():
     grid = np.array(sorted({s * v for v in e3m2_magnitudes() for s in (1, -1)}))
     rng = np.random.Generator(np.random.Philox(21))
     xs = rng.uniform(-28, 28, size=4096)
-    got = fc.round_fp6(xs, fc.RoundingMode.DETERMINISTIC)
+    got = fc.round_det(xs, fc.FP6_E3M2)
     dist = np.abs(xs[:, None] - grid[None, :])
     best = dist.min(axis=1)
     assert np.all(np.abs(got - xs) <= best + 1e-12)
@@ -241,7 +241,7 @@ def test_round_fp6_stoch_unbiased():
     n = 500_000
     x = 0.3  # between 0.28125... no: between 0.25 and 0.3125
     rng = fc.stream(31, "fp6")
-    draws = fc.round_fp6(np.full(n, x), fc.RoundingMode.STOCHASTIC, rng=rng)
+    draws = fc.round_stoch(np.full(n, x), fc.FP6_E3M2, rng)
     q1, q2 = 0.25, 0.3125
     assert set(np.unique(draws)) == {q1, q2}
     sigma = math.sqrt((x - q1) * (q2 - x))
@@ -249,8 +249,8 @@ def test_round_fp6_stoch_unbiased():
 
 
 def test_round_fp6_e2m3_variant():
-    assert fc.round_fp6(7.4, fc.RoundingMode.DETERMINISTIC, variant="e2m3") == 7.5
-    assert fc.round_fp6(7.4, fc.RoundingMode.DETERMINISTIC) == 7.0  # e3m2 grid
+    assert fc.round_det(7.4, fc.FP6_E2M3) == 7.5
+    assert fc.round_det(7.4, fc.FP6_E3M2) == 7.0
 
 
 # ── scale rounding (E4M3) ────────────────────────────────────────────────────
@@ -294,17 +294,6 @@ def test_round_scale_e4m3_errors():
         fc.round_scale_e4m3(-1.0)
 
 
-# ── E8M0 power-of-two ceiling ────────────────────────────────────────────────
-
-
-def test_e8m0_ceil():
-    assert fc.e8m0_pow2_ceil(1.0 / 6.0) == 0.25
-    assert fc.e8m0_pow2_ceil(4.0) == 4.0  # exact powers stay
-    assert fc.e8m0_pow2_ceil(4.0001) == 8.0
-    assert fc.e8m0_pow2_ceil(2.0**130) == 2.0**127  # clamped to format range
-    assert fc.e8m0_pow2_ceil(2.0**-140) == 2.0**-127
-
-
 # ── RNG streams ──────────────────────────────────────────────────────────────
 
 
@@ -324,7 +313,7 @@ def test_stream_determinism_and_separation():
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
 def test_prop_det_round_in_grid_and_close(x):
-    q = fc.round_fp4_det(x)
+    q = fc.round_det(x, fc.FP4_E2M1)
     grid = fc.FP4_E2M1.grid
     assert q in grid
     assert abs(q - x) <= np.min(np.abs(grid - x)) + 1e-12
@@ -333,8 +322,8 @@ def test_prop_det_round_in_grid_and_close(x):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
 def test_prop_det_round_is_odd_function(x):
-    a = fc.round_fp4_det(x)
-    b = fc.round_fp4_det(-x)
+    a = fc.round_det(x, fc.FP4_E2M1)
+    b = fc.round_det(-x, fc.FP4_E2M1)
     assert a == -b
     assert math.copysign(1.0, a) == -math.copysign(1.0, b) or a != 0
 
@@ -346,7 +335,7 @@ def test_prop_det_round_is_odd_function(x):
 )
 def test_prop_stoch_result_is_a_neighbor(x, seed):
     rng = fc.stream(seed, "prop")
-    q = fc.round_fp4_stoch(x, rng)
+    q = fc.round_stoch(x, fc.FP4_E2M1, rng)
     grid = fc.FP4_E2M1.grid
     lo = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
     assert q in (grid[lo], grid[lo + 1])

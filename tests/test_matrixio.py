@@ -172,11 +172,11 @@ def test_group_not_fitting_the_scale_format_is_rejected(tmp_path, group):
     assert _load_patched(tmp_path, raw) == _GROUP_AT
 
 
-def test_mxfp4_group_must_be_32(tmp_path):
-    raw = _quantized_bytes(tmp_path, bq.quantize_mxfp4(np.ones((2, 64), F32)))
-    assert raw[_SCALE_AT] == 1 and raw[_GROUP_AT] == 32
-    raw[_GROUP_AT] = 16
-    assert _load_patched(tmp_path, raw) == _GROUP_AT
+def test_e8m0_scale_byte_is_rejected(tmp_path):
+    raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((2, 64), F32), "row"))
+    assert raw[_SCALE_AT] == 0 and raw[_GROUP_AT] == 16
+    raw[_SCALE_AT] = 1  # the E8M0 code of files with power-of-two scales
+    assert _load_patched(tmp_path, raw) == _SCALE_AT
 
 
 @pytest.mark.parametrize("which", ["inner", "outer"])

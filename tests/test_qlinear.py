@@ -520,6 +520,15 @@ def test_presets_match_documented_recipes():
         ql.preset("fp8-magic")
 
 
+@pytest.mark.parametrize("outer", ["1x128", "per-row"])
+def test_square_weight_tiles_need_a_per_tensor_outer_scale(outer):
+    with pytest.raises(ValueError, match="per-tensor"):
+        ql.LayerQuantConfig(weight_block="square", outer_granularity=outer)
+    rtn = ql.preset("fp4-rtn")
+    with pytest.raises(ValueError, match="per-tensor"):
+        dataclasses.replace(rtn, outer_granularity=outer)
+
+
 def test_config_dict_round_trip():
     out = ql.OutlierConfig(channels=(1, 5), ratio=6.25, precision="float16")
     cfg = base_cfg(outlier=out, layer_tag="enc.0", rht_seed=9)
