@@ -14,17 +14,25 @@ blocks and viewed, without a copy, as ``(R, br, C, bc)``:
 On that view one pipeline derives the scale chain:
 
 * an outer scale (whole tensor, one per grid row, or one per 128 grid
-  columns) S_g = amax / (448 * grid_max), taken from the 2-D grid, chosen so
-  the rescaled grid fits the E4M3 x element-grid product range;
+  columns) S_g = amax / (448 * grid_max), chosen so the rescaled grid fits
+  the E4M3 x element-grid product range;
 * an inner scale per block, stored as an ``(R, C)`` array in row-major
   order: S_b = round_e4m3(min(amax(X / S_g) / grid_max, 448));
 * the ratio X / S_g / S_b, clipped to the grid and rounded in row-major
   grid order, so a stochastic rng is consumed one draw per padded position.
 
+The pipeline works on one grid. The padded copy of the matrix gives up its
+sign bits and is overwritten with ``|W|``. A pairwise block max of ``|W|``
+gives the outer scales. The grid is divided in place by S_g, block-maxed
+again for the inner scales, divided in place by S_b (two roundings, as the
+scheme defines them), clamp-counted, clipped, and rounded to magnitude codes
+by fpcodec's closed-form cores. The signs are OR-ed into the codes last.
+
 Zero-amax blocks take scale 1. Padded positions hold code 0 and never affect
 any amax. Codes are stored row-major over the padded work grid. The
 reconstruction is the float32 product (P * S_b) * S_g cropped back to the
-logical shape, with both zero codes normalized to +0.0.
+logical shape; adding +0.0 turns the -0 code's -0.0 into +0.0 and leaves
+every other value's bytes alone.
 
 Clamp events (elements pushed back inside the grid because the inner scale
 rounded down) are counted with a one-ulp tolerance so float32 roundoff at a
@@ -169,10 +177,27 @@ def layout_sizes(rows, cols, orientation, outer, element_fmt):
 def _block_view(m: np.ndarray, orientation: Orientation):
     """The zero-padded work grid of ``m`` and its ``(R, br, C, bc)`` view."""
     work = m.T if orientation is Orientation.COL_GROUPS_16X1 else m
+    r, c = work.shape
     br, bc = _block_shape(orientation)
-    W = np.zeros(_grid_shape(*m.shape, orientation), dtype=F32)
-    W[: work.shape[0], : work.shape[1]] = work
+    W = np.empty(_grid_shape(*m.shape, orientation), dtype=F32)
+    W[r:] = 0.0
+    W[:r, c:] = 0.0
+    W[:r, :c] = work
     return W, W.reshape(W.shape[0] // br, br, W.shape[1] // bc, bc)
+
+
+def _block_max(blocks: np.ndarray) -> np.ndarray:
+    """The ``(R, C)`` maxima of an ``(R, br, C, bc)`` block view.
+
+    Pairwise halving over even and odd rows, then columns, of every block:
+    each step is one long strided ``np.maximum``, where a reduction over the
+    short block axes would loop 16 elements at a time. NaN propagates.
+    """
+    while blocks.shape[1] > 1:
+        blocks = np.maximum(blocks[:, 0::2], blocks[:, 1::2])
+    while blocks.shape[3] > 1:
+        blocks = np.maximum(blocks[..., 0::2], blocks[..., 1::2])
+    return blocks[:, 0, :, 0]
 
 
 def _per_block(a: np.ndarray) -> np.ndarray:
@@ -214,23 +239,25 @@ def element_block_amax(m, orientation: Orientation | str) -> np.ndarray:
     """
     m = as_matrix(m)
     orientation = Orientation(orientation)
-    W, blocks = _block_view(np.abs(m), orientation)
-    amax = np.broadcast_to(_per_block(blocks.max(axis=(1, 3))), blocks.shape)
+    W, blocks = _block_view(m, orientation)
+    np.abs(W, out=W)
+    amax = np.broadcast_to(_per_block(_block_max(blocks)), blocks.shape)
     return crop_work_grid(amax.reshape(W.shape), orientation, *m.shape)
 
 
 # ── the pipeline ─────────────────────────────────────────────────────────────
 
 
-def _outer_scales(W: np.ndarray, outer: OuterGranularity, big: np.float32):
-    """Outer scales on their work-grid layout (see ``_outer_grid``)."""
-    absW = np.abs(W)
+def _outer_scales(bmax: np.ndarray, outer: OuterGranularity, bc: int, big: np.float32):
+    """Outer scales on their work-grid layout (see ``_outer_grid``), from the
+    ``(R, C)`` block maxima of ``|W|``."""
     if outer is OuterGranularity.PER_TENSOR:
-        a = np.float32(absW.max(initial=0.0)).reshape(1, 1)
+        a = np.float32(bmax.max(initial=0.0)).reshape(1, 1)
     elif outer is OuterGranularity.PER_ROW:
-        a = absW.max(axis=1, keepdims=True)
+        a = bmax.max(axis=1, keepdims=True)
     else:
-        a = np.maximum.reduceat(absW, np.arange(0, absW.shape[1], _OUTER_SPAN), axis=1)
+        span = _OUTER_SPAN // bc
+        a = np.maximum.reduceat(bmax, np.arange(0, bmax.shape[1], span), axis=1)
     return np.where(a > 0, a / big, F32(1.0)).astype(F32)
 
 
@@ -243,43 +270,51 @@ def _inner_scales(a_in: np.ndarray, grid_max: np.float32):
 
 
 def _plan(m, orientation, outer, fmt):
-    """Derive the scale chain of ``m`` and its clipped ratio grid.
+    """Derive the scale chain of ``m`` and its clipped ratio magnitudes on
+    one grid (see the module docstring).
 
-    Returns ``(ratio, sb, sg, clamps)``: the ratio grid on the
-    ``(R, br, C, bc)`` block view, the ``(R, C)`` inner scales, the outer
-    scales on their work-grid layout, and the clamp count.
+    Returns ``(ratio, sign, sb, sg, clamps)``: ``|W / S_g / S_b|`` clipped to
+    the element grid on the ``(R, br, C, bc)`` block view, the sign bits of
+    the work grid, the ``(R, C)`` inner scales, the outer scales on their
+    work-grid layout, and the clamp count.
     """
-    W, blocks = _block_view(m, orientation)
+    W, ratio = _block_view(m, orientation)
+    sign = np.signbit(W)
+    np.abs(W, out=W)  # W and ratio now hold |W|
     grid_max = np.float32(fmt.max)
-    sg = _outer_scales(W, outer, _SCALE_TOP * grid_max)
-    X = blocks / _per_block(_outer_per_block(sg, blocks.shape[2], blocks.shape[3]))
-    sb = _inner_scales(np.abs(X).max(axis=(1, 3)), grid_max)
-    ratio = X / _per_block(sb)
-    clamps = int(np.count_nonzero(np.abs(ratio) > grid_max * _CLAMP_TOL))
-    np.clip(ratio, -grid_max, grid_max, out=ratio)
-    return ratio, sb, sg, clamps
+    n_blocks, bc = ratio.shape[2:]
+    sg = _outer_scales(_block_max(ratio), outer, bc, _SCALE_TOP * grid_max)
+    ratio /= _per_block(_outer_per_block(sg, n_blocks, bc))
+    sb = _inner_scales(_block_max(ratio), grid_max)
+    ratio /= _per_block(sb)
+    clamps = int(np.count_nonzero(W > grid_max * _CLAMP_TOL))
+    np.minimum(W, grid_max, out=W)
+    return ratio, sign, sb, sg, clamps
 
 
-def _codes(ratio: np.ndarray, fmt: fc.FormatSpec, mode, rng) -> np.ndarray:
-    """Sign-magnitude codes of a clipped ratio grid, rounded in row-major order."""
-    ax = np.abs(ratio)
+def _codes(ratio, sign, fmt: fc.FormatSpec, mode, rng) -> np.ndarray:
+    """Sign-magnitude codes of clipped ratio magnitudes, rounded in row-major
+    order; ``ratio`` is used up."""
     if mode is fc.RoundingMode.DETERMINISTIC:
-        mi = fc._mag_round_det(ax, fmt)
+        codes = fc._mag_round_det(ratio, fmt)
     else:
         if rng is None:
             raise ValueError("stochastic quantization needs an rng")
-        mi = fc._mag_round_stoch(ax, fmt, rng)
-    sign = np.signbit(ratio).astype(np.uint8) << (fmt.bits - 1)
-    return mi.astype(np.uint8) | sign
+        codes = fc._mag_round_stoch(ratio, fmt, rng)
+    sign = sign.view(np.uint8).reshape(codes.shape)
+    sign <<= fmt.bits - 1
+    codes |= sign
+    return codes
 
 
 def _reconstruct(codes, fmt, sb, sg, orientation, rows, cols) -> np.ndarray:
     """(P * S_b) * S_g on the block view, cropped, zeros normalized to +0."""
     _, _, n_blocks, bc = codes.shape
     vals = fc.values_from_codes(codes, fmt)
-    grid = (vals * _per_block(sb)) * _per_block(_outer_per_block(sg, n_blocks, bc))
-    out = crop_work_grid(grid.reshape(-1, n_blocks * bc), orientation, rows, cols)
-    out[out == 0] = 0.0
+    vals *= _per_block(sb)
+    vals *= _per_block(_outer_per_block(sg, n_blocks, bc))
+    out = crop_work_grid(vals.reshape(-1, n_blocks * bc), orientation, rows, cols)
+    out += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bytes
     return out
 
 
@@ -301,8 +336,8 @@ def quantize_double_block(
     packed row-major over the work grid."""
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    ratio, sb, sg, clamps = _plan(m, orientation, outer, fmt)
-    codes = _codes(ratio, fmt, mode, rng).reshape(-1)
+    ratio, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    codes = _codes(ratio, sign, fmt, mode, rng).reshape(-1)
     if fmt.bits == 4:
         codes = codes[0::2] | (codes[1::2] << 4)
     return QuantizedMatrix(
@@ -336,8 +371,8 @@ def quantize_dequantize(
     """
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    ratio, sb, sg, clamps = _plan(m, orientation, outer, fmt)
-    codes = _codes(ratio, fmt, mode, rng)
+    ratio, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    codes = _codes(ratio, sign, fmt, mode, rng)
     return _reconstruct(codes, fmt, sb, sg, orientation, *m.shape), clamps
 
 

@@ -52,16 +52,23 @@ class RoundingMode(enum.Enum):
 class FormatSpec:
     """A sign-magnitude minifloat format.
 
-    mag[i] is the magnitude encoded by unsigned code i (ascending, finite
-    values only); codes >= 2**(bits-1) are the negative half. num_codes
-    counts all bit patterns, including reserved NaN codes if any.
+    ``exp_bits`` exponent bits with ``bias``, ``man_bits`` mantissa bits and
+    subnormals below exponent ``1 - bias``. mag[i] is the magnitude encoded by
+    unsigned code i (ascending, finite values only); codes >= 2**(bits-1) are
+    the negative half. num_codes counts all bit patterns, including reserved
+    NaN codes if any.
     """
 
     name: str
-    bits: int
+    exp_bits: int
+    man_bits: int
+    bias: int
     mag: np.ndarray  # float64, ascending, index == magnitude code
     grid: np.ndarray = field(repr=False)  # all distinct finite values, ascending
-    _pos_mids: np.ndarray = field(repr=False)
+
+    @property
+    def bits(self) -> int:
+        return 1 + self.exp_bits + self.man_bits
 
     @property
     def max(self) -> float:
@@ -95,10 +102,9 @@ def _make_format(name, exp_bits, man_bits, bias, reserve_top=False) -> FormatSpe
         _minifloat_magnitudes(exp_bits, man_bits, bias, reserve_top), dtype=np.float64
     )
     grid = np.unique(np.concatenate([-mag, mag]))
-    pos_mids = (mag[:-1] + mag[1:]) / 2  # exact: dyadic rationals in float64
-    for a in (mag, grid, pos_mids):
+    for a in (mag, grid):
         a.setflags(write=False)
-    return FormatSpec(name, 1 + exp_bits + man_bits, mag, grid, pos_mids)
+    return FormatSpec(name, exp_bits, man_bits, bias, mag, grid)
 
 
 FP4_E2M1 = _make_format("e2m1", 2, 1, bias=1)
@@ -127,26 +133,77 @@ def get_format(name: str) -> FormatSpec:
 # Rounding |x| on the magnitude table and re-applying the sign is equivalent to
 # rounding on the signed grid (the grid is symmetric and tie parity mirrors),
 # and it keeps the sign of zero, so -0.2 rounds to the -0 code.
+#
+# Both cores are closed forms on the IEEE exponent e of |x|. In the binade
+# [2**e, 2**(e+1)) the format's values are the multiples of the spacing
+# s = 2**(max(e, 1 - bias) - man_bits); the subnormal range shares the spacing
+# of the lowest normal binade. As s is a power of two, t = |x| * (1/s) is
+# exact, and the value k * s has the magnitude code k + base with
+# base = (max(e, 1 - bias) + bias - 1) * 2**man_bits. A carry out of the
+# binade (k = 2**(man_bits + 1)) is the next binade's first code.
+#
+# Deterministic: k = rint(t). base is a multiple of 2**man_bits, so k and its
+# code have the same parity, and rint's ties-to-even on k is ties to the even
+# code. Stochastic: the bracket is floor(t) and floor(t) + 1, and the exact
+# p = t - floor(t) equals (|x| - q1) / (q2 - q1); it is compared with one
+# float64 draw per element in row-major order.
+#
+# Magnitudes above the format's max take the top code, and so does +inf.
+# NaN takes the top code in det mode and the code below it in stoch mode
+# (its draw is consumed and never rounds up).
+
+
+def _binade(x: np.ndarray, fmt: FormatSpec):
+    """Overwrite magnitudes ``0 <= x <= fmt.max`` (1-D) with ``t = x / s``.
+
+    Returns ``base`` (uint8), with ``k + base`` the magnitude code of
+    ``k * s``, and the integer scratch array it was computed in.
+    """
+    fi = np.finfo(x.dtype)
+    ieee_bias = fi.maxexp - 1
+    lowest = ieee_bias + 1 - fmt.bias  # biased IEEE exponent of 2**(1 - bias)
+    inv = 2 * ieee_bias + fmt.man_bits  # biased exponent of 1/s is inv - e
+    e = x.view(f"u{x.itemsize}") >> fi.nmant
+    np.maximum(e, lowest, out=e)
+    np.subtract(inv, e, out=e)
+    e <<= fi.nmant
+    x *= e.view(x.dtype)
+    e >>= fi.nmant
+    np.subtract(inv - lowest, e, out=e)
+    e <<= fmt.man_bits
+    return e.astype(np.uint8), e
+
+
+# Stochastic draws run this many elements at a time through one reused
+# buffer. A float64 draw array the size of the whole input costs more in page
+# faults than the work.
+_CHUNK = 1 << 14
 
 
 def _mag_round_det(ax: np.ndarray, fmt: FormatSpec) -> np.ndarray:
-    mids = fmt._pos_mids
-    idx = np.searchsorted(mids, ax, side="left")
-    k = np.minimum(idx, mids.size - 1)
-    # exact midpoint between codes idx and idx+1: take the even code
-    tie = (idx < mids.size) & (ax == mids[k]) & (idx % 2 == 1)
-    return idx + tie
+    """Magnitude codes (uint8) of ``ax >= 0``; ``ax`` is used as scratch."""
+    x = np.asarray(ax).reshape(-1)
+    np.fmin(x, fmt.max, out=x)  # NaN and +inf go to the max
+    code, _ = _binade(x, fmt)
+    np.add(code, np.rint(x, out=x), out=code, casting="unsafe")
+    return code.reshape(np.shape(ax))
 
 
 def _mag_round_stoch(ax: np.ndarray, fmt: FormatSpec, rng) -> np.ndarray:
-    mag = fmt.mag
-    lo = np.searchsorted(mag, ax, side="right") - 1
-    lo = np.clip(lo, 0, mag.size - 2)
-    q1 = mag[lo]
-    q2 = mag[lo + 1]
-    p = (ax - q1) / (q2 - q1)
-    up = rng.random(ax.shape) < p
-    return lo + up
+    """Magnitude codes (uint8) of ``ax >= 0``; ``ax`` is used as scratch."""
+    x = np.asarray(ax).reshape(-1)
+    np.minimum(x, fmt.max, out=x)
+    if np.isnan(np.max(x, initial=0.0)):  # NaN stays below the top code
+        np.copyto(x, fmt.mag[-2], where=np.isnan(x))
+    code, scratch = _binade(x, fmt)
+    lo = np.floor(x, out=scratch.view(x.dtype))
+    np.add(code, lo, out=code, casting="unsafe")
+    p = np.subtract(x, lo, out=x)
+    u = np.empty(min(p.size, _CHUNK))
+    for i in range(0, p.size, _CHUNK):
+        pi = p[i : i + _CHUNK]
+        code[i : i + _CHUNK] += rng.random(out=u[: pi.size]) < pi
+    return code.reshape(np.shape(ax))
 
 
 def _as_float_array(x):
@@ -218,7 +275,7 @@ def round_scale_e4m3(s):
         raise ValueError("scale must be positive")
     if np.any(a > FP8_E4M3.max):
         raise OverflowError(f"scale exceeds E4M3 max {FP8_E4M3.max}")
-    mi = np.maximum(_mag_round_det(a, FP8_E4M3), 1)
+    mi = np.maximum(_mag_round_det(a.copy(), FP8_E4M3), 1)
     out = FP8_E4M3.mag[mi].astype(a.dtype, copy=False)
     return float(out) if np.ndim(s) == 0 else out
 

@@ -52,12 +52,12 @@ def error_stats(reference, approx) -> Dict[str, float]:
     (Frobenius norm of the error over that of the reference).
     """
     ref = np.asarray(reference, dtype=np.float64)
-    app = np.asarray(approx, dtype=np.float64)
-    if ref.shape != app.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {app.shape}")
+    err = np.asarray(approx, dtype=np.float64)
+    if ref.shape != err.shape:
+        raise ValueError(f"shape mismatch: {ref.shape} vs {err.shape}")
     if ref.size == 0:
         raise ValueError("error_stats needs at least one element")
-    err = app - ref
+    err = err - ref  # frees the float64 copy of approx before the squares
     noise = float(np.sum(err * err))
     signal = float(np.sum(ref * ref))
     if noise == 0.0:

@@ -458,6 +458,98 @@ def test_fused_rejects_bad_arguments():
         bq.quantize_dequantize(m, bq.Orientation.ROW_GROUPS_1X16, mode="stoch")
 
 
+@pytest.mark.parametrize("orientation", list(bq.Orientation))
+def test_underflowed_outer_scale_matches_reference(orientation):
+    # every |entry| is below 2688 * 2**-149, so S_g underflows to 0 and
+    # X / S_g is inf, or NaN at the zeros: blocks holding a zero take inner
+    # scale 1, the others 448, exactly as the plain definition gives
+    m = np.full((20, 40), F32(1e-45))
+    m[0, 5] = 0.0
+    m[17, 30] = F32(-0.0)
+    m[9, 20:] = F32(-3e-45)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want, want_clamps, want_sb, want_sg = ref_quantize(m, orientation, bq.OuterGranularity.PER_TENSOR)
+        q = bq.quantize_double_block(m, orientation, outer="per-tensor")
+        got, clamps = bq.quantize_dequantize(m, orientation, outer="per-tensor")
+    assert q.outer_scales.tolist() == want_sg.tolist() == [0.0]
+    np.testing.assert_array_equal(q.inner_scales, want_sb)
+    assert set(want_sb.tolist()) == {1.0, 448.0}
+    assert q.clamp_count == clamps == want_clamps
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    np.testing.assert_array_equal(_bits(bq.dequantize(q)), _bits(want))
+
+
+def _padded_work_grid(m, orientation, shape):
+    work = m.T if orientation is bq.Orientation.COL_GROUPS_16X1 else m
+    W = np.zeros(shape, F32)
+    W[: work.shape[0], : work.shape[1]] = work
+    return W
+
+
+# Non-finite ratios are pinned as they are until non-finite input gets a
+# defined result of its own. A NaN ratio takes the top code (det) or the one
+# below it (stoch), as in fpcodec, and every code takes the sign of its input
+# element, never that of the NaN the division made.
+
+
+@pytest.mark.parametrize("mode", ["det", "stoch"])
+@pytest.mark.parametrize("orientation", list(bq.Orientation))
+def test_underflowed_outer_scale_codes_take_the_input_sign(orientation, mode):
+    # S_g underflows to 0: X / S_g is inf where the input is nonzero and NaN
+    # where it is +-0, padding included
+    m = np.full((20, 40), F32(1e-45))
+    m[0, 5] = 0.0
+    m[17, 30] = F32(-0.0)
+    m[9, 20:] = F32(-3e-45)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = bq.quantize_double_block(
+            m, orientation, outer="per-tensor", mode=mode, rng=fc.stream(5, "underflow")
+        )
+    codes = bq.unpacked_codes(q)
+    W = _padded_work_grid(m, orientation, codes.shape)
+    nan_code = 7 if mode == "det" else 6
+    want = np.where(W != 0, 7, nan_code) | (np.signbit(W).astype(np.uint8) << 3)
+    np.testing.assert_array_equal(codes, want)
+
+
+@pytest.mark.parametrize("mode", ["det", "stoch"])
+@pytest.mark.parametrize("orientation", list(bq.Orientation))
+def test_infinite_element_keeps_its_sign(orientation, mode):
+    # S_g is inf, so each +-inf element's ratio is inf / inf = NaN and its
+    # block's inner scale is 1: the code is the NaN code with the input's
+    # sign and decodes to +-inf; every finite element gives 0 * inf = NaN
+    m = np.ones((2, 20), F32)
+    m[0, 3], m[1, 5] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        q = bq.quantize_double_block(
+            m, orientation, outer="per-tensor", mode=mode, rng=fc.stream(5, "inf")
+        )
+        got, clamps = bq.quantize_dequantize(
+            m, orientation, outer="per-tensor", mode=mode, rng=fc.stream(5, "inf")
+        )
+        again = bq.dequantize(q)
+    nan_code = 7 if mode == "det" else 6
+    codes = bq.crop_work_grid(bq.unpacked_codes(q), orientation, *m.shape)
+    assert (codes[0, 3], codes[1, 5]) == (nan_code, 0b1000 | nan_code)
+    assert (got[0, 3], got[1, 5]) == (np.inf, -np.inf)
+    assert np.isnan(np.delete(got.reshape(-1), [3, 25])).all()
+    assert clamps == q.clamp_count == 0
+    np.testing.assert_array_equal(_bits(again), _bits(got))
+
+
+@pytest.mark.parametrize("orientation", list(bq.Orientation))
+def test_stochastic_routes_draw_once_per_padded_element(orientation):
+    # 37 x 21 pads to 37 x 32 row groups, 21 x 48 column groups (the work
+    # grid is the transpose) and 48 x 32 square tiles
+    padded = {"row": 37 * 32, "col": 21 * 48, "square": 48 * 32}[orientation.value]
+    m = rnd((37, 21), seed=131, scale=4.0)
+    for route in (bq.quantize_dequantize, bq.quantize_double_block):
+        rng, ref = fc.stream(17, "draws"), fc.stream(17, "draws")
+        route(m, orientation, mode="stoch", rng=rng)
+        ref.random(padded)
+        np.testing.assert_array_equal(rng.random(4), ref.random(4))
+
+
 # ── golden output ────────────────────────────────────────────────────────────
 #
 # The fused-vs-two-step tests compare two consumers of one pipeline, so they

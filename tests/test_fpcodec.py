@@ -2,7 +2,9 @@
 
 The format tables are rebuilt here from the raw (sign, exponent, mantissa)
 formulas so the module's tables are checked against an independent
-construction, not against themselves.
+construction, not against themselves. The rounding oracle is a table search
+on those rebuilt tables; the module rounds in closed form and must match it
+code for code and draw for draw.
 """
 
 import math
@@ -63,6 +65,42 @@ def e2m3_magnitudes():
             else:
                 out.append((1 + m / 8) * 2.0 ** (e - 1))
     return out
+
+
+# ── the rounding oracle: a search on the rebuilt tables ─────────────────────
+
+TABLES = {
+    "e2m1": e2m1_magnitudes(),
+    "e3m2": e3m2_magnitudes(),
+    "e2m3": e2m3_magnitudes(),
+    "e4m3": e4m3_magnitudes(),
+}
+
+
+def oracle_round_det(ax, mags):
+    """Magnitude codes of ``ax >= 0``: nearest entry, ties to the even code;
+    NaN and everything above the top entry take the top code."""
+    mags = np.asarray(mags, dtype=np.float64)
+    mids = (mags[:-1] + mags[1:]) / 2  # exact: dyadic rationals in float64
+    idx = np.searchsorted(mids, ax, side="left")
+    k = np.minimum(idx, mids.size - 1)
+    # exact midpoint between codes idx and idx+1: take the even code
+    tie = (idx < mids.size) & (ax == mids[k]) & (idx % 2 == 1)
+    return idx + tie
+
+
+def oracle_round_stoch(ax, mags, rng):
+    """Magnitude codes of ``ax >= 0``: up from the bracket's lower entry with
+    probability (ax - q1) / (q2 - q1), one float64 draw per element."""
+    mags = np.asarray(mags, dtype=np.float64)
+    lo = np.searchsorted(mags, ax, side="right") - 1
+    lo = np.clip(lo, 0, mags.size - 2)
+    q1 = mags[lo]
+    q2 = mags[lo + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (ax - q1) / (q2 - q1)
+    up = rng.random(np.shape(ax)) < p
+    return lo + up
 
 
 # ── value sets ───────────────────────────────────────────────────────────────
@@ -339,3 +377,118 @@ def test_prop_stoch_result_is_a_neighbor(x, seed):
     grid = fc.FP4_E2M1.grid
     lo = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
     assert q in (grid[lo], grid[lo + 1])
+
+
+# ── closed-form cores against the oracle ─────────────────────────────────────
+
+
+@st.composite
+def signed_inputs(draw, name):
+    """Signed float32 or float64 arrays aimed at the format's hard cases."""
+    mags = np.array(TABLES[name])
+    mids = (mags[:-1] + mags[1:]) / 2
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    top = float(mags[-1])
+    sub = float(mags[2 ** fc.get_format(name).man_bits])  # smallest normal
+
+    def nudged(a, n):  # ``n`` representable steps from ``a`` in ``dtype``
+        v = dtype(a)
+        for _ in range(abs(n)):
+            v = np.nextafter(v, dtype(np.inf if n > 0 else 0.0))
+        return float(v)
+
+    anchors = st.sampled_from(list(mags) + list(mids) + [2 * top, 1.5 * top])
+    near = st.builds(nudged, anchors, st.integers(-2, 2))
+    element = st.one_of(
+        near,
+        st.floats(0.0, 1.25 * top, width=width),
+        st.floats(0.0, sub, width=width),  # the format's subnormal range
+        st.floats(0.0, float(np.float32(2e-38)), width=32),  # float32 subnormals
+        st.sampled_from([0.0, top, 1e30, np.inf, np.nan]),
+    )
+    values = draw(st.lists(element, min_size=1, max_size=48))
+    signs = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    return np.array([-v if s else v for v, s in zip(values, signs)], dtype=dtype)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _oracle_values(codes, x, mags):
+    return np.copysign(np.asarray(mags)[codes], x).astype(x.dtype)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_prop_det_core_matches_table_oracle(name, data):
+    x = data.draw(signed_inputs(name))
+    fmt = fc.get_format(name)
+    want = oracle_round_det(np.abs(x), TABLES[name])
+    np.testing.assert_array_equal(fc._mag_round_det(np.abs(x), fmt), want)
+    got = fc.round_det(x, fmt)
+    assert got.dtype == x.dtype
+    np.testing.assert_array_equal(_bits(got), _bits(_oracle_values(want, x, TABLES[name])))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_prop_stoch_core_matches_table_oracle(name, data, seed):
+    x = data.draw(signed_inputs(name))
+    fmt = fc.get_format(name)
+    r_got, r_want = fc.stream(seed, "oracle"), fc.stream(seed, "oracle")
+    got = fc._mag_round_stoch(np.abs(x), fmt, r_got)
+    want = oracle_round_stoch(np.abs(x), TABLES[name], r_want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(r_got.random(2), r_want.random(2))
+    r_got, r_want = fc.stream(seed, "oracle"), fc.stream(seed, "oracle")
+    values = fc.round_stoch(x, fmt, r_got)
+    want = oracle_round_stoch(np.abs(x), TABLES[name], r_want)
+    np.testing.assert_array_equal(_bits(values), _bits(_oracle_values(want, x, TABLES[name])))
+    np.testing.assert_array_equal(r_got.random(2), r_want.random(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_prop_round_scale_e4m3_matches_table_oracle(data):
+    x = np.abs(data.draw(signed_inputs("e4m3")))
+    x = x[(x > 0) & (x <= 448.0)]
+    if x.size:
+        want = np.maximum(oracle_round_det(x, TABLES["e4m3"]), 1)
+        got = fc.round_scale_e4m3(x)
+        assert got.dtype == x.dtype
+        np.testing.assert_array_equal(got, np.asarray(TABLES["e4m3"])[want].astype(x.dtype))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_codes_are_unchanged(name, dtype):
+    # pinned until non-finite input gets a defined result of its own:
+    # det gives the top code to NaN and +inf; stoch gives NaN the code below
+    # the top and +inf the top code, and consumes a draw for each
+    fmt = fc.get_format(name)
+    top = fmt.top_mag_code
+    x = np.array([np.nan, np.inf, 2.0 * fmt.max], dtype)
+    np.testing.assert_array_equal(fc._mag_round_det(x.copy(), fmt), [top, top, top])
+    r1, r2 = fc.stream(1, "non-finite"), fc.stream(1, "non-finite")
+    np.testing.assert_array_equal(fc._mag_round_stoch(x.copy(), fmt, r1), [top - 1, top, top])
+    r2.random(3)
+    assert r1.random() == r2.random()
+    np.testing.assert_array_equal(oracle_round_det(x, TABLES[name]), [top, top, top])
+    np.testing.assert_array_equal(
+        oracle_round_stoch(x, TABLES[name], fc.stream(1, "non-finite")), [top - 1, top, top]
+    )
+
+
+def test_format_fields_rebuild_the_tables():
+    fields = {"e2m1": (2, 1, 1), "e3m2": (3, 2, 3), "e2m3": (2, 3, 1), "e4m3": (4, 3, 7)}
+    for name, (e, m, b) in fields.items():
+        fmt = fc.get_format(name)
+        assert (fmt.exp_bits, fmt.man_bits, fmt.bias) == (e, m, b)
+        assert fmt.bits == 1 + e + m
+        assert fmt.mag.tolist() == TABLES[name]
+
