@@ -22,17 +22,29 @@ On that view one pipeline derives the scale chain:
   grid order, so a stochastic rng is consumed one draw per padded position.
 
 The pipeline works on one grid. The padded copy of the matrix gives up its
-sign bits and is overwritten with ``|W|``. A pairwise block max of ``|W|``
-gives the outer scales. The grid is divided in place by S_g, block-maxed
-again for the inner scales, divided in place by S_b (two roundings, as the
-scheme defines them), clamp-counted, clipped, and rounded to magnitude codes
-by fpcodec's closed-form cores. The signs are OR-ed into the codes last.
+sign bits to a mask and is overwritten with ``|W|``. A pairwise block max of
+``|W|`` gives the outer scales. The grid is divided in place by S_g,
+block-maxed again for the inner scales, divided in place by S_b (two
+roundings, as the scheme defines them) and clamp-counted. One of fpcodec's
+closed-form cores clips and rounds it, leaving the integer step k of each
+element in the grid and returning the element spacings. The pipeline ends in
+one of two consumers:
+
+* values (``quantize_dequantize``): k times its spacing, with the sign bits
+  OR-ed back in, scaled in place to (P * S_b) * S_g. No code array is made
+  and no table is read. The result is a view of the grid: cropped, and for
+  COL_GROUPS_16X1 the transposed, F-ordered view, so a ``col`` operand whose
+  transpose is C-ordered goes in and comes out without a transposing copy;
+* codes (``quantize_double_block``): k plus its binade's first code, with
+  the sign bits OR-ed into the top bit, packed row-major over the padded
+  work grid. ``dequantize`` reconstructs them through the format's table
+  into a C-ordered matrix.
 
 Zero-amax blocks take scale 1. Padded positions hold code 0 and never affect
-any amax. Codes are stored row-major over the padded work grid. The
-reconstruction is the float32 product (P * S_b) * S_g cropped back to the
-logical shape; adding +0.0 turns the -0 code's -0.0 into +0.0 and leaves
-every other value's bytes alone.
+any amax. Both routes give the same bytes: the reconstruction is the float32
+product (P * S_b) * S_g cropped back to the logical shape, and adding +0.0
+turns the -0 code's -0.0 into +0.0 and leaves every other value's bytes
+alone.
 
 Clamp events (elements pushed back inside the grid because the inner scale
 rounded down) are counted with a one-ulp tolerance so float32 roundoff at a
@@ -85,7 +97,9 @@ class OuterGranularity(enum.Enum):
 
 
 def as_matrix(m) -> np.ndarray:
-    a = np.ascontiguousarray(m, dtype=F32)
+    """``m`` as a 2-D float32 array in its own memory layout, copied only to
+    convert its dtype."""
+    a = np.asarray(m, dtype=F32)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
@@ -205,18 +219,48 @@ def _per_block(a: np.ndarray) -> np.ndarray:
     return a[:, None, :, None]
 
 
-def _outer_per_block(sg: np.ndarray, n_blocks: int, bc: int) -> np.ndarray:
-    """Outer scales on their work-grid layout, one value per inner block."""
-    if sg.shape[1] > 1:  # one scale per 128 grid columns
-        sg = np.repeat(sg, _OUTER_SPAN // bc, axis=1)[:, :n_blocks]
-    return sg
+def _inner_apply(ufunc, W: np.ndarray, sb: np.ndarray):
+    """Apply ``W = ufunc(W, S_b)`` in place over the work grid, one ``(R, C)``
+    inner scale per block.
+
+    16x16 tiles take their scales as one repeated row per tile row, so each
+    operation runs along whole grid rows rather than 16 elements at a time.
+    """
+    R, C = sb.shape
+    br, bc = W.shape[0] // R, W.shape[1] // C
+    if br == 1:
+        blocks = W.reshape(R, C, bc)
+        ufunc(blocks, sb[:, :, None], out=blocks)
+    else:
+        rows = W.reshape(R, br, C * bc)
+        ufunc(rows, np.repeat(sb, bc, axis=1)[:, None, :], out=rows)
+
+
+def _outer_apply(ufunc, W: np.ndarray, sg: np.ndarray):
+    """Apply ``W = ufunc(W, S_g)`` in place over the ``(wr, wc)`` work grid.
+
+    ``sg`` is on its work-grid layout (see ``_outer_grid``). A per-tensor or
+    per-row scale is one flat or row-wise operation; ``1x128`` scales are
+    repeated onto the 16-column blocks they cover.
+    """
+    if sg.shape[1] == 1:
+        ufunc(W, sg, out=W)
+    else:
+        per_block = np.repeat(sg, _OUTER_SPAN // _GROUP, axis=1)[:, : W.shape[1] // _GROUP]
+        _inner_apply(ufunc, W, per_block)
+
+
+def _logical_view(grid: np.ndarray, orientation: Orientation, rows: int, cols: int):
+    """The logical ``(rows, cols)`` matrix of a padded work grid, as a view;
+    for COL_GROUPS_16X1 it is the transposed, F-ordered view."""
+    if orientation is Orientation.COL_GROUPS_16X1:
+        return grid[:cols, :rows].T
+    return grid[:rows, :cols]
 
 
 def crop_work_grid(grid: np.ndarray, orientation: Orientation, rows: int, cols: int):
-    """The logical ``(rows, cols)`` matrix of a padded work grid."""
-    if orientation is Orientation.COL_GROUPS_16X1:
-        return np.ascontiguousarray(grid[:cols, :rows].T)
-    return np.ascontiguousarray(grid[:rows, :cols])
+    """The logical ``(rows, cols)`` matrix of a padded work grid, C-ordered."""
+    return np.ascontiguousarray(_logical_view(grid, orientation, rows, cols))
 
 
 def unpacked_codes(q: QuantizedMatrix) -> np.ndarray:
@@ -270,52 +314,50 @@ def _inner_scales(a_in: np.ndarray, grid_max: np.float32):
 
 
 def _plan(m, orientation, outer, fmt):
-    """Derive the scale chain of ``m`` and its clipped ratio magnitudes on
-    one grid (see the module docstring).
+    """Derive the scale chain of ``m`` and its ratio magnitudes on one grid
+    (see the module docstring).
 
-    Returns ``(ratio, sign, sb, sg, clamps)``: ``|W / S_g / S_b|`` clipped to
-    the element grid on the ``(R, br, C, bc)`` block view, the sign bits of
-    the work grid, the ``(R, C)`` inner scales, the outer scales on their
-    work-grid layout, and the clamp count.
+    Returns ``(grid, sign, sb, sg, clamps)``: the padded work grid holding
+    ``|W / S_g / S_b|`` (the rounding cores clip it), its sign mask, the
+    ``(R, C)`` inner scales, the outer scales on their work-grid layout, and
+    the clamp count.
     """
     W, ratio = _block_view(m, orientation)
     sign = np.signbit(W)
     np.abs(W, out=W)  # W and ratio now hold |W|
     grid_max = np.float32(fmt.max)
-    n_blocks, bc = ratio.shape[2:]
-    sg = _outer_scales(_block_max(ratio), outer, bc, _SCALE_TOP * grid_max)
-    ratio /= _per_block(_outer_per_block(sg, n_blocks, bc))
+    sg = _outer_scales(_block_max(ratio), outer, ratio.shape[3], _SCALE_TOP * grid_max)
+    _outer_apply(np.divide, W, sg)
     sb = _inner_scales(_block_max(ratio), grid_max)
-    ratio /= _per_block(sb)
+    _inner_apply(np.divide, W, sb)
     clamps = int(np.count_nonzero(W > grid_max * _CLAMP_TOL))
-    np.minimum(W, grid_max, out=W)
-    return ratio, sign, sb, sg, clamps
+    return W, sign, sb, sg, clamps
 
 
-def _codes(ratio, sign, fmt: fc.FormatSpec, mode, rng) -> np.ndarray:
-    """Sign-magnitude codes of clipped ratio magnitudes, rounded in row-major
-    order; ``ratio`` is used up."""
+def _round(grid, fmt: fc.FormatSpec, mode, rng) -> np.ndarray:
+    """Clip and round the grid's ratio magnitudes in row-major order, leaving
+    the steps k in ``grid``; returns the reciprocal spacings 1/s (see
+    fpcodec)."""
     if mode is fc.RoundingMode.DETERMINISTIC:
-        codes = fc._mag_round_det(ratio, fmt)
-    else:
-        if rng is None:
-            raise ValueError("stochastic quantization needs an rng")
-        codes = fc._mag_round_stoch(ratio, fmt, rng)
-    sign = sign.view(np.uint8).reshape(codes.shape)
-    sign <<= fmt.bits - 1
-    codes |= sign
-    return codes
+        return fc._mag_round_det(grid, fmt)
+    if rng is None:
+        raise ValueError("stochastic quantization needs an rng")
+    return fc._mag_round_stoch(grid, fmt, rng)
 
 
-def _reconstruct(codes, fmt, sb, sg, orientation, rows, cols) -> np.ndarray:
-    """(P * S_b) * S_g on the block view, cropped, zeros normalized to +0."""
-    _, _, n_blocks, bc = codes.shape
-    vals = fc.values_from_codes(codes, fmt)
-    vals *= _per_block(sb)
-    vals *= _per_block(_outer_per_block(sg, n_blocks, bc))
-    out = crop_work_grid(vals.reshape(-1, n_blocks * bc), orientation, rows, cols)
-    out += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bytes
-    return out
+def _or_signs(vals: np.ndarray, sign: np.ndarray, spent: np.ndarray):
+    """OR the sign mask into the sign bits of the float32 grid ``vals``,
+    through ``spent``, a float32 buffer of the same size."""
+    bits = spent.view(np.uint32).reshape(sign.shape)
+    np.left_shift(sign.view(np.uint8), 31, out=bits, dtype=np.uint32)
+    np.bitwise_or(vals.view(np.uint32), bits, out=vals.view(np.uint32))
+
+
+def _scale(grid, sb, sg):
+    """(P * S_b) * S_g in place on the work grid, zeros normalized to +0."""
+    _inner_apply(np.multiply, grid, sb)
+    _outer_apply(np.multiply, grid, sg)
+    grid += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bytes
 
 
 def _resolve(orientation, outer, mode, element_fmt):
@@ -336,8 +378,11 @@ def quantize_double_block(
     packed row-major over the work grid."""
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    ratio, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
-    codes = _codes(ratio, sign, fmt, mode, rng).reshape(-1)
+    grid, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    codes = fc._codes(grid, _round(grid, fmt, mode, rng), fmt).reshape(-1)
+    sign = sign.view(np.uint8).reshape(-1)
+    sign <<= fmt.bits - 1
+    codes |= sign
     if fmt.bits == 4:
         codes = codes[0::2] | (codes[1::2] << 4)
     return QuantizedMatrix(
@@ -361,19 +406,24 @@ def quantize_dequantize(
     rng=None,
     element_fmt: str = "e2m1",
 ) -> tuple[np.ndarray, int]:
-    """Quantize and immediately reconstruct, without packing codes.
+    """Quantize and immediately reconstruct, without forming codes.
 
-    Returns ``(values, clamp_count)`` where ``values`` is bit-identical to
-    ``dequantize(quantize_double_block(...))`` with the same arguments — the
-    training hot path uses this to skip code packing/unpacking. A stochastic
-    ``rng`` is consumed exactly as the two-step route consumes it, so the two
-    routes are interchangeable mid-stream.
+    Returns ``(values, clamp_count)`` where ``values`` holds the same bytes
+    as ``dequantize(quantize_double_block(...))`` with the same arguments —
+    the training hot path uses this to skip codes altogether. ``values`` is
+    a view of the work grid: F-ordered for COL_GROUPS_16X1, and strided
+    where the grid is padded. A stochastic ``rng`` is consumed exactly as
+    the two-step route consumes it, so the two routes are interchangeable
+    mid-stream.
     """
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    ratio, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
-    codes = _codes(ratio, sign, fmt, mode, rng)
-    return _reconstruct(codes, fmt, sb, sg, orientation, *m.shape), clamps
+    grid, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    rs = _round(grid, fmt, mode, rng)
+    fc._values(grid, rs)
+    _or_signs(grid, sign, rs)
+    _scale(grid, sb, sg)
+    return _logical_view(grid, orientation, *m.shape), clamps
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
@@ -381,9 +431,7 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     grid = unpacked_codes(q)
     br, bc = _block_shape(q.orientation)
     R, C = grid.shape[0] // br, grid.shape[1] // bc
-    codes = grid.reshape(R, br, C, bc)
-    sb = q.inner_scales.reshape(R, C)
-    sg = q.outer_scales.reshape(_outer_grid(q.outer, *grid.shape))
-    fmt = fc.get_format(q.element_fmt)
-    return _reconstruct(codes, fmt, sb, sg, q.orientation, q.rows, q.cols)
-
+    vals = fc.values_from_codes(grid, fc.get_format(q.element_fmt))
+    _scale(vals, q.inner_scales.reshape(R, C),
+           q.outer_scales.reshape(_outer_grid(q.outer, *grid.shape)))
+    return crop_work_grid(vals, q.orientation, q.rows, q.cols)

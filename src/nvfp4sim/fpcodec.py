@@ -132,78 +132,104 @@ def get_format(name: str) -> FormatSpec:
 # ── rounding cores (magnitude space) ─────────────────────────────────────────
 # Rounding |x| on the magnitude table and re-applying the sign is equivalent to
 # rounding on the signed grid (the grid is symmetric and tie parity mirrors),
-# and it keeps the sign of zero, so -0.2 rounds to the -0 code.
+# and it keeps the sign of zero, so -0.2 rounds to -0.
 #
 # Both cores are closed forms on the IEEE exponent e of |x|. In the binade
 # [2**e, 2**(e+1)) the format's values are the multiples of the spacing
 # s = 2**(max(e, 1 - bias) - man_bits); the subnormal range shares the spacing
 # of the lowest normal binade. As s is a power of two, t = |x| * (1/s) is
-# exact, and the value k * s has the magnitude code k + base with
-# base = (max(e, 1 - bias) + bias - 1) * 2**man_bits. A carry out of the
-# binade (k = 2**(man_bits + 1)) is the next binade's first code.
+# exact. Each core overwrites its input with the integer step k (a float) of
+# the rounded value k * s and returns 1/s per element, a power of two whose
+# exponent bits carry the spacing exponent. A carry out of the binade
+# (k = 2**(man_bits + 1)) is the next binade's first value.
 #
-# Deterministic: k = rint(t). base is a multiple of 2**man_bits, so k and its
-# code have the same parity, and rint's ties-to-even on k is ties to the even
-# code. Stochastic: the bracket is floor(t) and floor(t) + 1, and the exact
-# p = t - floor(t) equals (|x| - q1) / (q2 - q1); it is compared with one
-# float64 draw per element in row-major order.
+# Deterministic: k = rint(t). Stochastic: the bracket is floor(t) and
+# floor(t) + 1, and the exact p = t - floor(t) equals (|x| - q1) / (q2 - q1);
+# it is compared with one float64 draw per element in row-major order.
 #
-# Magnitudes above the format's max take the top code, and so does +inf.
-# NaN takes the top code in det mode and the code below it in stoch mode
+# Two consumers sit on top. ``_values`` divides k by 1/s, which is exact and
+# gives the magnitude k * s. ``_codes`` adds base = (max(e, 1 - bias) + bias
+# - 1) * 2**man_bits, read back from the exponent bits of 1/s, giving the
+# magnitude code k + base. As base is a multiple of 2**man_bits, k and its
+# code have the same parity, so rint's ties-to-even on k is ties to the even
+# code.
+#
+# Magnitudes above the format's max round to the max, and so does +inf.
+# NaN rounds to the max in det mode and to the value below it in stoch mode
 # (its draw is consumed and never rounds up).
 
 
-def _binade(x: np.ndarray, fmt: FormatSpec):
-    """Overwrite magnitudes ``0 <= x <= fmt.max`` (1-D) with ``t = x / s``.
-
-    Returns ``base`` (uint8), with ``k + base`` the magnitude code of
-    ``k * s``, and the integer scratch array it was computed in.
-    """
+def _spacing(x: np.ndarray, fmt: FormatSpec) -> np.ndarray:
+    """Overwrite magnitudes ``0 <= x <= fmt.max`` (1-D) with ``t = x / s``
+    and return ``1/s`` per element."""
     fi = np.finfo(x.dtype)
-    ieee_bias = fi.maxexp - 1
-    lowest = ieee_bias + 1 - fmt.bias  # biased IEEE exponent of 2**(1 - bias)
-    inv = 2 * ieee_bias + fmt.man_bits  # biased exponent of 1/s is inv - e
-    e = x.view(f"u{x.itemsize}") >> fi.nmant
-    np.maximum(e, lowest, out=e)
-    np.subtract(inv, e, out=e)
-    e <<= fi.nmant
-    x *= e.view(x.dtype)
-    e >>= fi.nmant
-    np.subtract(inv - lowest, e, out=e)
-    e <<= fmt.man_bits
-    return e.astype(np.uint8), e
+    # the exponent bits of max(x, 2**(1 - bias)), turned into those of 1/s
+    rs = np.maximum(x, 2.0 ** (1 - fmt.bias))
+    bits = rs.view(f"u{x.itemsize}")
+    bits &= ((1 << fi.nexp) - 1) << fi.nmant
+    np.subtract((2 * (fi.maxexp - 1) + fmt.man_bits) << fi.nmant, bits, out=bits)
+    x *= rs
+    return rs
 
 
-# Stochastic draws run this many elements at a time through one reused
-# buffer. A float64 draw array the size of the whole input costs more in page
-# faults than the work.
+# Stochastic draws run this many elements at a time through reused buffers.
+# A float64 draw array the size of the whole input costs more in page faults
+# than the work.
 _CHUNK = 1 << 14
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The 1-D view of a C-contiguous array; ValueError where only a copy
+    would do, as writes into a copy would never reach ``a``."""
+    return a.reshape(-1, copy=False)
+
+
 def _mag_round_det(ax: np.ndarray, fmt: FormatSpec) -> np.ndarray:
-    """Magnitude codes (uint8) of ``ax >= 0``; ``ax`` is used as scratch."""
-    x = np.asarray(ax).reshape(-1)
+    """Overwrite ``ax >= 0`` (C-contiguous) with its steps k; return 1/s."""
+    x = _flat(ax)
     np.fmin(x, fmt.max, out=x)  # NaN and +inf go to the max
-    code, _ = _binade(x, fmt)
-    np.add(code, np.rint(x, out=x), out=code, casting="unsafe")
-    return code.reshape(np.shape(ax))
+    rs = _spacing(x, fmt)
+    np.rint(x, out=x)
+    return rs
 
 
 def _mag_round_stoch(ax: np.ndarray, fmt: FormatSpec, rng) -> np.ndarray:
-    """Magnitude codes (uint8) of ``ax >= 0``; ``ax`` is used as scratch."""
-    x = np.asarray(ax).reshape(-1)
+    """Overwrite ``ax >= 0`` (C-contiguous) with its steps k; return 1/s."""
+    x = _flat(ax)
     np.minimum(x, fmt.max, out=x)
-    if np.isnan(np.max(x, initial=0.0)):  # NaN stays below the top code
+    if np.isnan(np.max(x, initial=0.0)):  # NaN stays below the top value
         np.copyto(x, fmt.mag[-2], where=np.isnan(x))
-    code, scratch = _binade(x, fmt)
-    lo = np.floor(x, out=scratch.view(x.dtype))
-    np.add(code, lo, out=code, casting="unsafe")
-    p = np.subtract(x, lo, out=x)
-    u = np.empty(min(p.size, _CHUNK))
-    for i in range(0, p.size, _CHUNK):
-        pi = p[i : i + _CHUNK]
-        code[i : i + _CHUNK] += rng.random(out=u[: pi.size]) < pi
-    return code.reshape(np.shape(ax))
+    rs = _spacing(x, fmt)
+    n = min(x.size, _CHUNK)
+    u, lo, up = np.empty(n), np.empty(n, x.dtype), np.empty(n, bool)
+    for i in range(0, x.size, _CHUNK):
+        t = x[i : i + _CHUNK]
+        n = t.size
+        np.floor(t, out=lo[:n])
+        t -= lo[:n]  # p
+        np.less(rng.random(out=u[:n]), t, out=up[:n])
+        np.add(lo[:n], up[:n], out=t)
+    return rs
+
+
+def _values(k: np.ndarray, rs: np.ndarray):
+    """Overwrite a core's steps ``k`` with the magnitudes k * s (exact)."""
+    x = _flat(k)
+    np.divide(x, rs, out=x)
+
+
+def _codes(k: np.ndarray, rs: np.ndarray, fmt: FormatSpec) -> np.ndarray:
+    """The magnitude codes k + base (uint8) of a core's steps ``k``; ``rs``
+    is used up."""
+    fi = np.finfo(rs.dtype)
+    e = rs.view(f"u{rs.itemsize}")
+    # 1/s has the biased exponent ieee_bias + man_bits - max(e, 1 - bias)
+    e >>= fi.nmant
+    np.subtract(fi.maxexp - 2 + fmt.man_bits + fmt.bias, e, out=e)
+    e <<= fmt.man_bits
+    code = e.astype(np.uint8)
+    np.add(code, k.reshape(-1), out=code, casting="unsafe")
+    return code.reshape(k.shape)
 
 
 def _as_float_array(x):
@@ -213,18 +239,21 @@ def _as_float_array(x):
     return a
 
 
+def _round_values(a: np.ndarray, fmt: FormatSpec, core, *args) -> np.ndarray:
+    """Round ``a`` through ``core`` to values, keeping its shape and signs."""
+    x = np.abs(a, out=np.empty(a.shape, a.dtype))
+    _values(x, core(x, fmt, *args))
+    return np.copysign(x, a, out=x)
+
+
 def round_det(x, fmt: FormatSpec):
     """Round to the nearest representable value, ties to the even code."""
-    a = _as_float_array(x)
-    out = fmt.mag[_mag_round_det(np.abs(a), fmt)].astype(a.dtype, copy=False)
-    return np.copysign(out, a)
+    return _round_values(_as_float_array(x), fmt, _mag_round_det)[()]
 
 
 def round_stoch(x, fmt: FormatSpec, rng):
     """Unbiased stochastic rounding: up with probability (x-q1)/(q2-q1)."""
-    a = _as_float_array(x)
-    out = fmt.mag[_mag_round_stoch(np.abs(a), fmt, rng)].astype(a.dtype, copy=False)
-    return np.copysign(out, a)
+    return _round_values(_as_float_array(x), fmt, _mag_round_stoch, rng)[()]
 
 
 def values_from_codes(codes: np.ndarray, fmt: FormatSpec, dtype=np.float32):
@@ -275,8 +304,9 @@ def round_scale_e4m3(s):
         raise ValueError("scale must be positive")
     if np.any(a > FP8_E4M3.max):
         raise OverflowError(f"scale exceeds E4M3 max {FP8_E4M3.max}")
-    mi = np.maximum(_mag_round_det(a.copy(), FP8_E4M3), 1)
-    out = FP8_E4M3.mag[mi].astype(a.dtype, copy=False)
+    out = np.array(a, order="C")
+    _values(out, _mag_round_det(out, FP8_E4M3))
+    np.maximum(out, 2.0**-9, out=out)  # never the zero code
     return float(out) if np.ndim(s) == 0 else out
 
 

@@ -136,12 +136,23 @@ def rht_apply(
 ) -> np.ndarray:
     """Return ``A @ diag(signs) @ H`` computed blockwise along the columns.
 
-    The input's column count must equal ``ctx.dim``.  Columns are zero-padded
-    up to a multiple of ``ctx.block`` for the transform; by default the output
-    is cropped back to ``ctx.dim`` columns.  Pass ``keep_padding=True`` to get
-    the full padded width — required when the result feeds a contraction whose
-    other operand is transformed with the same context, because cropping
-    discards coordinates the rotation moved mass into.
+    The input's column count must equal ``ctx.dim``; it may be in any memory
+    layout and is never written. It is signed into a buffer of the padded
+    width in its own order, C or F; padding columns exist, and are zeroed,
+    only when ``ctx.dim`` is not a multiple of ``ctx.block``. BLAS products
+    with the cached +/-1 matrix give a C-ordered result: one product over
+    all blocks of a C-ordered buffer, or one per column block of an
+    F-ordered one, which BLAS reads transposed instead of a transposing
+    copy. That the bytes do not depend on the layout is a property of the
+    BLAS, not a guarantee: it needs the same result for transposed and
+    non-transposed operands, which the layout tests check on the BLAS they
+    run against.
+
+    By default the output is cropped back to ``ctx.dim`` columns.  Pass
+    ``keep_padding=True`` to get the full padded width — required when the
+    result feeds a contraction whose other operand is transformed with the
+    same context, because cropping discards coordinates the rotation moved
+    mass into.
     """
     m = as_matrix(a)
     if m.shape[1] != ctx.dim:
@@ -150,13 +161,18 @@ def rht_apply(
         )
     rows = m.shape[0]
     padded = ctx.padded_dim
-    buf = np.zeros((rows, padded), dtype=np.float32)
-    buf[:, : ctx.dim] = m
-    buf *= ctx.signs
-    # every block at once: one BLAS product with the cached +/-1 matrix
-    out = buf.reshape(-1, ctx.block) @ _hadamard_pm1(ctx.block)
+    f_order = m.flags.f_contiguous and not m.flags.c_contiguous
+    buf = np.empty((rows, padded), dtype=np.float32, order="F" if f_order else "C")
+    buf[:, ctx.dim :] = 0.0
+    np.multiply(m, ctx.signs[: ctx.dim], out=buf[:, : ctx.dim])
+    h = _hadamard_pm1(ctx.block)
+    if f_order:  # (blocks, rows, block) views of the column blocks
+        out = np.empty((rows, padded), dtype=np.float32)
+        blocks = buf.T.reshape(-1, ctx.block, rows).transpose(0, 2, 1)
+        np.matmul(blocks, h, out=out.reshape(rows, -1, ctx.block).transpose(1, 0, 2))
+    else:
+        out = (buf.reshape(-1, ctx.block) @ h).reshape(rows, padded)
     out *= np.float32(1.0 / math.sqrt(ctx.block))
-    out = out.reshape(rows, padded)
     if keep_padding or padded == ctx.dim:
         return out
     return np.ascontiguousarray(out[:, : ctx.dim])

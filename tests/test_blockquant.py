@@ -652,6 +652,69 @@ def test_prop_det_requantize_reaches_code_fixed_point(seed):
     np.testing.assert_array_equal(q2.codes, q3.codes)
 
 
+def _layouts(m):
+    """``m`` C-ordered, F-ordered and as a strided slice of a NaN-filled array."""
+    rows, cols = m.shape
+    base = np.full((2 * rows + 1, 2 * cols + 3), np.nan, F32)
+    sliced = base[1::2, 3::2]
+    sliced[...] = m
+    return {"C": np.ascontiguousarray(m), "F": np.asfortranarray(m), "slice": sliced}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 150),
+    cols=st.integers(1, 150),
+    orientation=st.sampled_from(list(bq.Orientation)),
+    outer=st.sampled_from([None, "1x128", "per-row", "per-tensor"]),
+    mode=st.sampled_from(["det", "stoch"]),
+    seed=st.integers(0, 2**16),
+)
+def test_prop_quantize_is_layout_invariant(rows, cols, orientation, outer, mode, seed):
+    # the memory layout of the input never shows: same bytes, clamps, codes
+    # and stream position from C-ordered, F-ordered and strided-slice input
+    if orientation is bq.Orientation.SQUARE_16X16:
+        outer = None
+    rng = np.random.Generator(np.random.Philox(seed + 11))
+    m = (rng.standard_normal((rows, cols)) * 8.0).astype(F32)
+    m[rng.random(m.shape) < 0.1] = F32(-0.0)
+    m[rng.integers(rows)] *= F32(500.0)
+    results = {}
+    for layout, a in _layouts(m).items():
+        r1 = fc.stream(seed, "layout") if mode == "stoch" else None
+        r2 = fc.stream(seed, "layout") if mode == "stoch" else None
+        vals, clamps = bq.quantize_dequantize(
+            a, orientation, outer=outer, mode=mode, rng=r1
+        )
+        q = bq.quantize_double_block(a, orientation, outer=outer, mode=mode, rng=r2)
+        assert vals.shape == m.shape and vals.dtype == F32
+        draws = () if r1 is None else (r1.random(2).tobytes(), r2.random(2).tobytes())
+        results[layout] = (_bits(vals).tobytes(), clamps, q.codes.tobytes(),
+                           q.clamp_count, draws)
+    assert results["F"] == results["C"]
+    assert results["slice"] == results["C"]
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (37, 21)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_quantizers_leave_their_input_unchanged(shape, order):
+    # (32, 64) C-ordered float32 needs no padding and no conversion, so the
+    # quantizers see the caller's own array, not a copy
+    m = rnd(shape, seed=2024, scale=30.0)
+    m[0, :3] = F32(-0.0)
+    m = np.asarray(m, order=order)
+    before = m.tobytes(order="A")
+    if order == "C":
+        assert bq.as_matrix(m) is m
+    for orientation in bq.Orientation:
+        for mode in ("det", "stoch"):
+            rng = fc.stream(5, "readonly") if mode == "stoch" else None
+            bq.quantize_dequantize(m, orientation, mode=mode, rng=rng)
+            assert m.tobytes(order="A") == before
+            bq.quantize_double_block(m, orientation, mode=mode, rng=rng)
+            assert m.tobytes(order="A") == before
+
+
 # ── per-element block amax ───────────────────────────────────────────────────
 
 

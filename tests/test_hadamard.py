@@ -193,6 +193,41 @@ def test_apply_matches_dense_oracle_ragged():
     np.testing.assert_allclose(out, dense, atol=1e-5)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    blocks=st.integers(1, 4),
+    ragged=st.integers(0, 31),
+    block=st.sampled_from([2, 16, 32]),
+    keep_padding=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_prop_apply_is_layout_invariant(rows, blocks, ragged, block, keep_padding, seed):
+    # C- and F-ordered input give the same bytes, padded dims and unpadded
+    dim = blocks * block - ragged % block
+    ctx = hd.rht_context(dim, seed=seed, layer="l", step=1, side="dw", block=block)
+    a = rnd((rows, dim), seed=seed)
+    c = hd.rht_apply(np.ascontiguousarray(a), ctx, keep_padding=keep_padding)
+    f = hd.rht_apply(np.asfortranarray(a), ctx, keep_padding=keep_padding)
+    assert c.shape == f.shape == (rows, ctx.padded_dim if keep_padding else dim)
+    assert c.tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize("dim", [64, 40])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_leaves_its_input_unchanged(dim, order):
+    # dim 64 is a whole number of blocks and C-ordered float32 needs no
+    # conversion, so rht_apply sees the caller's own array
+    a = np.asarray(rnd((24, dim), seed=dim), order=order)
+    before = a.tobytes(order="A")
+    if order == "C":
+        assert bq.as_matrix(a) is a
+    ctx = hd.rht_context(dim, seed=3, layer="l", step=0, side="dx", block=16)
+    for keep_padding in (False, True):
+        hd.rht_apply(a, ctx, keep_padding=keep_padding)
+        assert a.tobytes(order="A") == before
+
+
 def test_transform_rows_orthonormal():
     for n, d, seed in [(16, 16, 1), (32, 32, 2), (64, 32, 3), (24, 16, 4)]:
         ctx = hd.rht_context(n, seed=seed, layer="l", step=0, side="dx", block=d)

@@ -208,6 +208,59 @@ def test_backward_matches_manual_reconstruction_no_rht_det():
     np.testing.assert_array_equal(dw, bq.dequantize(q5) @ bq.dequantize(q6))
 
 
+def _manual_backward(dy, cache, cfg, rng, step):
+    """dx and dw through C-ordered ``dequantize(quantize_double_block(...))``
+    operands, in the layer's site order."""
+    mode = "stoch" if cfg.stochastic_backward else "det"
+    outer = cfg.outer_granularity
+
+    def q(m, orientation):
+        m = np.ascontiguousarray(m)
+        return bq.dequantize(
+            bq.quantize_double_block(m, orientation, outer=outer, mode=mode, rng=rng)
+        )
+
+    def rotate(first, second_rows, side):
+        ctx = hd.rht_context(first.shape[1], seed=cfg.rht_seed, layer=cfg.layer_tag,
+                             step=step, side=side, block=cfg.rht_block)
+        a = hd.rht_apply(np.ascontiguousarray(first), ctx, keep_padding=True)
+        b = hd.rht_apply(np.ascontiguousarray(second_rows.T), ctx, keep_padding=True)
+        return a, np.ascontiguousarray(b.T)
+
+    a, b = dy, cache.w_hat
+    if cfg.rht_dx:
+        a, b = rotate(a, b, "dx")
+    square = cfg.weight_block is bq.Orientation.SQUARE_16X16
+    w_orient = bq.Orientation.SQUARE_16X16 if square else bq.Orientation.COL_GROUPS_16X1
+    dx = q(a, bq.Orientation.ROW_GROUPS_1X16) @ q(b, w_orient)
+    at, bt = dy.T, (cache.x_hat if cfg.align_xhat else cache.x_raw)
+    if cfg.rht_dw:
+        at, bt = rotate(at, bt, "dw")
+    dw = q(at, bq.Orientation.ROW_GROUPS_1X16) @ q(bt, bq.Orientation.COL_GROUPS_16X1)
+    return dx, dw
+
+
+@pytest.mark.parametrize(
+    "preset,n,d,c",
+    [
+        ("fp4-full", 1024, 128, 512),  # the tiny transformer's first MLP layer
+        ("fp4-rtn", 256, 1024, 1024),  # the MLP benchmark's hidden layer
+    ],
+)
+def test_backward_gemms_match_c_ordered_operands_at_workload_shapes(preset, n, d, c):
+    # the layer rotates F-ordered operands through transposed BLAS reads and
+    # multiplies F-ordered views of its quantized col operands; both must give
+    # the same bits as the route through C-ordered copies
+    cfg = dataclasses.replace(ql.preset(preset), layer_tag="ffn.fc1", rht_seed=9)
+    x, w = rnd((n, d), 31, scale=2.0), rnd((c, d), 32, scale=0.05)
+    dy = rnd((n, c), 33, scale=1e-3)
+    _, cache = ql.linear_forward(x, w, cfg, step=3)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(8, "wl"), step=3)
+    want_dx, want_dw = _manual_backward(dy, cache, cfg, fc.stream(8, "wl"), 3)
+    np.testing.assert_array_equal(dx, want_dx)
+    np.testing.assert_array_equal(dw, want_dw)
+
+
 def test_forward_matches_manual_reconstruction():
     cfg = base_cfg()
     x, w = rnd((8, 32), 23), rnd((16, 32), 24)
