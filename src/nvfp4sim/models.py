@@ -22,11 +22,24 @@ order, so a run is replayable from the generator key alone.
 
 Gradients follow the straight-through convention of the quantized layer:
 no gradient flows into quantization scales.
+
+Bit contract of the binary32 glue: the elementwise ops run in place on
+temporaries the step owns, but each one keeps the operands, operand order
+and evaluation order of the plain expression it stands for, so a step's
+bytes do not depend on where its results are stored (``np.exp`` and
+``np.log`` still run on contiguous operands: their vector and scalar loops
+may round differently).  Every matmul keeps
+its operands, shapes and output layout (a fresh C-ordered product, never
+``out=`` into a strided view), as the bytes of a BLAS product may depend on
+them.  Arrays a step reads but does not own (``params``, the batch, the
+layer caches) are never written; :func:`_softmax_causal` overwrites the
+scores it is given, and :func:`_rmsnorm_bwd` the gradient it is given.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, Mapping, Tuple
 
@@ -134,21 +147,21 @@ class MLP(_QuantizedModel):
             )
             pre.append(a)
             h = np.maximum(a, F32(0.0))
-        yhat = h @ params["head.w"].T
-        err = yhat - np.asarray(y, dtype=F32)
+        err = h @ params["head.w"].T
+        np.subtract(err, np.asarray(y, dtype=F32), out=err)
         loss = float(np.mean(err.astype(np.float64) ** 2))
         return loss, {"caches": caches, "pre": pre, "h": h, "err": err}
 
     def loss_and_grads(self, params, batch, cfgs, step, rng):
         loss, ctx = self._run(params, batch, cfgs, step)
         err, h = ctx["err"], ctx["h"]
-        dyhat = ((2.0 / err.size) * err).astype(F32)
+        dyhat = np.multiply(2.0 / err.size, err, out=err)
         grads = {"head.w": dyhat.T @ h}
         dh = dyhat @ params["head.w"]
         backward = {}
         for i in range(len(self._tags) - 1, -1, -1):
             tag = self._tags[i]
-            da = (dh * (ctx["pre"][i] > 0)).astype(F32)
+            da = np.multiply(dh, ctx["pre"][i] > 0, out=dh)
             dh, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
                 da, ctx["caches"][tag], cfgs[tag], rng=rng, step=step
             )
@@ -159,32 +172,51 @@ class MLP(_QuantizedModel):
 
 
 def _rmsnorm_fwd(x, g):
-    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + F32(_NORM_EPS))
-    return (x / r) * g, r
+    """``(x / r) * g`` with ``r = sqrt(mean(x * x) + eps)``; returns ``(y, r)``."""
+    y = np.multiply(x, x)
+    r = np.mean(y, axis=-1, keepdims=True)
+    r += F32(_NORM_EPS)
+    np.sqrt(r, out=r)
+    np.divide(x, r, out=y)
+    y *= g
+    return y, r
 
 
 def _rmsnorm_bwd(dy, x, g, r):
-    t = dy * g
-    d = x.shape[-1]
-    dot = np.sum(t * x, axis=-1, keepdims=True)
-    dx = t / r - x * (dot / (d * r**3))
-    dg = np.sum(dy * (x / r), axis=tuple(range(x.ndim - 1)))
-    return dx.astype(F32), dg.astype(F32)
+    """``(dx, dg)`` of :func:`_rmsnorm_fwd`; ``dx`` is written over ``dy``."""
+    tmp = np.divide(x, r)
+    dg = np.sum(np.multiply(dy, tmp, out=tmp), axis=tuple(range(x.ndim - 1)))
+    t = np.multiply(dy, g, out=dy)
+    dot = np.sum(np.multiply(t, x, out=tmp), axis=-1, keepdims=True)
+    dx = np.divide(t, r, out=t)
+    dx -= np.multiply(x, dot / (x.shape[-1] * r**3), out=tmp)
+    return dx, dg
 
 
-def _silu(u):
-    sig = 1.0 / (1.0 + np.exp(-u))
-    return u * sig, sig
+def _sigmoid(u):
+    """``1 / (1 + exp(-u))``."""
+    sig = np.negative(u)
+    np.exp(sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    return np.divide(1.0, sig, out=sig)
+
+
+@functools.lru_cache(maxsize=8)
+def _future_mask(n):
+    """Read-only ``(n, n)`` mask of the strictly upper triangle."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _softmax_causal(scores):
-    """Softmax over the last axis with strictly-upper-triangle masking."""
-    n = scores.shape[-1]
-    keep = np.tril(np.ones((n, n), dtype=bool))
-    s = np.where(keep, scores, -np.inf)
-    s = s - np.max(s, axis=-1, keepdims=True)
-    e = np.exp(s)
-    return (e / np.sum(e, axis=-1, keepdims=True)).astype(F32)
+    """Softmax over the last axis with strictly-upper-triangle masking,
+    computed in place: ``scores`` is overwritten and returned."""
+    np.copyto(scores, -np.inf, where=_future_mask(scores.shape[-1]))
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.sum(scores, axis=-1, keepdims=True)
+    return scores
 
 
 class TinyTransformer(_QuantizedModel):
@@ -199,8 +231,13 @@ class TinyTransformer(_QuantizedModel):
         vocab: int = 32,
         ffn_hidden: int = 0,
     ):
-        if layers < 1:
-            raise ValueError(f"layers must be >= 1, got {layers}")
+        for field, value in (("layers", layers), ("d_model", d_model), ("heads", heads)):
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value}")
+        if ffn_hidden < 0:
+            raise ValueError(
+                f"ffn_hidden must be >= 0 (0 means 2 * d_model), got {ffn_hidden}"
+            )
         if d_model % heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by heads {heads}")
         if vocab < 2:
@@ -268,7 +305,8 @@ class TinyTransformer(_QuantizedModel):
         hd = d // h
         scale = F32(1.0 / math.sqrt(hd))
 
-        x = params["tok_emb"][ids] + params["pos_emb"][None, :length]
+        x = params["tok_emb"][ids]
+        x += params["pos_emb"][None, :length]
         blocks, caches = [], {}
         for i in range(self.layers):
             blk = {"x0": x}
@@ -281,14 +319,17 @@ class TinyTransformer(_QuantizedModel):
             )
             trip = qkv.reshape(b, length, 3, h, hd).transpose(2, 0, 3, 1, 4)
             q, k, v = trip[0], trip[1], trip[2]
-            p = _softmax_causal((q @ k.transpose(0, 1, 3, 2)) * scale)
+            scores = q @ k.transpose(0, 1, 3, 2)
+            scores *= scale
+            p = _softmax_causal(scores)
             ctx = p @ v
             blk.update(q=q, k=k, v=v, p=p)
             ctx2 = ctx.transpose(0, 2, 1, 3).reshape(b * length, d)
             att, caches[f"l{i}.att_out"] = ql.linear_forward(
                 ctx2, params[f"l{i}.att_out.w"], cfgs[f"l{i}.att_out"], step=step
             )
-            x = x + att.reshape(b, length, d)
+            att = att.reshape(b, length, d)
+            x = np.add(x, att, out=att)
 
             blk["x1"] = x
             g_f = params[f"l{i}.ffn_norm"]
@@ -300,25 +341,28 @@ class TinyTransformer(_QuantizedModel):
             )
             fdim = self.ffn_hidden
             u, w_half = uv[:, :fdim], uv[:, fdim:]
-            su, sig = _silu(u)
-            s = (su * w_half).astype(F32)
-            blk.update(u=u, w_half=w_half, su=su, sig=sig)
+            sig = _sigmoid(u)
+            s = np.multiply(u, sig)  # silu(u), then the gate in place
+            s *= w_half
+            blk.update(u=u, w_half=w_half, sig=sig)
             ffn, caches[f"l{i}.ffn2"] = ql.linear_forward(
                 s, params[f"l{i}.ffn2.w"], cfgs[f"l{i}.ffn2"], step=step
             )
-            x = x + ffn.reshape(b, length, d)
+            ffn = ffn.reshape(b, length, d)
+            x = np.add(x, ffn, out=ffn)
             blocks.append(blk)
 
         n3, r3 = _rmsnorm_fwd(x, params["out_norm"])
         n3_2 = n3.reshape(b * length, d)
         logits = n3_2 @ params["head.w"].T
 
-        m = np.max(logits, axis=-1, keepdims=True)
-        z = logits - m
-        ez = np.exp(z)
-        sez = np.sum(ez, axis=-1, keepdims=True)
+        z = logits
+        z -= np.max(z, axis=-1, keepdims=True)
         flat_t = targets.reshape(-1)
-        logp = z[np.arange(z.shape[0]), flat_t] - np.log(sez[:, 0])
+        z_t = z[np.arange(z.shape[0]), flat_t]
+        ez = np.exp(z, out=z)
+        sez = np.sum(ez, axis=-1, keepdims=True)
+        logp = z_t - np.log(sez[:, 0])
         token_losses = (-logp).reshape(b, length)
         loss = float(np.mean(token_losses.astype(np.float64)))
         return loss, {
@@ -327,7 +371,7 @@ class TinyTransformer(_QuantizedModel):
             "x_final": x,
             "r3": r3,
             "n3_2": n3_2,
-            "softmax": ez / sez,
+            "softmax": np.divide(ez, sez, out=ez),
             "targets": flat_t,
             "token_losses": token_losses,
             "blocks": blocks,
@@ -355,7 +399,7 @@ class TinyTransformer(_QuantizedModel):
             )
             return dx
 
-        dlogits = ctx["softmax"].astype(F32)
+        dlogits = ctx["softmax"]
         dlogits[np.arange(n_tok), ctx["targets"]] -= F32(1.0)
         dlogits /= F32(n_tok)
         grads["head.w"] = dlogits.T @ ctx["n3_2"]
@@ -369,15 +413,24 @@ class TinyTransformer(_QuantizedModel):
 
             # ffn sublayer: x2 = x1 + ffn2(swiglu(ffn1(norm(x1))))
             ds = linear_backward(f"l{i}.ffn2", dx.reshape(n_tok, d))
-            sig, su, u, w_half = blk["sig"], blk["su"], blk["u"], blk["w_half"]
-            du = (ds * w_half * (sig * (1.0 + u * (1.0 - sig)))).astype(F32)
-            dw_half = (ds * su).astype(F32)
-            duv = np.concatenate([du, dw_half], axis=1)
+            sig, u, w_half = blk["sig"], blk["u"], blk["w_half"]
+            fdim = self.ffn_hidden
+            duv = np.empty((n_tok, 2 * fdim), dtype=F32)
+            du, dw_half = duv[:, :fdim], duv[:, fdim:]
+            # dw_half holds silu'(u) until du is done, then silu(u) = u * sig
+            dsilu = np.subtract(1.0, sig, out=dw_half)
+            np.multiply(u, dsilu, out=dsilu)
+            np.add(1.0, dsilu, out=dsilu)
+            np.multiply(sig, dsilu, out=dsilu)
+            np.multiply(ds, w_half, out=du)
+            du *= dsilu
+            su = np.multiply(u, sig, out=dw_half)
+            np.multiply(ds, su, out=dw_half)
             dn2 = linear_backward(f"l{i}.ffn1", duv).reshape(b, length, d)
             dx1, grads[f"l{i}.ffn_norm"] = _rmsnorm_bwd(
                 dn2, blk["x1"], params[f"l{i}.ffn_norm"], blk["r2"]
             )
-            dx = dx + dx1
+            dx += dx1
 
             # attention sublayer: x1 = x0 + att_out(attend(qkv(norm(x0))))
             dctx2 = linear_backward(f"l{i}.att_out", dx.reshape(n_tok, d))
@@ -385,16 +438,19 @@ class TinyTransformer(_QuantizedModel):
             p, q, k, v = blk["p"], blk["q"], blk["k"], blk["v"]
             dp = dctx @ v.transpose(0, 1, 3, 2)
             dv = p.transpose(0, 1, 3, 2) @ dctx
-            dscores = (p * (dp - np.sum(dp * p, axis=-1, keepdims=True))).astype(F32)
-            dq = (dscores @ k) * scale
-            dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-            dtrip = np.stack([dq, dk, dv])  # (3, b, h, length, hd)
-            dqkv = dtrip.transpose(1, 3, 0, 2, 4).reshape(n_tok, 3 * d)
+            dp -= np.sum(dp * p, axis=-1, keepdims=True)
+            dscores = np.multiply(p, dp, out=dp)
+            # dq, dk and dv land in their (b, length, 3, h, hd) slots of dqkv
+            dqkv = np.empty((n_tok, 3 * d), dtype=F32)
+            dtrip = dqkv.reshape(b, length, 3, h, hd).transpose(2, 0, 3, 1, 4)
+            np.multiply(dscores @ k, scale, out=dtrip[0])
+            np.multiply(dscores.transpose(0, 1, 3, 2) @ q, scale, out=dtrip[1])
+            dtrip[2] = dv
             dn1 = linear_backward(f"l{i}.qkv", dqkv).reshape(b, length, d)
             dx0, grads[f"l{i}.att_norm"] = _rmsnorm_bwd(
                 dn1, blk["x0"], params[f"l{i}.att_norm"], blk["r1"]
             )
-            dx = dx + dx0
+            dx += dx0
 
         ids = np.asarray(batch[0])
         dx2 = dx.reshape(n_tok, d)

@@ -96,15 +96,25 @@ class AdamW:
         c2 = F32(1.0 - b2**self.t)
         lr32 = F32(lr)
         eps = F32(self.eps)
+        # Each update runs in place through two scratch buffers, op for op:
+        #   m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
+        #   w -= lr * ((m / c1) / (sqrt(v / c2) + eps) [+ wd * w])
         for k, w in self.params.items():
             g = np.asarray(grads[k], dtype=F32)
             m, v = self.m[k], self.v[k]
-            m += (F32(1.0 - b1)) * (g - m)
-            v += (F32(1.0 - b2)) * (g * g - v)
-            update = (m / c1) / (np.sqrt(v / c2) + eps)
+            tmp1 = np.subtract(g, m)
+            m += np.multiply(F32(1.0 - b1), tmp1, out=tmp1)
+            tmp2 = np.multiply(g, g)
+            tmp2 -= v
+            v += np.multiply(F32(1.0 - b2), tmp2, out=tmp2)
+            update = np.divide(m, c1, out=tmp1)
+            denom = np.divide(v, c2, out=tmp2)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            update /= denom
             if w.ndim >= 2 and self.weight_decay:
-                update = update + F32(self.weight_decay) * w
-            w -= lr32 * update
+                update += np.multiply(F32(self.weight_decay), w, out=tmp2)
+            w -= np.multiply(lr32, update, out=update)
 
     def state_dict(self) -> dict:
         return {

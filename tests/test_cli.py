@@ -233,6 +233,26 @@ def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra,
     assert not (tmp_path / "r" / "config.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("heads", 0), ("heads", -2), ("d_model", 0), ("ffn_hidden", -4),
+])
+def test_train_command_rejects_bad_transformer_dims_with_exit_two(
+        tmp_path, capsys, field, value):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(tasks.synthesize_corpus(4_000, seed=3), encoding="ascii")
+    model = {"kind": "tiny-transformer", "layers": 1, "d_model": 16, "heads": 2,
+             "seq_len": 16, field: value}
+    cfg_path = tmp_path / "cfg.json"
+    write_mlp_config(cfg_path, model=model, task={
+        "kind": "char-lm", "corpus_path": str(corpus), "seq_len": 16})
+    rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ")
+    assert f"{field} must be >= " in err and str(value) in err
+    assert not (tmp_path / "r" / "config.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--config", "{missing}"],
     ["sweep", "--config", "{missing}", "--subsets", "{subsets}"],

@@ -11,6 +11,7 @@ Oracles:
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -243,6 +244,57 @@ def test_transformer_rejects_bad_dims():
         md.TinyTransformer(layers=0, d_model=8, heads=2, seq_len=8, vocab=16)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("heads", 0), ("heads", -2), ("d_model", 0), ("d_model", -8), ("ffn_hidden", -4),
+])
+def test_transformer_rejects_nonpositive_dims_naming_the_field(field, value):
+    dims = dict(layers=1, d_model=8, heads=2, seq_len=8, vocab=16)
+    dims[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        md.TinyTransformer(**dims)
+
+
+def _snapshot(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("preset", ["fp32", "fp4-base"])
+@pytest.mark.parametrize("kind", ["mlp", "lm"])
+def test_steps_leave_params_and_batch_untouched(kind, preset):
+    # the glue writes its temporaries in place; none of those writes may
+    # reach an array the caller owns
+    if kind == "mlp":
+        m = md.MLP(widths=(32, 24, 24, 5))
+        batch = mlp_batch(m, seed=7, n=8)
+    else:
+        m = md.TinyTransformer(layers=2, d_model=16, heads=2, seq_len=12, vocab=19)
+        batch = lm_batch(m, seed=7, n=2)
+    params = m.init_params(8)
+    cfgs = md.uniform_cfgs(m, ql.preset(preset))
+    before = _snapshot(list(params.values()) + list(batch))
+    m.forward_loss(params, batch, cfgs, step=1)
+    assert _snapshot(list(params.values()) + list(batch)) == before
+    m.loss_and_grads(params, batch, cfgs, step=1, rng=fc.stream(9, "g"))
+    assert _snapshot(list(params.values()) + list(batch)) == before
+
+
+def test_causal_mask_is_cached_and_read_only():
+    mask = md._future_mask(5)
+    assert md._future_mask(5) is mask
+    assert not mask.flags.writeable
+    np.testing.assert_array_equal(mask, ~np.tril(np.ones((5, 5), dtype=bool)))
+    with pytest.raises(ValueError):
+        mask[0, 1] = False
+
+
+def test_softmax_causal_overwrites_its_scores():
+    scores = fc.stream(3, "scores").standard_normal((2, 3, 4, 4)).astype(F32)
+    p = md._softmax_causal(scores)
+    assert p is scores
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-6)
+    assert np.all(p[:, :, md._future_mask(4)] == 0)
+
+
 def test_uniform_cfgs_sets_layer_tags():
     m = tiny_lm()
     cfgs = md.uniform_cfgs(m, ql.preset("fp4-base"))
@@ -258,3 +310,63 @@ def test_vocab_bound_checked():
     x[0, 0] = m.vocab  # out of range
     with pytest.raises(ValueError):
         m.forward_loss(params, (x, y), bypass_cfgs(m), step=1)
+
+
+# ── golden digests ───────────────────────────────────────────────────────────
+#
+# The model glue runs its elementwise ops in place, in the same order and on
+# the same operands as the plain expressions it replaced, so not one output
+# bit may move. These digests pin the bytes of the loss, every gradient and
+# the clamp telemetry; they were recorded from the implementation that still
+# allocated a fresh array per op.
+
+TRANSFORMER_FP32_SHA256 = "d25d80b0512e1bd9a3ce5ca63b68081f9edc61611800cc1d3e5b5fdb960aae4a"
+TRANSFORMER_FP4_OUTLIER_SHA256 = "347c4df3894a0db617c5557acf880e785209998246b433f4a629903fd3193dcc"
+MLP_FP4_RTN_SHA256 = "67e1dbc3f7ea405efc630899b2fb87b5014b5ff9063a00dcdd78b941f2ab2652"
+
+
+def _step_digest(loss, grads, aux):
+    h = hashlib.sha256()
+    h.update(repr(loss).encode())
+    for name in sorted(grads):
+        g = grads[name]
+        h.update(f"{name}|{g.dtype}|{g.shape}".encode())
+        h.update(np.ascontiguousarray(g).tobytes())
+    h.update(repr(aux["clamp_events"]).encode())
+    h.update(repr(sorted(aux["clamp_by_layer"].items())).encode())
+    return h.hexdigest()
+
+
+def golden_lm():
+    return md.TinyTransformer(layers=2, d_model=32, heads=4, seq_len=24, vocab=29)
+
+
+def outlier_cfgs(model):
+    out = ql.OutlierConfig(channels=(2, 17), ratio=6.25, precision="e4m3")
+    return md.uniform_cfgs(model, dataclasses.replace(ql.preset("fp4-base"), outlier=out))
+
+
+def test_transformer_fp32_golden_digest():
+    m = golden_lm()
+    params = m.init_params(31)
+    out = m.loss_and_grads(params, lm_batch(m, seed=32, n=3), bypass_cfgs(m),
+                           step=1, rng=None)
+    assert _step_digest(*out) == TRANSFORMER_FP32_SHA256
+
+
+def test_transformer_fp4_outlier_golden_digest():
+    m = golden_lm()
+    params = m.init_params(33)
+    out = m.loss_and_grads(params, lm_batch(m, seed=34, n=3), outlier_cfgs(m),
+                           step=5, rng=fc.stream(35, "golden-lm"))
+    assert out[2]["clamp_events"] > 0
+    assert _step_digest(*out) == TRANSFORMER_FP4_OUTLIER_SHA256
+
+
+def test_mlp_fp4_rtn_golden_digest():
+    m = md.MLP(widths=(48, 40, 40, 6))
+    params = m.init_params(36)
+    cfgs = md.uniform_cfgs(m, ql.preset("fp4-rtn"))
+    out = m.loss_and_grads(params, mlp_batch(m, seed=37, n=20), cfgs,
+                           step=2, rng=fc.stream(38, "golden-mlp"))
+    assert _step_digest(*out) == MLP_FP4_RTN_SHA256

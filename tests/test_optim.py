@@ -9,6 +9,8 @@ Oracles:
     bias-corrected step.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,27 @@ def test_state_roundtrip():
 def test_rejects_bad_betas(betas):
     with pytest.raises(ValueError):
         op.AdamW(params_2d(), betas=betas)
+
+
+# The optimizer updates through scratch buffers in place, in the same order
+# and on the same operands as the plain expressions it replaced; this digest
+# pins the bytes of params, m and v after five steps and was recorded from
+# the implementation that still allocated a fresh array per op.
+
+ADAMW_SHA256 = "1a338fc6728ab6730924731bb2c9a0cf9c02785d8fc39211bb30560354306001"
+
+
+def test_adamw_golden_digest():
+    rng = np.random.Generator(np.random.Philox(41))
+    p = {"w": rng.standard_normal((13, 7)).astype(F32),
+         "gain": (1.0 + 0.1 * rng.standard_normal(11)).astype(F32)}
+    opt = op.AdamW(p, betas=(0.9, 0.95), eps=1e-8, weight_decay=0.1)
+    for t in range(5):
+        grads = {k: (rng.standard_normal(v.shape) * 10.0 ** (t - 2)).astype(F32)
+                 for k, v in p.items()}
+        opt.step(grads, lr=3e-3 * (t + 1))
+    h = hashlib.sha256()
+    for k in sorted(p):
+        for arr in (p[k], opt.m[k], opt.v[k]):
+            h.update(arr.tobytes())
+    assert h.hexdigest() == ADAMW_SHA256
