@@ -23,8 +23,11 @@ On that view one pipeline derives the scale chain:
 
 The pipeline works on one grid. The padded copy of the matrix gives up its
 sign bits to a mask and is overwritten with ``|W|``. A pairwise block max of
-``|W|`` gives the outer scales. The grid is divided in place by S_g,
-block-maxed again for the inner scales, divided in place by S_b (two
+``|W|`` gives the outer scales. The grid is divided in place by S_g; the
+block maxima divided by S_g give the inner scales, since a correctly rounded
+division by a positive S_g is monotone and so max(x / S_g) = max(x) / S_g
+bit for bit (an S_g that underflowed to 0 takes a second block max of the
+divided grid instead). The grid is then divided in place by S_b (two
 roundings, as the scheme defines them) and clamp-counted. One of fpcodec's
 closed-form cores clips and rounds it, leaving the integer step k of each
 element in the grid and returning the element spacings. The pipeline ends in
@@ -37,12 +40,13 @@ one of two consumers:
   transpose is C-ordered goes in and comes out without a transposing copy;
 * codes (``quantize_double_block``): k plus its binade's first code, with
   the sign bits OR-ed into the top bit, packed row-major over the padded
-  work grid. ``dequantize`` reconstructs them through the format's table
-  into a C-ordered matrix.
+  work grid. ``dequantize`` decodes two codes per table read (one packed
+  4-bit byte, or two 6-bit code bytes) into a fresh work grid, scales it in
+  place and returns the same logical view as ``quantize_dequantize``.
 
 Zero-amax blocks take scale 1. Padded positions hold code 0 and never affect
 any amax. Both routes give the same bytes: the reconstruction is the float32
-product (P * S_b) * S_g cropped back to the logical shape, and adding +0.0
+product (P * S_b) * S_g viewed at the logical shape, and adding +0.0
 turns the -0 code's -0.0 into +0.0 and leaves every other value's bytes
 alone.
 
@@ -57,6 +61,7 @@ File serialization for matrices lives in :mod:`nvfp4sim.matrixio`.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,8 +251,15 @@ def _outer_apply(ufunc, W: np.ndarray, sg: np.ndarray):
     if sg.shape[1] == 1:
         ufunc(W, sg, out=W)
     else:
-        per_block = np.repeat(sg, _OUTER_SPAN // _GROUP, axis=1)[:, : W.shape[1] // _GROUP]
-        _inner_apply(ufunc, W, per_block)
+        _inner_apply(ufunc, W, _outer_per_block(sg, W.shape[1] // _GROUP))
+
+
+def _outer_per_block(sg: np.ndarray, n_cols: int) -> np.ndarray:
+    """Outer scales on their work-grid layout, broadcastable over the
+    ``(R, n_cols)`` inner blocks."""
+    if sg.shape[1] == 1:
+        return sg
+    return np.repeat(sg, _OUTER_SPAN // _GROUP, axis=1)[:, :n_cols]
 
 
 def _logical_view(grid: np.ndarray, orientation: Orientation, rows: int, cols: int):
@@ -326,9 +338,14 @@ def _plan(m, orientation, outer, fmt):
     sign = np.signbit(W)
     np.abs(W, out=W)  # W and ratio now hold |W|
     grid_max = np.float32(fmt.max)
-    sg = _outer_scales(_block_max(ratio), outer, ratio.shape[3], _SCALE_TOP * grid_max)
+    bmax = _block_max(ratio)
+    sg = _outer_scales(bmax, outer, ratio.shape[3], _SCALE_TOP * grid_max)
     _outer_apply(np.divide, W, sg)
-    sb = _inner_scales(_block_max(ratio), grid_max)
+    if sg.all():  # max(x / S_g) = max(x) / S_g (see the module docstring)
+        a_in = bmax / _outer_per_block(sg, bmax.shape[1])
+    else:  # x / 0 is inf or NaN, which no shortcut reproduces
+        a_in = _block_max(ratio)
+    sb = _inner_scales(a_in, grid_max)
     _inner_apply(np.divide, W, sb)
     clamps = int(np.count_nonzero(W > grid_max * _CLAMP_TOL))
     return W, sign, sb, sg, clamps
@@ -381,7 +398,7 @@ def quantize_double_block(
     grid, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
     codes = fc._codes(grid, _round(grid, fmt, mode, rng), fmt).reshape(-1)
     sign = sign.view(np.uint8).reshape(-1)
-    sign <<= fmt.bits - 1
+    sign *= 1 << (fmt.bits - 1)  # numpy multiplies uint8 far faster than it shifts
     codes |= sign
     if fmt.bits == 4:
         codes = codes[0::2] | (codes[1::2] << 4)
@@ -426,12 +443,51 @@ def quantize_dequantize(
     return _logical_view(grid, orientation, *m.shape), clamps
 
 
+@functools.cache
+def _pair_table(element_fmt: str) -> np.ndarray:
+    """The decode table of ``element_fmt``, two codes per entry.
+
+    Entry i is a uint64 holding the two float32 values of the code pair that
+    i packs: one code byte, low nibble first, for 4-bit formats, else two
+    code bytes read as a native uint16. Bytes past the format's codes
+    decode to NaN.
+    """
+    fmt = fc.get_format(element_fmt)
+    half = 1 << (fmt.bits - 1)
+    signed = np.full(256, np.nan, dtype=F32)
+    signed[: fmt.mag.size] = fmt.mag
+    signed[half : half + fmt.mag.size] = -fmt.mag
+    if fmt.bits == 4:
+        index = np.arange(256, dtype=np.uint8)
+        first, second = index & 0x0F, index >> 4
+    else:
+        index = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+        first, second = index[:, 0], index[:, 1]
+    pairs = np.stack([signed[first], signed[second]], axis=1)
+    table = pairs.view(np.uint64).reshape(-1)
+    table.setflags(write=False)
+    return table
+
+
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
-    """Float32 reconstruction (P * S_b) * S_g, cropped, zeros normalized to +0."""
-    grid = unpacked_codes(q)
+    """Float32 reconstruction (P * S_b) * S_g, zeros normalized to +0.
+
+    Like ``quantize_dequantize``, returns a view of the work grid at the
+    logical shape: F-ordered for COL_GROUPS_16X1, and strided where the grid
+    is padded. Raises ValueError naming the index of the first code byte
+    that holds no code of the format.
+    """
+    fmt = fc.get_format(q.element_fmt)
+    codes = q.codes
+    if fmt.bits != 4:
+        if codes.max(initial=0) >> fmt.bits:
+            at = int(np.flatnonzero(codes >> fmt.bits)[0])
+            raise ValueError(
+                f"code byte {codes[at]} at index {at} exceeds {fmt.bits}-bit {fmt.name}")
+        codes = codes.view(np.uint16)
+    shape = _grid_shape(q.rows, q.cols, q.orientation)
+    grid = _pair_table(fmt.name).take(codes).view(F32).reshape(shape)
     br, bc = _block_shape(q.orientation)
-    R, C = grid.shape[0] // br, grid.shape[1] // bc
-    vals = fc.values_from_codes(grid, fc.get_format(q.element_fmt))
-    _scale(vals, q.inner_scales.reshape(R, C),
-           q.outer_scales.reshape(_outer_grid(q.outer, *grid.shape)))
-    return crop_work_grid(vals, q.orientation, q.rows, q.cols)
+    _scale(grid, q.inner_scales.reshape(shape[0] // br, shape[1] // bc),
+           q.outer_scales.reshape(_outer_grid(q.outer, *shape)))
+    return _logical_view(grid, q.orientation, q.rows, q.cols)

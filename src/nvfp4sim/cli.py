@@ -22,6 +22,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import blockquant as bq
 from . import fpcodec as fc
 from . import matrixio as mio
@@ -71,7 +73,9 @@ def _load_run_config(args) -> tr.TrainRunConfig:
 
 def _cmd_quantize(args) -> int:
     try:
-        m = mio.load_matrix(args.input)
+        # a quantized dump loads as a view; its error sums run row-major, as
+        # they do for a dense input
+        m = np.ascontiguousarray(mio.load_matrix(args.input))
     except mio.FileFormatError as exc:
         return _fail(f"malformed matrix file at byte offset {exc.offset}: {exc}")
     rng = fc.stream(args.seed, "cli", "quantize") if args.mode == "stoch" else None

@@ -33,7 +33,6 @@ __all__ = [
     "decode",
     "round_det",
     "round_stoch",
-    "values_from_codes",
     "round_scale_e4m3",
     "stream",
 ]
@@ -228,7 +227,7 @@ def _codes(k: np.ndarray, rs: np.ndarray, fmt: FormatSpec) -> np.ndarray:
     np.subtract(fi.maxexp - 2 + fmt.man_bits + fmt.bias, e, out=e)
     e <<= fmt.man_bits
     code = e.astype(np.uint8)
-    np.add(code, k.reshape(-1), out=code, casting="unsafe")
+    code += k.reshape(-1).astype(np.uint8)  # k is a small whole number
     return code.reshape(k.shape)
 
 
@@ -254,15 +253,6 @@ def round_det(x, fmt: FormatSpec):
 def round_stoch(x, fmt: FormatSpec, rng):
     """Unbiased stochastic rounding: up with probability (x-q1)/(q2-q1)."""
     return _round_values(_as_float_array(x), fmt, _mag_round_stoch, rng)[()]
-
-
-def values_from_codes(codes: np.ndarray, fmt: FormatSpec, dtype=np.float32):
-    """Decode code arrays through one signed table; reserved codes give NaN."""
-    half = 1 << (fmt.bits - 1)
-    table = np.full(2 * half, np.nan, dtype=dtype)
-    table[: fmt.mag.size] = fmt.mag
-    table[half : half + fmt.mag.size] = -fmt.mag
-    return table[codes]
 
 
 # ── scalar codec surface ─────────────────────────────────────────────────────

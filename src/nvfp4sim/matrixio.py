@@ -288,7 +288,9 @@ def load_matrix(path) -> np.ndarray:
     """Load a dense matrix from a binary dump or CSV file.
 
     Binary files are recognized by their magic; anything that looks like text
-    is parsed as CSV.  Quantized dumps load as their dequantized matrix.
+    is parsed as CSV.  Quantized dumps load as their dequantized matrix,
+    the view of its work grid that ``blockquant.dequantize`` returns
+    (F-ordered for ``col`` dumps); ``save_dense`` writes it row-major.
     """
     data = Path(path).read_bytes()
     if data[:4] == MAGIC:

@@ -50,16 +50,29 @@ def error_stats(reference, approx) -> Dict[str, float]:
     Returns ``mse``, ``max_abs_err``, ``sqnr_db`` (ratio of signal power to
     error power in decibels, ``inf`` for an exact match) and ``rel_err_fro``
     (Frobenius norm of the error over that of the reference).
+
+    The error, then its square, then the reference's square fill one float64
+    array laid out like ``reference``, so each sum runs in the reference's
+    memory order whatever the layout of ``approx``.
     """
-    ref = np.asarray(reference, dtype=np.float64)
-    err = np.asarray(approx, dtype=np.float64)
-    if ref.shape != err.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {err.shape}")
+    ref = np.asarray(reference)
+    approx = np.asarray(approx)
+    if ref.shape != approx.shape:
+        raise ValueError(f"shape mismatch: {ref.shape} vs {approx.shape}")
     if ref.size == 0:
         raise ValueError("error_stats needs at least one element")
-    err = err - ref  # frees the float64 copy of approx before the squares
-    noise = float(np.sum(err * err))
-    signal = float(np.sum(ref * ref))
+    # a casting copy, then float64 ops in place: the values of ufuncs that
+    # cast their float32 operands, without their buffered casts
+    buf = np.empty_like(ref, dtype=np.float64)
+    np.copyto(buf, approx)
+    buf -= ref  # the error
+    # max |err| with no |err| array; abs() turns a -0.0 maximum into +0.0
+    max_abs = abs(float(np.maximum(buf.max(), -buf.min())))
+    buf *= buf
+    noise = float(np.sum(buf))
+    np.copyto(buf, ref)
+    buf *= buf
+    signal = float(np.sum(buf))
     if noise == 0.0:
         sqnr = math.inf
         rel = 0.0
@@ -71,7 +84,7 @@ def error_stats(reference, approx) -> Dict[str, float]:
         rel = math.sqrt(noise / signal)
     return {
         "mse": noise / ref.size,
-        "max_abs_err": float(np.max(np.abs(err))),
+        "max_abs_err": max_abs,
         "sqnr_db": sqnr,
         "rel_err_fro": rel,
     }

@@ -183,6 +183,24 @@ def test_padding_codes_are_zero_and_shape_restored():
     assert bq.dequantize(q).shape == (5, 23)
 
 
+@pytest.mark.parametrize("fmt", ["e3m2", "e2m3"])
+def test_dequantize_rejects_a_code_past_the_format(fmt):
+    q = bq.quantize_double_block(rnd((3, 40), seed=4), "row", element_fmt=fmt)
+    q.codes[50] = 64
+    q.codes[37] = 70
+    with pytest.raises(ValueError, match=r"code byte 70 at index 37 exceeds 6-bit"):
+        bq.dequantize(q)
+
+
+def test_dequantize_shares_the_view_contract_of_quantize_dequantize():
+    m = rnd((37, 21), seed=5)
+    for orientation in bq.Orientation:
+        got = bq.dequantize(bq.quantize_double_block(m, orientation))
+        want, _ = bq.quantize_dequantize(m, orientation)
+        assert got.strides == want.strides
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 # ── vectorized path == reference oracle ──────────────────────────────────────
 
 
