@@ -216,9 +216,11 @@ def _manual_backward(dy, cache, cfg, rng, step):
 
     def q(m, orientation):
         m = np.ascontiguousarray(m)
-        return bq.dequantize(
+        # dequantize returns the work grid's view (F-ordered for col); the
+        # reference multiplies C-ordered copies
+        return np.ascontiguousarray(bq.dequantize(
             bq.quantize_double_block(m, orientation, outer=outer, mode=mode, rng=rng)
-        )
+        ))
 
     def rotate(first, second_rows, side):
         ctx = hd.rht_context(first.shape[1], seed=cfg.rht_seed, layer=cfg.layer_tag,
