@@ -37,12 +37,16 @@ one of two consumers:
   OR-ed back in, scaled in place to (P * S_b) * S_g. No code array is made
   and no table is read. The result is a view of the grid: cropped, and for
   COL_GROUPS_16X1 the transposed, F-ordered view, so a ``col`` operand whose
-  transpose is C-ordered goes in and comes out without a transposing copy;
+  transpose is C-ordered goes in and comes out without a transposing copy.
+  The same deterministic pass also feeds the oscillation view: the mask of
+  magnitudes on the format's top value (the top code) and the block maxima
+  of ``|W|``, broadcast over their blocks. No training route forms codes;
 * codes (``quantize_double_block``): k plus its binade's first code, with
   the sign bits OR-ed into the top bit, packed row-major over the padded
-  work grid. ``dequantize`` decodes two codes per table read (one packed
-  4-bit byte, or two 6-bit code bytes) into a fresh work grid, scales it in
-  place and returns the same logical view as ``quantize_dequantize``.
+  work grid, for the ``quantize`` command and matrix files. ``dequantize``
+  decodes two codes per table read (one packed 4-bit byte, or two 6-bit
+  code bytes) into a fresh work grid, scales it in place and returns the
+  same logical view as ``quantize_dequantize``.
 
 Zero-amax blocks take scale 1. Padded positions hold code 0 and never affect
 any amax. Both routes give the same bytes: the reconstruction is the float32
@@ -73,13 +77,10 @@ __all__ = [
     "OuterGranularity",
     "QuantizedMatrix",
     "as_matrix",
-    "crop_work_grid",
     "layout_sizes",
     "quantize_double_block",
     "quantize_dequantize",
     "dequantize",
-    "element_block_amax",
-    "unpacked_codes",
 ]
 
 F32 = np.float32
@@ -270,37 +271,6 @@ def _logical_view(grid: np.ndarray, orientation: Orientation, rows: int, cols: i
     return grid[:rows, :cols]
 
 
-def crop_work_grid(grid: np.ndarray, orientation: Orientation, rows: int, cols: int):
-    """The logical ``(rows, cols)`` matrix of a padded work grid, C-ordered."""
-    return np.ascontiguousarray(_logical_view(grid, orientation, rows, cols))
-
-
-def unpacked_codes(q: QuantizedMatrix) -> np.ndarray:
-    """The padded work grid of element codes (uint8), row-major."""
-    fmt = fc.get_format(q.element_fmt)
-    if fmt.bits == 4:
-        flat = np.empty(q.codes.size * 2, dtype=np.uint8)
-        flat[0::2] = q.codes & 0x0F
-        flat[1::2] = q.codes >> 4
-    else:
-        flat = q.codes
-    return flat.reshape(_grid_shape(q.rows, q.cols, q.orientation))
-
-
-def element_block_amax(m, orientation: Orientation | str) -> np.ndarray:
-    """Per-element amax of |m| over the element's inner scaling block.
-
-    Returned in the logical layout of ``m``.  Zero padding never raises a
-    block maximum, so ragged trailing blocks are exact.
-    """
-    m = as_matrix(m)
-    orientation = Orientation(orientation)
-    W, blocks = _block_view(m, orientation)
-    np.abs(W, out=W)
-    amax = np.broadcast_to(_per_block(_block_max(blocks)), blocks.shape)
-    return crop_work_grid(amax.reshape(W.shape), orientation, *m.shape)
-
-
 # ── the pipeline ─────────────────────────────────────────────────────────────
 
 
@@ -329,10 +299,11 @@ def _plan(m, orientation, outer, fmt):
     """Derive the scale chain of ``m`` and its ratio magnitudes on one grid
     (see the module docstring).
 
-    Returns ``(grid, sign, sb, sg, clamps)``: the padded work grid holding
-    ``|W / S_g / S_b|`` (the rounding cores clip it), its sign mask, the
-    ``(R, C)`` inner scales, the outer scales on their work-grid layout, and
-    the clamp count.
+    Returns ``(grid, sign, sb, sg, clamps, bmax)``: the padded work grid
+    holding ``|W / S_g / S_b|`` (the rounding cores clip it), its sign mask,
+    the ``(R, C)`` inner scales, the outer scales on their work-grid layout,
+    the clamp count, and the ``(R, C)`` block maxima of ``|W|``. Zero padding
+    never raises a block maximum, so ragged trailing blocks are exact.
     """
     W, ratio = _block_view(m, orientation)
     sign = np.signbit(W)
@@ -348,7 +319,7 @@ def _plan(m, orientation, outer, fmt):
     sb = _inner_scales(a_in, grid_max)
     _inner_apply(np.divide, W, sb)
     clamps = int(np.count_nonzero(W > grid_max * _CLAMP_TOL))
-    return W, sign, sb, sg, clamps
+    return W, sign, sb, sg, clamps, bmax
 
 
 def _round(grid, fmt: fc.FormatSpec, mode, rng) -> np.ndarray:
@@ -395,7 +366,7 @@ def quantize_double_block(
     packed row-major over the work grid."""
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    grid, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    grid, sign, sb, sg, clamps, _ = _plan(m, orientation, outer, fmt)
     codes = fc._codes(grid, _round(grid, fmt, mode, rng), fmt).reshape(-1)
     sign = sign.view(np.uint8).reshape(-1)
     sign *= 1 << (fmt.bits - 1)  # numpy multiplies uint8 far faster than it shifts
@@ -435,12 +406,34 @@ def quantize_dequantize(
     """
     m = as_matrix(m)
     orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
-    grid, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)
+    grid, sign, sb, sg, clamps, _ = _plan(m, orientation, outer, fmt)
     rs = _round(grid, fmt, mode, rng)
     fc._values(grid, rs)
     _or_signs(grid, sign, rs)
     _scale(grid, sb, sg)
     return _logical_view(grid, orientation, *m.shape), clamps
+
+
+def _weight_view(m, orientation, outer, element_fmt):
+    """The arrays of the oscillation view from one deterministic pass.
+
+    Returns ``(values, at_max, block_amax)``, each a logical view of a work
+    grid like ``quantize_dequantize``'s result: the det values it gives, the
+    mask of elements whose magnitude rounded to the format's top value (the
+    top code), and each element's block max of ``|m|``.
+    """
+    m = as_matrix(m)
+    orientation, outer, _, fmt = _resolve(orientation, outer, "det", element_fmt)
+    grid, sign, sb, sg, _, bmax = _plan(m, orientation, outer, fmt)
+    rs = fc._mag_round_det(grid, fmt)
+    fc._values(grid, rs)
+    at_max = grid == fmt.max
+    _or_signs(grid, sign, rs)
+    _scale(grid, sb, sg)
+    amax = np.empty_like(grid)
+    br, bc = _block_shape(orientation)
+    amax.reshape(bmax.shape[0], br, bmax.shape[1], bc)[...] = _per_block(bmax)
+    return tuple(_logical_view(g, orientation, *m.shape) for g in (grid, at_max, amax))
 
 
 @functools.cache

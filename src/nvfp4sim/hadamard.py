@@ -128,12 +128,7 @@ def _hadamard_pm1(d: int) -> np.ndarray:
     return h
 
 
-def rht_apply(
-    a,
-    ctx: RhtContext,
-    *,
-    keep_padding: bool = False,
-) -> np.ndarray:
+def rht_apply(a, ctx: RhtContext) -> np.ndarray:
     """Return ``A @ diag(signs) @ H`` computed blockwise along the columns.
 
     The input's column count must equal ``ctx.dim``; it may be in any memory
@@ -148,11 +143,9 @@ def rht_apply(
     non-transposed operands, which the layout tests check on the BLAS they
     run against.
 
-    By default the output is cropped back to ``ctx.dim`` columns.  Pass
-    ``keep_padding=True`` to get the full padded width — required when the
-    result feeds a contraction whose other operand is transformed with the
-    same context, because cropping discards coordinates the rotation moved
-    mass into.
+    The output has the full padded width ``ctx.padded_dim``: the rotation
+    moves mass into the padding coordinates, so a contraction with another
+    operand transformed by the same context is exact only over all of them.
     """
     m = as_matrix(a)
     if m.shape[1] != ctx.dim:
@@ -173,9 +166,7 @@ def rht_apply(
     else:
         out = (buf.reshape(-1, ctx.block) @ h).reshape(rows, padded)
     out *= np.float32(1.0 / math.sqrt(ctx.block))
-    if keep_padding or padded == ctx.dim:
-        return out
-    return np.ascontiguousarray(out[:, : ctx.dim])
+    return out
 
 
 def rht_pair_identity_check(a, b, ctx: RhtContext) -> float:
@@ -192,8 +183,8 @@ def rht_pair_identity_check(a, b, ctx: RhtContext) -> float:
             f"got {ma.shape[1]} and {mb.shape[1]}"
         )
     exact = ma.astype(np.float64) @ mb.astype(np.float64).T
-    ta = rht_apply(ma, ctx, keep_padding=True)
-    tb = rht_apply(mb, ctx, keep_padding=True)
+    ta = rht_apply(ma, ctx)
+    tb = rht_apply(mb, ctx)
     got = (ta @ tb.T).astype(np.float64)
     dev = np.abs(exact - got)
     return float(dev.max()) if dev.size else 0.0

@@ -68,7 +68,9 @@ class QuantizedWeightView:
     ``at_max_code`` flags elements whose magnitude landed on the grid's top
     code, and ``block_amax`` (when the view is block-scaled) carries each
     element's inner-block amax of the master weights; both feed the
-    scale-preservation exclusions in :func:`oscillation_suppress`.
+    scale-preservation exclusions in :func:`oscillation_suppress`. The
+    arrays may be views of a padded work grid: F-ordered for column groups,
+    and strided where the grid is padded.
     """
 
     values: np.ndarray
@@ -81,22 +83,15 @@ def double_block_weight_view(orientation, outer=None, element_fmt: str = "e2m1")
 
     Returns a callable ``view(w) -> QuantizedWeightView`` that quantizes
     deterministically with scales derived from ``w`` itself — the same
-    product the layer's forward pass consumes at that step.
+    product the layer's forward pass consumes at that step. One pass of the
+    value pipeline gives all three arrays, as logical views of its work
+    grids rather than C-ordered copies; no codes are formed.
     """
     orientation = bq.Orientation(orientation)
-    fmt = fc.get_format(element_fmt)
-    top_code = np.uint8((1 << (fmt.bits - 1)) - 1)
+    fmt = fc.get_format(element_fmt).name
 
     def view(w) -> QuantizedWeightView:
-        q = bq.quantize_double_block(
-            w, orientation, outer=outer, mode="det", element_fmt=fmt.name
-        )
-        mags = bq.unpacked_codes(q) & top_code
-        return QuantizedWeightView(
-            values=bq.dequantize(q),
-            at_max_code=bq.crop_work_grid(mags == top_code, orientation, q.rows, q.cols),
-            block_amax=bq.element_block_amax(w, orientation),
-        )
+        return QuantizedWeightView(*bq._weight_view(w, orientation, outer, fmt))
 
     return view
 

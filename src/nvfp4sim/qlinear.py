@@ -372,8 +372,8 @@ def _rotate_pair(first, second_rows, cfg, step, side):
         side=side,
         block=cfg.rht_block,
     )
-    a = hd.rht_apply(first, ctx, keep_padding=True)
-    b = hd.rht_apply(second_rows.T, ctx, keep_padding=True).T
+    a = hd.rht_apply(first, ctx)
+    b = hd.rht_apply(second_rows.T, ctx).T
     return a, b
 
 

@@ -479,7 +479,12 @@ def train(cfg: TrainRunConfig) -> RunReport:
     for step in range(1, cfg.total_steps + 1):
         batch = task.batch("train", step, cfg.batch_size, cfg.seed)
         if cfg.switch_step is not None and step == cfg.switch_step + 1:
-            cfgs = {t: ql.set_precision_mode(c, cfg.switch_mode) for t, c in cfgs.items()}
+            switched = {t: ql.set_precision_mode(c, cfg.switch_mode) for t, c in cfgs.items()}
+            for tag, c in switched.items():
+                if c.format_fwd_w != cfgs[tag].format_fwd_w:
+                    # Q(w) changes format: a distance across it is no oscillation
+                    trackers.pop(tag, None)
+            cfgs = switched
             views = _tracked_views(model, cfgs)
         lr = sched.lr_at(step)
         rng = fc.stream(cfg.seed, "sr", step)

@@ -170,14 +170,10 @@ def test_apply_dimension_mismatch():
         hd.rht_apply(np.zeros((4, 31), F32), ctx)
 
 
-def test_apply_ragged_dim_pads_and_crops():
+def test_apply_ragged_dim_keeps_the_padded_width():
     ctx = hd.rht_context(24, seed=9, layer="l", step=2, side="dx", block=16)
     a = rnd((3, 24), seed=43)
-    cropped = hd.rht_apply(a, ctx)
-    padded = hd.rht_apply(a, ctx, keep_padding=True)
-    assert cropped.shape == (3, 24)
-    assert padded.shape == (3, 32)
-    np.testing.assert_array_equal(padded[:, :24], cropped)
+    assert hd.rht_apply(a, ctx).shape == (3, 32)
     # padded-width products still contract exactly: orthogonality survives padding
     dev = hd.rht_pair_identity_check(a, a, ctx)
     assert dev <= 1e-4
@@ -189,7 +185,7 @@ def test_apply_matches_dense_oracle_ragged():
     apad = np.zeros((5, 32))
     apad[:, :24] = a.astype(np.float64)
     dense = apad @ np.diag(ctx.signs.astype(np.float64)) @ ref_block_hadamard(32, 16)
-    out = hd.rht_apply(a, ctx, keep_padding=True)
+    out = hd.rht_apply(a, ctx)
     np.testing.assert_allclose(out, dense, atol=1e-5)
 
 
@@ -199,17 +195,16 @@ def test_apply_matches_dense_oracle_ragged():
     blocks=st.integers(1, 4),
     ragged=st.integers(0, 31),
     block=st.sampled_from([2, 16, 32]),
-    keep_padding=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_prop_apply_is_layout_invariant(rows, blocks, ragged, block, keep_padding, seed):
+def test_prop_apply_is_layout_invariant(rows, blocks, ragged, block, seed):
     # C- and F-ordered input give the same bytes, padded dims and unpadded
     dim = blocks * block - ragged % block
     ctx = hd.rht_context(dim, seed=seed, layer="l", step=1, side="dw", block=block)
     a = rnd((rows, dim), seed=seed)
-    c = hd.rht_apply(np.ascontiguousarray(a), ctx, keep_padding=keep_padding)
-    f = hd.rht_apply(np.asfortranarray(a), ctx, keep_padding=keep_padding)
-    assert c.shape == f.shape == (rows, ctx.padded_dim if keep_padding else dim)
+    c = hd.rht_apply(np.ascontiguousarray(a), ctx)
+    f = hd.rht_apply(np.asfortranarray(a), ctx)
+    assert c.shape == f.shape == (rows, ctx.padded_dim)
     assert c.tobytes() == f.tobytes()
 
 
@@ -223,15 +218,14 @@ def test_apply_leaves_its_input_unchanged(dim, order):
     if order == "C":
         assert bq.as_matrix(a) is a
     ctx = hd.rht_context(dim, seed=3, layer="l", step=0, side="dx", block=16)
-    for keep_padding in (False, True):
-        hd.rht_apply(a, ctx, keep_padding=keep_padding)
-        assert a.tobytes(order="A") == before
+    hd.rht_apply(a, ctx)
+    assert a.tobytes(order="A") == before
 
 
 def test_transform_rows_orthonormal():
     for n, d, seed in [(16, 16, 1), (32, 32, 2), (64, 32, 3), (24, 16, 4)]:
         ctx = hd.rht_context(n, seed=seed, layer="l", step=0, side="dx", block=d)
-        t = hd.rht_apply(np.eye(n, dtype=F32), ctx, keep_padding=True)
+        t = hd.rht_apply(np.eye(n, dtype=F32), ctx)
         err = np.max(np.abs(t @ t.T - np.eye(n, dtype=F32)))
         assert err <= 1e-6, (n, d, err)
 
@@ -258,8 +252,8 @@ def test_pair_identity_global_sign_flip_is_invariant():
     a = rnd((4, 32), seed=61)
     b = rnd((6, 32), seed=67)
     # negation is exact in binary32, so the two transformed products agree bitwise
-    pa = hd.rht_apply(a, ctx, keep_padding=True) @ hd.rht_apply(b, ctx, keep_padding=True).T
-    pn = hd.rht_apply(a, neg, keep_padding=True) @ hd.rht_apply(b, neg, keep_padding=True).T
+    pa = hd.rht_apply(a, ctx) @ hd.rht_apply(b, ctx).T
+    pn = hd.rht_apply(a, neg) @ hd.rht_apply(b, neg).T
     np.testing.assert_array_equal(pa, pn)
     assert hd.rht_pair_identity_check(a, b, ctx) == hd.rht_pair_identity_check(a, b, neg)
 

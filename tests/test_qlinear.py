@@ -161,8 +161,8 @@ def test_backward_matches_manual_reconstruction_with_rht():
     rng = fc.stream(42)
     outer = cfg.outer_granularity
     ctx_c = hd.rht_context(16, seed=77, layer="blk.fc", step=5, side="dx", block=16)
-    a3 = hd.rht_apply(dy, ctx_c, keep_padding=True)
-    b4 = hd.rht_apply(np.ascontiguousarray(cache.w_hat.T), ctx_c, keep_padding=True).T
+    a3 = hd.rht_apply(dy, ctx_c)
+    b4 = hd.rht_apply(np.ascontiguousarray(cache.w_hat.T), ctx_c).T
     q3 = bq.quantize_double_block(
         a3, bq.Orientation.ROW_GROUPS_1X16, outer=outer, mode="stoch", rng=rng
     )
@@ -172,8 +172,8 @@ def test_backward_matches_manual_reconstruction_with_rht():
     want_dx = bq.dequantize(q3) @ bq.dequantize(q4)
 
     ctx_n = hd.rht_context(8, seed=77, layer="blk.fc", step=5, side="dw", block=16)
-    a5 = hd.rht_apply(np.ascontiguousarray(dy.T), ctx_n, keep_padding=True)
-    b6 = hd.rht_apply(np.ascontiguousarray(cache.x_hat.T), ctx_n, keep_padding=True).T
+    a5 = hd.rht_apply(np.ascontiguousarray(dy.T), ctx_n)
+    b6 = hd.rht_apply(np.ascontiguousarray(cache.x_hat.T), ctx_n).T
     q5 = bq.quantize_double_block(
         a5, bq.Orientation.ROW_GROUPS_1X16, outer=outer, mode="stoch", rng=rng
     )
@@ -225,8 +225,8 @@ def _manual_backward(dy, cache, cfg, rng, step):
     def rotate(first, second_rows, side):
         ctx = hd.rht_context(first.shape[1], seed=cfg.rht_seed, layer=cfg.layer_tag,
                              step=step, side=side, block=cfg.rht_block)
-        a = hd.rht_apply(np.ascontiguousarray(first), ctx, keep_padding=True)
-        b = hd.rht_apply(np.ascontiguousarray(second_rows.T), ctx, keep_padding=True)
+        a = hd.rht_apply(np.ascontiguousarray(first), ctx)
+        b = hd.rht_apply(np.ascontiguousarray(second_rows.T), ctx)
         return a, np.ascontiguousarray(b.T)
 
     a, b = dy, cache.w_hat

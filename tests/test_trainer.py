@@ -271,6 +271,49 @@ def test_switch_changes_trajectory_after_switch_step():
     assert plain.losses[20:] != switched.losses[20:]
 
 
+def _spied_switch_run(monkeypatch, mode):
+    """Train through a precision switch inside an oscillation window; return,
+    per tracked step, the ``(tracker, dist_q after the update)`` of each
+    tracked layer in the trainer's order."""
+    calls, at = {}, {}
+    hook, update = osc.suppression_hook, osc.update_oscillation_stats
+
+    def spy_hook(step, schedule):
+        at["step"] = step
+        return hook(step, schedule)
+
+    def spy_update(w, view, tracker, t0):
+        out = update(w, view, tracker, t0)
+        calls.setdefault(at["step"], []).append((tracker, tracker.dist_q.copy()))
+        return out
+
+    monkeypatch.setattr(osc, "suppression_hook", spy_hook)
+    monkeypatch.setattr(osc, "update_oscillation_stats", spy_update)
+    tr.train(mlp_cfg(
+        preset="fp4-base", switch_step=17, switch_mode=mode,
+        suppression=osc.SuppressionSchedule(t_max=40, t_start=1, t_period=8, t_accu=5),
+    ))
+    return calls
+
+
+def test_switch_mid_window_does_not_count_the_format_change(monkeypatch):
+    # the window opens at step 16 and the switch takes effect at step 18
+    calls = _spied_switch_run(monkeypatch, "fp6xfp6")
+    assert len(calls[18]) == len(calls[17]) > 0
+    for (tracker, dist_q), (before, _) in zip(calls[18], calls[17]):
+        assert tracker is not before
+        assert not dist_q.any()  # a fresh tracker only snapshots
+    assert all(dist_q.any() for _, dist_q in calls[19])
+
+
+def test_switch_keeps_trackers_whose_weight_format_stays(monkeypatch):
+    # fp6xfp4 leaves the forward weight in FP4, so its view does not change
+    calls = _spied_switch_run(monkeypatch, "fp6xfp4")
+    assert len(calls[18]) == len(calls[17]) > 0
+    for (tracker, _), (before, _) in zip(calls[18], calls[17]):
+        assert tracker is before
+
+
 def test_switch_records_config(tmp_path):
     out = tmp_path / "sw"
     tr.train(mlp_cfg(preset="fp4-base", out_dir=str(out), switch_step=20,
