@@ -115,18 +115,21 @@ def _cmd_bench_bias(args) -> int:
         cfg = ql.preset(args.preset)
     except ValueError as exc:
         return _fail(str(exc))
-    report = mx.mc_backward_bias(
-        cfg,
-        shape=args.shape,
-        draws=args.draws,
-        seed=args.seed,
-        nsigma=args.nsigma,
-        dy_craft=args.dy_craft,
-        x_craft=args.x_craft,
-        w_craft=args.w_craft,
-        outlier_percent=args.outlier_percent,
-        outlier_style=args.outlier_style,
-    )
+    try:
+        report = mx.mc_backward_bias(
+            cfg,
+            shape=args.shape,
+            draws=args.draws,
+            seed=args.seed,
+            nsigma=args.nsigma,
+            dy_craft=args.dy_craft,
+            x_craft=args.x_craft,
+            w_craft=args.w_craft,
+            outlier_percent=args.outlier_percent,
+            outlier_style=args.outlier_style,
+        )
+    except ValueError as exc:
+        return _fail(str(exc))
     out = Path(args.out)
     tr.write_json(out / "bias_report.json", _json_safe(report.to_dict()))
     tr.write_json(out / "config.json", {

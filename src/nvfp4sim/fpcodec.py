@@ -116,8 +116,6 @@ _FORMATS = {
     "e4m3": FP8_E4M3,
     "e3m2": FP6_E3M2,
     "e2m3": FP6_E2M3,
-    "fp4": FP4_E2M1,
-    "fp8": FP8_E4M3,
 }
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -65,13 +64,13 @@ class RhtContext:
 
     ``signs`` has the padded length (``dim`` rounded up to a multiple of
     ``block``); entries beyond ``dim`` are +1 so zero padding stays zero.
-    ``provenance`` records how the signs were derived, for diagnostics only.
+    :func:`rht_context` draws them from the ``(seed, layer, step, side)``
+    stream.
     """
 
     dim: int
     block: int
     signs: np.ndarray
-    provenance: Tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -110,12 +109,7 @@ def rht_context(
     signs = np.ones(padded, dtype=np.float32)
     signs[:dim] = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
     signs.flags.writeable = False
-    return RhtContext(
-        dim=dim,
-        block=block,
-        signs=signs,
-        provenance=(seed, layer, step, side),
-    )
+    return RhtContext(dim=dim, block=block, signs=signs)
 
 
 @functools.lru_cache(maxsize=None)

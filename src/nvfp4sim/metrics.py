@@ -204,6 +204,8 @@ def mc_backward_bias(
     n, d, c = shape
     if draws < 2:
         raise ValueError(f"draws must be >= 2 to estimate a standard error, got {draws}")
+    if not (math.isfinite(nsigma) and nsigma > 0):
+        raise ValueError(f"nsigma must be a positive finite number, got {nsigma}")
     x = _craft(x_craft, (n, d), seed, "x")
     w = _craft(w_craft, (c, d), seed, "w")
     dy = _craft(dy_craft, (n, c), seed, "dy")

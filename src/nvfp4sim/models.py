@@ -13,12 +13,14 @@ Two architectures cover the training experiments:
 Both expose the same protocol: ``init_params(seed)``, ``quant_tags()``,
 ``weight_param(tag)``, ``forward_loss``, ``loss_and_grads``, ``input_acts``,
 driven by a mapping ``tag -> LayerQuantConfig`` (see :func:`uniform_cfgs`).
-Each forward keeps its layers' ``(tag, LinearCache)`` pairs in forward
-order: ``input_acts`` returns each cache's raw layer input, and the clamp
-telemetry (``clamp_events``, ``clamp_by_layer``) sums each cache's forward
-clamp counts with the backward counts ``linear_backward`` returns.  The
-backward pass visits quantized layers in exactly the reverse of forward
-order, so a run is replayable from the generator key alone.
+``forward_loss`` returns the loss alone; ``loss_and_grads`` returns
+``(loss, grads, aux)``.  Each forward keeps its layers' ``(tag,
+LinearCache)`` pairs in forward order: ``input_acts`` returns each cache's
+raw layer input, and the clamp telemetry in ``aux`` (``clamp_events``,
+``clamp_by_layer``) sums each cache's forward clamp counts with the
+backward counts ``linear_backward`` returns.  The backward pass visits
+quantized layers in exactly the reverse of forward order, so a run is
+replayable from the generator key alone.
 
 Gradients follow the straight-through convention of the quantized layer:
 no gradient flows into quantization scales.
@@ -67,7 +69,7 @@ def _clamp_aux(caches, backward) -> dict:
     """Clamp telemetry of one step: per layer, the forward counts held in
     its cache plus the backward counts in ``backward[tag]``."""
     by_layer = {
-        tag: sum(cache.clamp_counts.values()) + sum(backward.get(tag, {}).values())
+        tag: sum(cache.clamp_counts.values()) + sum(backward[tag].values())
         for tag, cache in caches.items()
     }
     return {"clamp_events": sum(by_layer.values()), "clamp_by_layer": by_layer}
@@ -95,8 +97,8 @@ class _QuantizedModel:
         return self._forward(params, batch, cfgs, step)
 
     def forward_loss(self, params, batch, cfgs, step):
-        loss, ctx = self._run(params, batch, cfgs, step)
-        return loss, _clamp_aux(ctx["caches"], {})
+        """The loss of one forward pass."""
+        return self._run(params, batch, cfgs, step)[0]
 
     def input_acts(self, params, batch, cfgs, step):
         """The raw input of every quantized layer, keyed by tag."""
@@ -118,10 +120,6 @@ class MLP(_QuantizedModel):
             raise ValueError(f"widths must be positive, got {widths}")
         self.widths = widths
         self._tags = tuple(f"fc{i}" for i in range(len(widths) - 2))
-
-    @property
-    def name(self) -> str:
-        return "mlp"
 
     def init_params(self, seed: int) -> Dict[str, np.ndarray]:
         params = {}
@@ -163,7 +161,7 @@ class MLP(_QuantizedModel):
             tag = self._tags[i]
             da = np.multiply(dh, ctx["pre"][i] > 0, out=dh)
             dh, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
-                da, ctx["caches"][tag], cfgs[tag], rng=rng, step=step
+                da, ctx["caches"][tag], cfgs[tag], rng=rng
             )
         return loss, grads, _clamp_aux(ctx["caches"], backward)
 
@@ -255,10 +253,6 @@ class TinyTransformer(_QuantizedModel):
             for i in range(layers)
             for part in ("qkv", "att_out", "ffn1", "ffn2")
         )
-
-    @property
-    def name(self) -> str:
-        return "tiny-transformer"
 
     def init_params(self, seed: int) -> Dict[str, np.ndarray]:
         d, f, v = self.d_model, self.ffn_hidden, self.vocab
@@ -395,7 +389,7 @@ class TinyTransformer(_QuantizedModel):
 
         def linear_backward(tag, dy):
             dx, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
-                dy, ctx["caches"][tag], cfgs[tag], rng=rng, step=step
+                dy, ctx["caches"][tag], cfgs[tag], rng=rng
             )
             return dx
 

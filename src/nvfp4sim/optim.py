@@ -54,13 +54,6 @@ class CosineSchedule:
             1.0 + math.cos(math.pi * frac)
         )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CosineSchedule":
-        return cls(**d)
-
 
 class AdamW:
     """Decoupled-decay Adam over a named parameter dict, updated in place.
@@ -115,16 +108,3 @@ class AdamW:
             if w.ndim >= 2 and self.weight_decay:
                 update += np.multiply(F32(self.weight_decay), w, out=tmp2)
             w -= np.multiply(lr32, update, out=update)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for k in self.m:
-            self.m[k][...] = state["m"][k]
-            self.v[k][...] = state["v"][k]

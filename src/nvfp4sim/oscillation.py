@@ -113,7 +113,6 @@ class OscillationTracker:
     dist_q: np.ndarray
     w_prev: np.ndarray | None = None
     q_prev: np.ndarray | None = None
-    phase: int | None = None
 
     @classmethod
     def zeros(cls, shape) -> "OscillationTracker":
@@ -148,7 +147,6 @@ def update_oscillation_stats(weights, quantizer_view, tracker: OscillationTracke
         tracker.dist_q += np.abs(q - tracker.q_prev)
     tracker.w_prev = w.copy()
     tracker.q_prev = q
-    tracker.phase = t0
     return tracker
 
 
@@ -218,13 +216,6 @@ class SuppressionSchedule:
             raise ValueError("t_accu must lie in [0, t_period)")
         if not (math.isfinite(self.tau_osci) and self.tau_osci > 0):
             raise ValueError("tau_osci must be a positive finite number")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SuppressionSchedule":
-        return cls(**d)
 
 
 class HookAction(enum.Enum):

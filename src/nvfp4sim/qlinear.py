@@ -19,7 +19,8 @@ transform along the contraction axis before quantization (``rht_dx`` /
 ``rht_dw``); the rotation is skipped when neither operand of that matmul is
 quantized, so disabling every site reproduces the binary32 reference layer
 bit-for-bit.  Sign vectors derive from ``(rht_seed, layer_tag, step, side)``
-with side tags "dx" and "dw".
+with side tags "dx" and "dw"; the backward takes ``step`` from the forward
+cache, so both passes of one training step share it.
 
 Outlier-channel retention splits the forward activation: selected columns
 bypass low-bit quantization (kept in ``e4m3`` with a shared current scale,
@@ -27,8 +28,9 @@ bypass low-bit quantization (kept in ``e4m3`` with a shared current scale,
 columns zeroed, and the matching weight-gradient columns are computed from
 the cached activation in full precision.
 
-``linear_forward`` returns ``(y, cache)``; the cache holds the forward
-sites' clamp counts.  ``linear_backward`` returns ``(dx, dw, clamps)``,
+``linear_forward(x, w, cfg, step)`` returns ``(y, cache)``; the cache holds
+the step and the forward sites' clamp counts.
+``linear_backward(dy, cache, cfg, rng)`` returns ``(dx, dw, clamps)``,
 where ``clamps`` maps each quantized backward site to its clamp count.  The
 stochastic backward consumes its generator in the fixed site order Q3, Q4,
 Q5, Q6 (disabled sites draw nothing), which makes runs replayable from the
@@ -94,7 +96,6 @@ class OutlierConfig:
     """Static set of activation channels kept out of the low-bit path."""
 
     channels: Tuple[int, ...]
-    ratio: float
     precision: str = "e4m3"
 
     def __post_init__(self):
@@ -106,21 +107,6 @@ class OutlierConfig:
             )
         if len(set(self.channels)) != len(self.channels):
             raise ValueError("outlier channels must be unique")
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": list(self.channels),
-            "ratio": self.ratio,
-            "precision": self.precision,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutlierConfig":
-        return cls(
-            channels=tuple(d["channels"]),
-            ratio=d["ratio"],
-            precision=d["precision"],
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,20 +155,6 @@ class LayerQuantConfig:
             raise ValueError(f"fp6_variant must be e3m2 or e2m3, got {self.fp6_variant!r}")
         if self.rht_block < 2 or (self.rht_block & (self.rht_block - 1)) != 0:
             raise ValueError(f"rht_block must be a power of two >= 2, got {self.rht_block}")
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["weight_block"] = self.weight_block.value
-        d["outer_granularity"] = self.outer_granularity.value
-        d["outlier"] = self.outlier.to_dict() if self.outlier else None
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerQuantConfig":
-        d = dict(d)
-        if d.get("outlier") is not None:
-            d["outlier"] = OutlierConfig.from_dict(d["outlier"])
-        return cls(**d)
 
 
 _PRESETS = ("fp32", "fp4-base", "fp4-full", "fp4-rtn")
@@ -258,15 +230,15 @@ def set_precision_mode(
 class LinearCache:
     """Forward-pass tensors the backward pass must see unchanged.
 
-    ``x_raw`` is the layer input as given; ``clamp_counts`` holds the clamp
-    counts of the quantized forward sites.
+    ``x_raw`` is the layer input as given; ``step`` keys the backward
+    rotation signs; ``clamp_counts`` holds the clamp counts of the quantized
+    forward sites.
     """
 
     x_hat: np.ndarray
     w_hat: np.ndarray
     x_raw: np.ndarray
     step: int
-    layer_tag: str
     n: int
     d: int
     c: int
@@ -317,10 +289,10 @@ def select_outlier_channels(
     if any(m.shape[1] != d for m in mats):
         raise ValueError("calibration batches disagree on channel count")
     if style is OutlierStyle.NONE:
-        return OutlierConfig(channels=(), ratio=p, precision=precision)
+        return OutlierConfig(channels=(), precision=precision)
     k = int(round(p / 100.0 * d))
     if k == 0:
-        return OutlierConfig(channels=(), ratio=p, precision=precision)
+        return OutlierConfig(channels=(), precision=precision)
     if style is OutlierStyle.RANDOM:
         rng = fc.stream(seed, "outlier-select")
         chosen = rng.choice(d, size=k, replace=False)
@@ -330,9 +302,7 @@ def select_outlier_channels(
             sq += np.sum(m.astype(np.float64) ** 2, axis=0)
         chosen = np.argsort(-sq, kind="stable")[:k]
     return OutlierConfig(
-        channels=tuple(sorted(int(c) for c in chosen)),
-        ratio=p,
-        precision=precision,
+        channels=tuple(sorted(int(c) for c in chosen)), precision=precision
     )
 
 
@@ -424,7 +394,6 @@ def linear_forward(
         w_hat=w_hat,
         x_raw=x,
         step=step,
-        layer_tag=cfg.layer_tag,
         n=n,
         d=d,
         c=c,
@@ -441,22 +410,16 @@ def linear_backward(
     cache: LinearCache,
     cfg: LayerQuantConfig,
     rng=None,
-    step: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
     """Quantized backward pass returning ``(dx, dw, clamps)``.
 
     Backward sites round stochastically when ``cfg.stochastic_backward`` is
     set (requires ``rng``), deterministically otherwise.  The generator is
-    consumed in the fixed order Q3, Q4, Q5, Q6.  ``clamps`` maps each
-    quantized backward site to its clamp count; ``cache`` is not modified.
+    consumed in the fixed order Q3, Q4, Q5, Q6, and the rotations take their
+    step from ``cache.step``.  ``clamps`` maps each quantized backward site
+    to its clamp count; ``cache`` is not modified.
     """
     dy = as_matrix(dy)
-    if step is None:
-        step = cache.step
-    if step != cache.step:
-        raise ValueError(
-            f"cache was built at step {cache.step} but backward got step {step}"
-        )
     if dy.shape != (cache.n, cache.c):
         raise ValueError(
             f"dy must have shape {(cache.n, cache.c)}, got {dy.shape}"
@@ -470,7 +433,7 @@ def linear_backward(
     # dx = Q3(dy) @ Q4(w_hat), contraction along the output channels
     a, b = dy, cache.w_hat
     if cfg.rht_dx and (cfg.quantize_dy_for_dx or cfg.quantize_w_for_dx):
-        a, b = _rotate_pair(a, b, cfg, step, "dx")
+        a, b = _rotate_pair(a, b, cfg, cache.step, "dx")
     w_orient = (
         Orientation.SQUARE_16X16
         if cfg.weight_block is Orientation.SQUARE_16X16
@@ -485,7 +448,7 @@ def linear_backward(
     # dw = Q5(dy.T) @ Q6(x_hat or raw x), contraction along the batch
     at, bt = dy.T, (cache.x_hat if cfg.align_xhat else cache.x_raw)
     if cfg.rht_dw and (cfg.quantize_dy_for_dw or cfg.quantize_x_for_dw):
-        at, bt = _rotate_pair(at, bt, cfg, step, "dw")
+        at, bt = _rotate_pair(at, bt, cfg, cache.step, "dw")
     at_hat = _quantize_site(
         cfg, "dy_for_dw", at, Orientation.ROW_GROUPS_1X16, mode, rng, clamps
     )

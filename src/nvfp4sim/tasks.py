@@ -138,7 +138,6 @@ class CharLM:
 
     def __init__(self, corpus_path, seq_len: int = 128):
         text = Path(corpus_path).read_text(encoding="ascii")
-        self.corpus_path = str(corpus_path)
         self.seq_len = int(seq_len)
         self.alphabet = "".join(sorted(set(text)))
         if len(self.alphabet) > 64:

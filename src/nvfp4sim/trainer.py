@@ -37,13 +37,10 @@ __all__ = [
     "OSCILLATION_SCHEMA",
     "TrainDivergedError",
     "TrainRunConfig",
-    "MasterState",
     "StepRow",
     "RunReport",
     "train",
     "loss_decomposition_sweep",
-    "save_state",
-    "load_state",
     "fmt_num",
     "write_table",
     "write_json",
@@ -120,7 +117,7 @@ class TrainRunConfig:
         object.__setattr__(self, "exclude_tags", tuple(self.exclude_tags))
         if isinstance(self.suppression, Mapping):
             object.__setattr__(
-                self, "suppression", osc.SuppressionSchedule.from_dict(dict(self.suppression))
+                self, "suppression", osc.SuppressionSchedule(**self.suppression)
             )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -130,6 +127,13 @@ class TrainRunConfig:
             raise ValueError("val_batches must be >= 1")
         if not 0.0 <= self.outlier_ratio <= 100.0:
             raise ValueError("outlier_ratio is a percentage in [0, 100]")
+        styles = tuple(s.value for s in ql.OutlierStyle)
+        for name, valid in (("outlier_precision", ql.OUTLIER_PRECISIONS),
+                            ("outlier_style", styles)):
+            if getattr(self, name) not in valid:
+                raise ValueError(
+                    f"{name} must be one of {valid}, got {getattr(self, name)!r}"
+                )
         total = int(self.schedule.get("total_steps", 0))
         if total < 1:
             raise ValueError("schedule.total_steps must be >= 1")
@@ -158,21 +162,6 @@ class TrainRunConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainRunConfig":
         return cls(**d)
-
-
-@dataclasses.dataclass
-class MasterState:
-    """The full-precision side of a run: what the optimizer owns.
-
-    Quantized weights are never stored — they are recomputed from ``params``
-    and live scales wherever needed.  ``trackers`` are in-memory handles and
-    are not serialized.
-    """
-
-    params: Dict[str, np.ndarray]
-    opt: optim.AdamW
-    step: int
-    trackers: Dict[str, osc.OscillationTracker]
 
 
 class StepRow(NamedTuple):
@@ -432,7 +421,7 @@ def _validation_loss(model, task, params, cfgs, cfg, step) -> float:
     vals = []
     for v in range(cfg.val_batches):
         batch = task.batch("val", v, cfg.batch_size, cfg.seed)
-        loss, _ = model.forward_loss(params, batch, cfgs, step=step)
+        loss = model.forward_loss(params, batch, cfgs, step=step)
         vals.append(float(loss))
     return float(np.mean(vals))
 
@@ -568,7 +557,15 @@ def loss_decomposition_sweep(
     """
     seen = set()
     prepared = []
-    for spec in subsets:
+    for i, spec in enumerate(subsets):
+        if not isinstance(spec, Mapping):
+            raise ValueError(f"subset {i} must be an object, got {spec!r}")
+        for key in ("sites", "exclude"):
+            value = spec.get(key)
+            if value is not None and not (
+                isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+            ):
+                raise ValueError(f"subset {i}: {key} must be a list of strings, got {value!r}")
         sid = str(spec.get("id", "")).strip()
         if not sid or "/" in sid or "\\" in sid:
             raise ValueError(f"subset id {sid!r} must be a non-empty path-safe name")
@@ -576,7 +573,7 @@ def loss_decomposition_sweep(
             raise ValueError(f"duplicate subset id {sid!r}")
         seen.add(sid)
         sites = spec.get("sites")
-        exclude = tuple(spec.get("exclude", ()))
+        exclude = tuple(spec.get("exclude") or ())
         if sites is not None:
             sites = _validate_sites(sites)
         run_cfg = dataclasses.replace(
@@ -602,34 +599,3 @@ def loss_decomposition_sweep(
             }
         )
     return rows
-
-
-# ── master-state serialization ───────────────────────────────────────────────
-
-
-def save_state(state: MasterState, path) -> None:
-    """Serialize (master weights, AdamW moments, step) to an ``.npz`` file.
-
-    Trackers are transient window accumulators and are not saved; optimizer
-    hyperparameters live in the run config, not the state.
-    """
-    opt = state.opt.state_dict()
-    arrays = {"step": np.int64(state.step), "t": np.int64(opt["t"])}
-    for prefix, tensors in (("p", state.params), ("m", opt["m"]), ("v", opt["v"])):
-        arrays.update({f"{prefix}:{k}": v for k, v in tensors.items()})
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_state(path) -> MasterState:
-    """Inverse of :func:`save_state`; the optimizer gets default hyperparameters."""
-    with np.load(path) as z:
-        arrays = {k: z[k] for k in z.files}
-
-    def group(prefix):
-        return {k[2:]: v for k, v in arrays.items() if k.startswith(prefix + ":")}
-
-    params = group("p")
-    opt = optim.AdamW(params)
-    opt.load_state_dict({"t": arrays["t"], "m": group("m"), "v": group("v")})
-    return MasterState(params=params, opt=opt, step=int(arrays["step"]), trackers={})

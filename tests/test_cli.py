@@ -172,6 +172,24 @@ def test_bench_bias_enforces_minimum_draws(tmp_path, capsys):
     assert "10000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--outlier-percent", "150", "outlier ratio"),
+    ("--outlier-percent", "-1", "outlier ratio"),
+    ("--nsigma", "0", "nsigma"),
+    ("--nsigma", "-2", "nsigma"),
+    ("--nsigma", "nan", "nsigma"),
+    ("--nsigma", "inf", "nsigma"),
+])
+def test_bench_bias_rejects_bad_argument_with_exit_two(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "bias"
+    rc = cli.main(["bench-bias", "--out", str(out), "--shape", "4,16,8",
+                   flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (out / "bias_report.json").exists()
+
+
 def test_bench_bias_sites_disabled_is_exact(tmp_path):
     out = tmp_path / "bias-off"
     rc = cli.main(["bench-bias", "--out", str(out), "--preset", "fp32",
@@ -220,8 +238,11 @@ def test_train_command_divergence_exit_code(tmp_path, capsys):
     ({"task": {"kind": "char-lm", "corpus_path": "no-such-dir/corpus.txt",
                "seq_len": 32}}, "no-such-dir/corpus.txt"),
     ({"cfg_overrides": {"weight_block": "square"}}, "outer_granularity"),
+    ({"outlier_precision": "bogus"}, "outlier_precision"),
+    ({"outlier_style": "bogus"}, "outlier_style"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
-        "model-key", "corpus-path", "square-outer"])
+        "model-key", "corpus-path", "square-outer", "outlier-precision",
+        "outlier-style"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -306,6 +327,21 @@ def test_sweep_command_table(tmp_path):
     assert [r[0] for r in rows] == ["bypass", "fwd"]
     assert float(rows[0][3]) == 0.0
     assert (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("subsets", [
+    [1], [{"id": "a", "sites": 5}], [{"id": "a", "exclude": 7}],
+], ids=["int", "sites-int", "exclude-int"])
+def test_sweep_command_rejects_malformed_subsets_with_exit_two(tmp_path, capsys, subsets):
+    cfg_path, subsets_path = tmp_path / "cfg.json", tmp_path / "subsets.json"
+    write_mlp_config(cfg_path)
+    subsets_path.write_text(json.dumps(subsets), encoding="ascii")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--subsets",
+                   str(subsets_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: subset 0")
+    assert not (out / "sweep.csv").exists()
 
 
 # ── osci-analyze ─────────────────────────────────────────────────────────────

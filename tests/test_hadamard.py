@@ -44,7 +44,6 @@ def ones_ctx(dim: int, block: int) -> hd.RhtContext:
         dim=dim,
         block=block,
         signs=np.ones(padded, dtype=F32),
-        provenance=("test", "ones"),
     )
 
 

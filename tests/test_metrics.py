@@ -151,6 +151,12 @@ def test_bias_bench_with_outlier_retention_passes():
     assert rep.outlier_channels  # selection actually happened
 
 
+@pytest.mark.parametrize("nsigma", [0.0, -1.0, math.nan, math.inf])
+def test_bias_bench_rejects_bad_nsigma(nsigma):
+    with pytest.raises(ValueError, match="nsigma"):
+        mx.mc_backward_bias(ql.preset("fp32"), draws=4, seed=1, nsigma=nsigma)
+
+
 def test_bias_report_dict():
     rep = mx.mc_backward_bias(ql.preset("fp32"), draws=4, seed=1)
     d = rep.to_dict()

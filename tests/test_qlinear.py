@@ -62,7 +62,7 @@ def test_forward_bypass_bit_exact():
 def test_backward_bypass_bit_exact():
     x, w, dy = rnd((9, 40), 3), rnd((7, 40), 4), rnd((9, 7), 5)
     _, cache = ql.linear_forward(x, w, ql.preset("fp32"), step=0)
-    dx, dw, _ = ql.linear_backward(dy, cache, ql.preset("fp32"), step=0)
+    dx, dw, _ = ql.linear_backward(dy, cache, ql.preset("fp32"))
     np.testing.assert_array_equal(dx, dy @ w)
     np.testing.assert_array_equal(dw, dy.T @ x)
 
@@ -82,7 +82,7 @@ def test_all_sites_disabled_keeps_rht_flags_inert():
     )
     x, w, dy = rnd((8, 32), 6), rnd((16, 32), 7), rnd((8, 16), 8)
     y, cache = ql.linear_forward(x, w, cfg, step=3)
-    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(0), step=3)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(0))
     np.testing.assert_array_equal(y, x @ w.T)
     np.testing.assert_array_equal(dx, dy @ w)
     np.testing.assert_array_equal(dw, dy.T @ x)
@@ -102,7 +102,7 @@ def test_prop_bypass_purity_any_shape(seed, n, d, c):
     dy = g.normal(size=(n, c)).astype(F32)
     cfg = ql.preset("fp32")
     y, cache = ql.linear_forward(x, w, cfg, step=0)
-    dx, dw, _ = ql.linear_backward(dy, cache, cfg, step=0)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg)
     np.testing.assert_array_equal(y, x @ w.T)
     np.testing.assert_array_equal(dx, dy @ w)
     np.testing.assert_array_equal(dw, dy.T @ x)
@@ -140,7 +140,7 @@ def test_backward_zero_dy_gives_zero_grads():
     cfg = base_cfg()
     _, cache = ql.linear_forward(x, w, cfg, step=0)
     dx, dw, _ = ql.linear_backward(
-        np.zeros((8, 16), F32), cache, cfg, rng=fc.stream(1), step=0
+        np.zeros((8, 16), F32), cache, cfg, rng=fc.stream(1)
     )
     np.testing.assert_array_equal(dx, np.zeros_like(dx))
     np.testing.assert_array_equal(dw, np.zeros_like(dw))
@@ -156,7 +156,7 @@ def test_backward_matches_manual_reconstruction_with_rht():
     x, w = rnd((8, 32), 17), rnd((16, 32), 18)
     dy = rnd((8, 16), 19)
     _, cache = ql.linear_forward(x, w, cfg, step=5)
-    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(42), step=5)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(42))
 
     rng = fc.stream(42)
     outer = cfg.outer_granularity
@@ -191,7 +191,7 @@ def test_backward_matches_manual_reconstruction_no_rht_det():
     x, w = rnd((8, 32), 20), rnd((16, 32), 21)
     dy = rnd((8, 16), 22)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    dx, dw, _ = ql.linear_backward(dy, cache, cfg, step=0)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg)
 
     outer = cfg.outer_granularity
     q3 = bq.quantize_double_block(dy, bq.Orientation.ROW_GROUPS_1X16, outer=outer)
@@ -257,7 +257,7 @@ def test_backward_gemms_match_c_ordered_operands_at_workload_shapes(preset, n, d
     x, w = rnd((n, d), 31, scale=2.0), rnd((c, d), 32, scale=0.05)
     dy = rnd((n, c), 33, scale=1e-3)
     _, cache = ql.linear_forward(x, w, cfg, step=3)
-    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(8, "wl"), step=3)
+    dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(8, "wl"))
     want_dx, want_dw = _manual_backward(dy, cache, cfg, fc.stream(8, "wl"), 3)
     np.testing.assert_array_equal(dx, want_dx)
     np.testing.assert_array_equal(dw, want_dw)
@@ -293,8 +293,8 @@ def test_align_xhat_ablation_switches_q6_input():
     x, w = rnd((8, 32), 27), rnd((16, 32), 28)
     dy = rnd((8, 16), 29)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    _, dw_aligned, _ = ql.linear_backward(dy, cache, cfg, step=0)
-    _, dw_raw, _ = ql.linear_backward(dy, cache, cfg_raw, step=0)
+    _, dw_aligned, _ = ql.linear_backward(dy, cache, cfg)
+    _, dw_raw, _ = ql.linear_backward(dy, cache, cfg_raw)
     assert not np.array_equal(dw_aligned, dw_raw)
 
     outer = cfg.outer_granularity
@@ -324,7 +324,7 @@ def _mc_backward(cfg, n_draws, seed, with_outlier=False):
     s1w = np.zeros_like(tw)
     s2w = np.zeros_like(tw)
     for i in range(n_draws):
-        dx, dw, clamps = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i), step=0)
+        dx, dw, clamps = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i))
         assert sum(clamps.values()) == 0
         dx64, dw64 = dx.astype(np.float64), dw.astype(np.float64)
         s1x += dx64
@@ -422,8 +422,8 @@ def test_outlier_dw_columns_noise_free():
     dy = rnd((16, 8), 37)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
     a = np.asarray(out.channels)
-    dx1, dw1, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(38), step=0)
-    dx2, dw2, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(39), step=0)
+    dx1, dw1, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(38))
+    dx2, dw2, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(39))
     # outlier columns carry no quantization noise: identical across rngs and
     # exactly the high-precision product; other columns differ between draws
     np.testing.assert_array_equal(dw1[:, a], dw2[:, a])
@@ -454,7 +454,7 @@ def test_outlier_e4m3_passthrough_uses_tensor_scale():
     x = np.zeros((4, 32), F32)
     x[:, 3] = np.array([1000.0, -500.0, 2.0, 0.0], F32)
     w = rnd((4, 32), 43)
-    out = ql.OutlierConfig(channels=(3,), ratio=100.0 / 32, precision="e4m3")
+    out = ql.OutlierConfig(channels=(3,), precision="e4m3")
     y, cache = ql.linear_forward(x, w, base_cfg(outlier=out), step=0)
     col = cache.x_hat[:, 3]
     assert abs(col[0] - 1000.0) <= 1000.0 / 16
@@ -489,7 +489,7 @@ def test_select_outlier_channels_styles_and_errors():
 
 def test_outlier_index_out_of_range_rejected():
     x, w = rnd((4, 32), 45), rnd((4, 32), 46)
-    bad = ql.OutlierConfig(channels=(32,), ratio=3.125, precision="e4m3")
+    bad = ql.OutlierConfig(channels=(32,), precision="e4m3")
     with pytest.raises(ValueError):
         ql.linear_forward(x, w, base_cfg(outlier=bad), step=0)
 
@@ -550,7 +550,7 @@ def test_square_weight_block_reuses_forward_weight():
     x, w = rnd((16, 32), 49), rnd((16, 32), 50)
     dy = rnd((16, 16), 51)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    dx, _, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(52), step=0)
+    dx, _, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(52))
     # the dX weight operand is a square-tile requantization of the cached
     # square-tile weight: codes are a fixed point there, so values re-derive
     # to the same grid up to one scale ulp
@@ -584,34 +584,24 @@ def test_square_weight_tiles_need_a_per_tensor_outer_scale(outer):
         dataclasses.replace(rtn, outer_granularity=outer)
 
 
-def test_config_dict_round_trip():
-    out = ql.OutlierConfig(channels=(1, 5), ratio=6.25, precision="float16")
-    cfg = base_cfg(outlier=out, layer_tag="enc.0", rht_seed=9)
-    d = cfg.to_dict()
-    assert d["outlier"]["channels"] == [1, 5]
-    assert ql.LayerQuantConfig.from_dict(d) == cfg
-    cfg2 = ql.preset("fp4-rtn")
-    assert ql.LayerQuantConfig.from_dict(cfg2.to_dict()) == cfg2
-
-
 # ── errors, diagnostics ──────────────────────────────────────────────────────
 
 
-def test_shape_mismatch_and_step_mismatch_rejected():
+def test_shape_mismatch_rejected():
     x, w = rnd((4, 32), 62), rnd((4, 31), 63)
     with pytest.raises(ValueError):
         ql.linear_forward(x, w, base_cfg(), step=0)
     x, w = rnd((4, 32), 64), rnd((4, 32), 65)
     _, cache = ql.linear_forward(x, w, base_cfg(), step=3)
-    with pytest.raises(ValueError):
-        ql.linear_backward(rnd((4, 4), 66), cache, base_cfg(), rng=fc.stream(0), step=4)
+    with pytest.raises(ValueError, match="dy must have shape"):
+        ql.linear_backward(rnd((4, 5), 66), cache, base_cfg(), rng=fc.stream(0))
 
 
 def test_stochastic_backward_requires_rng():
     x, w = rnd((4, 32), 67), rnd((4, 32), 68)
     _, cache = ql.linear_forward(x, w, base_cfg(), step=0)
     with pytest.raises(ValueError):
-        ql.linear_backward(rnd((4, 4), 69), cache, base_cfg(), step=0)
+        ql.linear_backward(rnd((4, 4), 69), cache, base_cfg())
 
 
 def test_clamp_counters_recorded():
@@ -636,11 +626,11 @@ def test_backward_returns_its_clamp_counts_and_leaves_the_cache():
     dy = np.zeros((32, 32), F32)
     dy[0, 0] = 448.0
     dy[0, 16] = 6.1
-    _, _, clamps = ql.linear_backward(dy, cache, cfg, step=0)
+    _, _, clamps = ql.linear_backward(dy, cache, cfg)
     assert set(clamps) == {"dy_for_dx", "w_for_dx", "dy_for_dw", "x_for_dw"}
     q3 = bq.quantize_double_block(dy, bq.Orientation.ROW_GROUPS_1X16,
                                   outer=cfg.outer_granularity)
     assert clamps["dy_for_dx"] == q3.clamp_count >= 1
     assert cache.clamp_counts == fwd_counts
-    _, _, none = ql.linear_backward(dy, cache, ql.preset("fp32"), step=0)
+    _, _, none = ql.linear_backward(dy, cache, ql.preset("fp32"))
     assert none == {}

@@ -434,25 +434,20 @@ def test_sweep_rejects_unknown_sites_and_tags():
         tr.loss_decomposition_sweep(mlp_cfg(), [{"id": "x", "exclude": ["fc9"]}])
 
 
-# ── master state serialization ───────────────────────────────────────────────
-
-
-def test_master_state_roundtrip(tmp_path):
-    model = models.MLP(widths=(64, 32, 32, 8))
-    params = model.init_params(seed=7)
-    opt = optim.AdamW(params, weight_decay=0.01)
-    g = {k: np.ones_like(v) for k, v in params.items()}
-    opt.step(g, 1e-3)
-    state = tr.MasterState(params=params, opt=opt, step=17, trackers={})
-    path = tmp_path / "state.npz"
-    tr.save_state(state, path)
-    loaded = tr.load_state(path)
-    assert loaded.step == 17
-    assert loaded.opt.t == opt.t
-    for k in params:
-        np.testing.assert_array_equal(loaded.params[k], params[k])
-        np.testing.assert_array_equal(loaded.opt.m[k], opt.m[k])
-        np.testing.assert_array_equal(loaded.opt.v[k], opt.v[k])
+@pytest.mark.parametrize("subsets, named", [
+    ([1], "subset 0 must be an object"),
+    ([{"id": "a", "sites": []}, "b"], "subset 1 must be an object"),
+    ([{"id": "a", "sites": 5}], "subset 0: sites must be a list of strings"),
+    ([{"id": "a", "sites": "fwd_x"}], "subset 0: sites must be a list of strings"),
+    ([{"id": "a", "sites": [1]}], "subset 0: sites must be a list of strings"),
+    ([{"id": "a", "exclude": 7}], "subset 0: exclude must be a list of strings"),
+    ([{"id": "a"}, {"id": "b", "exclude": [None]}],
+     "subset 1: exclude must be a list of strings"),
+], ids=["int", "str-second", "sites-int", "sites-str", "sites-int-item", "exclude-int",
+        "exclude-null-item"])
+def test_sweep_rejects_malformed_entries_by_index(subsets, named):
+    with pytest.raises(ValueError, match=named):
+        tr.loss_decomposition_sweep(mlp_cfg(), subsets)
 
 
 # ── transformer smoke ────────────────────────────────────────────────────────
