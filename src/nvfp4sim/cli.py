@@ -3,12 +3,14 @@
 Subcommands cover the main workflows: ``quantize`` a matrix file through the
 double-block codec, ``bench-bias`` the quantized backward pass, ``train`` a
 model from a JSON config (a mid-run precision switch is the config's
-``switch_step`` and ``switch_mode``), ``sweep`` quantizer site subsets, and
-``osci-analyze`` exported oscillation tables.  Every subcommand creates its
-``--out`` directory before any work and writes a resolved ``config.json``
-next to its outputs so a result directory is self-describing, and none of
-the outputs embed timestamps: rerunning a command with the same inputs
-reproduces the same bytes.
+``switch_step`` and ``switch_mode``), ``sweep`` variants of that config
+(each a set of config fields, such as ``site_subset`` or ``exclude_tags``,
+merged over it) against an all-bypass reference, and ``osci-analyze``
+exported oscillation tables.  Every subcommand creates its ``--out``
+directory before any work and writes a resolved ``config.json`` next to its
+outputs so a result directory is self-describing, and none of the outputs
+embed timestamps: rerunning a command with the same inputs reproduces the
+same bytes.
 
 Exit codes: 0 success, 2 usage, input-format or output-directory error,
 3 training diverged, 4 bias detected by ``bench-bias``.
@@ -405,13 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = _sub(subparsers, "sweep",
-             "Run one training job per quantizer-site subset and tabulate "
-             "final losses against an all-bypass reference.",
+             "Run one training job per variant of the run config and "
+             "tabulate final losses against an all-bypass reference.",
              "nvfp4sim sweep --config run.json --subsets subsets.json "
              "--out sweepdir")
     p.add_argument("--config", required=True, help="run config JSON file")
     p.add_argument("--subsets", required=True,
-                   help="JSON list of {id, sites|exclude} subset specs")
+                   help="JSON list of variants: {id, <run config fields>}, "
+                        "merged over --config; out_dir is set per id")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")

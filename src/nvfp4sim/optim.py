@@ -28,11 +28,16 @@ class CosineSchedule:
     """
 
     peak_lr: float
-    warmup_steps: int
     total_steps: int
+    warmup_steps: int = 0
     floor_lr: float = 0.0
 
     def __post_init__(self):
+        for name in ("total_steps", "warmup_steps"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("peak_lr", "floor_lr"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if not 0 <= self.warmup_steps <= self.total_steps:

@@ -138,6 +138,10 @@ class LayerQuantConfig:
     rht_seed: int = 0
 
     def __post_init__(self):
+        for name in (*(f"quantize_{s}" for s in QUANTIZER_SITES), "rht_dx", "rht_dw",
+                     "align_xhat", "stochastic_backward"):
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         object.__setattr__(self, "weight_block", Orientation(self.weight_block))
         object.__setattr__(
             self, "outer_granularity", OuterGranularity(self.outer_granularity)

@@ -5,6 +5,9 @@ warmup-then-cosine schedule, the per-layer quantization recipe (preset plus
 overrides), optional outlier-channel retention, optional oscillation
 suppression, and an optional mid-run precision switch (``switch_step`` and
 ``switch_mode``: every layer recipe changes mode once, after ``switch_step``).
+Each section takes the keywords of the constructor that consumes it, which is
+its one check (``model`` and ``task`` add a ``kind``; ``optimizer`` is AdamW's
+plus ``lr``, the peak of the ``schedule``, which is CosineSchedule's).
 ``train`` executes it step by step — batch, quantized forward/backward,
 optimizer update on the binary32 master weights, suppression hook — and
 records one :class:`StepRow` per step.  The returned :class:`RunReport`
@@ -67,7 +70,7 @@ class TrainDivergedError(RuntimeError):
 
 
 def _freeze(value):
-    """Recursively turn lists into tuples so configs compare and hash stably."""
+    """Recursively turn lists into tuples: a config equals its JSON round trip."""
     if isinstance(value, Mapping):
         return {k: _freeze(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -75,18 +78,10 @@ def _freeze(value):
     return value
 
 
-def _thaw(value):
-    """Inverse of :func:`_freeze` for JSON emission (tuples back to lists)."""
-    if isinstance(value, Mapping):
-        return {k: _thaw(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
-
-
 @dataclasses.dataclass(frozen=True)
 class TrainRunConfig:
-    """Everything needed to reproduce one training run from a seed."""
+    """Everything needed to reproduce one training run from a seed; building
+    it checks every setting but the model, task and ``exclude_tags``."""
 
     model: Mapping
     task: Mapping
@@ -112,19 +107,29 @@ class TrainRunConfig:
     def __post_init__(self):
         for name in ("model", "task", "optimizer", "schedule", "cfg_overrides"):
             object.__setattr__(self, name, _freeze(dict(getattr(self, name))))
-        if self.site_subset is not None:
-            object.__setattr__(self, "site_subset", tuple(self.site_subset))
-        object.__setattr__(self, "exclude_tags", tuple(self.exclude_tags))
+        for name in ("site_subset", "exclude_tags"):
+            value = getattr(self, name)
+            if value is None and name == "site_subset":
+                continue
+            if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"{name} must be a list of strings, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        unknown = [s for s in self.site_subset or () if s not in ql.QUANTIZER_SITES]
+        if unknown:
+            raise ValueError(f"unknown quantizer sites {unknown}; valid sites are "
+                             f"{list(ql.QUANTIZER_SITES)}")
         if isinstance(self.suppression, Mapping):
-            object.__setattr__(
-                self, "suppression", osc.SuppressionSchedule(**self.suppression)
-            )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.val_every < 1:
-            raise ValueError("val_every must be >= 1")
-        if self.val_batches < 1:
-            raise ValueError("val_batches must be >= 1")
+            object.__setattr__(self, "suppression", _construct(
+                osc.SuppressionSchedule, dict(self.suppression), "suppression"))
+        for name in ("batch_size", "seed", "val_every", "val_batches", "switch_step"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "switch_step" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if type(self.apply_resets) is not bool:
+            raise ValueError(f"apply_resets must be true or false, got {self.apply_resets!r}")
+        for name in ("batch_size", "val_every", "val_batches"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.outlier_ratio <= 100.0:
             raise ValueError("outlier_ratio is a percentage in [0, 100]")
         styles = tuple(s.value for s in ql.OutlierStyle)
@@ -134,9 +139,14 @@ class TrainRunConfig:
                 raise ValueError(
                     f"{name} must be one of {valid}, got {getattr(self, name)!r}"
                 )
-        total = int(self.schedule.get("total_steps", 0))
-        if total < 1:
-            raise ValueError("schedule.total_steps must be >= 1")
+        # the trainer sets layer_tag, rht_seed and outlier per layer
+        settable = [f.name for f in dataclasses.fields(ql.LayerQuantConfig)
+                    if f.name not in ("layer_tag", "rht_seed", "outlier")]
+        bad = sorted(set(self.cfg_overrides) - set(settable))
+        if bad:
+            raise ValueError(f"cfg_overrides sets {bad}; it takes {settable}")
+        _layer_recipe(self)  # checks the preset and the override values
+        total = _build_optim(self, {})[1].total_steps
         if self.suppression is not None and self.suppression.t_max != total:
             raise ValueError(
                 f"suppression.t_max ({self.suppression.t_max}) must equal "
@@ -154,14 +164,14 @@ class TrainRunConfig:
 
     @property
     def total_steps(self) -> int:
-        return int(self.schedule["total_steps"])
+        return self.schedule["total_steps"]
 
     def to_dict(self) -> dict:
-        return _thaw(dataclasses.asdict(self))
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainRunConfig":
-        return cls(**d)
+        return _construct(cls, dict(d), "config")
 
 
 class StepRow(NamedTuple):
@@ -212,18 +222,31 @@ class RunReport:
 # ── construction from config ─────────────────────────────────────────────────
 
 
-def _construct(ctor, spec: dict, section: str):
-    """``ctor(**spec)``, with a key ``ctor`` does not take, or a required one
-    missing, rejected as ValueError naming the config ``section``."""
+def _construct(ctor, spec: dict, section: str, **given):
+    """``ctor(**spec, **given)``, with a key of ``spec`` that ``ctor`` does not
+    take or that ``given`` sets, or a required one missing, rejected as
+    ValueError naming the config ``section``."""
     params = inspect.signature(ctor).parameters
-    unknown = sorted(set(spec) - set(params))
-    missing = [n for n, p in params.items() if p.default is p.empty and n not in spec]
+    takes = sorted(set(params) - set(given))
+    unknown = sorted(set(spec) - set(takes))
+    missing = [n for n in takes if params[n].default is params[n].empty and n not in spec]
     if unknown or missing:
         raise ValueError(
             f"{section} ({ctor.__name__}): unknown keys {unknown}, missing keys "
-            f"{missing}; it takes {sorted(params)}"
+            f"{missing}; it takes {takes}"
         )
-    return ctor(**spec)
+    return ctor(**spec, **given)
+
+
+def _build_optim(cfg: TrainRunConfig, params):
+    """AdamW over ``params`` from the ``optimizer`` section, whose ``lr`` is
+    the peak of the ``schedule`` section's cosine schedule."""
+    spec = dict(cfg.optimizer)
+    if "lr" not in spec:
+        raise ValueError("optimizer: missing key 'lr', the schedule's peak rate")
+    sched = _construct(optim.CosineSchedule, dict(cfg.schedule), "schedule",
+                       peak_lr=spec.pop("lr"))
+    return _construct(optim.AdamW, spec, "optimizer", params=params), sched
 
 
 def _build_task(cfg: TrainRunConfig):
@@ -262,7 +285,7 @@ def _build_model(cfg: TrainRunConfig, task):
             raise ValueError(
                 f"model declares vocab {declared} but the corpus has {task.vocab}"
             )
-        model = _construct(models.TinyTransformer, {**spec, "vocab": task.vocab}, "model")
+        model = _construct(models.TinyTransformer, spec, "model", vocab=task.vocab)
         if model.seq_len != task.seq_len:
             raise ValueError(
                 f"model seq_len {model.seq_len} does not match task "
@@ -276,28 +299,17 @@ def _site_flags(enabled_sites) -> dict:
     return {f"quantize_{s}": (s in enabled_sites) for s in ql.QUANTIZER_SITES}
 
 
-def _validate_sites(sites) -> Tuple[str, ...]:
-    sites = tuple(sites)
-    unknown = [s for s in sites if s not in ql.QUANTIZER_SITES]
-    if unknown:
-        raise ValueError(
-            f"unknown quantizer sites {unknown}; valid sites are "
-            f"{list(ql.QUANTIZER_SITES)}"
-        )
-    return sites
+def _layer_recipe(cfg: TrainRunConfig) -> ql.LayerQuantConfig:
+    """The preset with ``cfg_overrides`` and then ``site_subset`` applied."""
+    recipe = dataclasses.replace(ql.preset(cfg.preset), **cfg.cfg_overrides)
+    if cfg.site_subset is not None:
+        recipe = dataclasses.replace(recipe, **_site_flags(cfg.site_subset))
+    return recipe
 
 
 def _build_layer_cfgs(model, task, params, cfg: TrainRunConfig):
     """Per-tag layer recipes plus the selected outlier channels per tag."""
-    base = ql.preset(cfg.preset)
-    valid_fields = {f.name for f in dataclasses.fields(ql.LayerQuantConfig)}
-    unknown = set(cfg.cfg_overrides) - valid_fields
-    if unknown:
-        raise ValueError(
-            f"cfg_overrides has unknown LayerQuantConfig fields {sorted(unknown)}"
-        )
-    if cfg.site_subset is not None:
-        _validate_sites(cfg.site_subset)
+    base = _layer_recipe(cfg)
     bad_tags = [t for t in cfg.exclude_tags if t not in model.quant_tags()]
     if bad_tags:
         raise ValueError(
@@ -307,11 +319,7 @@ def _build_layer_cfgs(model, task, params, cfg: TrainRunConfig):
 
     cfgs = {}
     for tag in model.quant_tags():
-        c = dataclasses.replace(
-            base, layer_tag=tag, rht_seed=cfg.seed, **dict(cfg.cfg_overrides)
-        )
-        if cfg.site_subset is not None:
-            c = dataclasses.replace(c, **_site_flags(cfg.site_subset))
+        c = dataclasses.replace(base, layer_tag=tag, rht_seed=cfg.seed)
         if tag in cfg.exclude_tags:
             c = dataclasses.replace(c, **_site_flags(()))
         cfgs[tag] = c
@@ -440,18 +448,8 @@ def train(cfg: TrainRunConfig) -> RunReport:
     """Run the configured training end to end; see the module docstring."""
     task = _build_task(cfg)
     model = _build_model(cfg, task)
-    sched = optim.CosineSchedule(
-        peak_lr=float(cfg.optimizer["lr"]),
-        warmup_steps=int(cfg.schedule.get("warmup_steps", 0)),
-        total_steps=cfg.total_steps,
-        floor_lr=float(cfg.schedule.get("floor_lr", 0.0)),
-    )
     params = model.init_params(cfg.seed)
-    opt = optim.AdamW(
-        params,
-        betas=tuple(cfg.optimizer.get("betas", (0.9, 0.95))),
-        weight_decay=float(cfg.optimizer.get("weight_decay", 0.0)),
-    )
+    opt, sched = _build_optim(cfg, params)
     cfgs, outlier_channels = _build_layer_cfgs(model, task, params, cfg)
     out_path = None
     if cfg.out_dir is not None:
@@ -546,49 +544,38 @@ def train(cfg: TrainRunConfig) -> RunReport:
 
 
 def loss_decomposition_sweep(
-    cfg: TrainRunConfig, subsets: Sequence[Mapping]
+    cfg: TrainRunConfig, variants: Sequence[Mapping]
 ) -> list:
-    """One run per quantizer-site subset (or module exclusion), same seed.
+    """One run per variant of ``cfg``, and one all-bypass reference run.
 
-    Each subset is a mapping with an ``id`` and either ``sites`` (the enabled
-    quantizer sites) or ``exclude`` (layer tags forced to the bypass path).
-    Returns one row per subset with final losses and the delta against the
-    all-bypass reference run.
+    A variant is ``{"id": ..., <TrainRunConfig fields>}`` merged shallowly
+    over ``cfg`` (say ``site_subset`` or ``exclude_tags``); its ``out_dir`` is
+    ``cfg.out_dir/<id>``.  Every variant is built, so checked, before the first
+    run, and an error names its index.  Returns one row per variant with final
+    losses and the delta against the reference.
     """
-    seen = set()
-    prepared = []
-    for i, spec in enumerate(subsets):
+    base = cfg.to_dict()
+    prepared = {}
+    for i, spec in enumerate(variants):
         if not isinstance(spec, Mapping):
             raise ValueError(f"subset {i} must be an object, got {spec!r}")
-        for key in ("sites", "exclude"):
-            value = spec.get(key)
-            if value is not None and not (
-                isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-            ):
-                raise ValueError(f"subset {i}: {key} must be a list of strings, got {value!r}")
-        sid = str(spec.get("id", "")).strip()
+        fields = dict(spec)
+        sid = str(fields.pop("id", "")).strip()
         if not sid or "/" in sid or "\\" in sid:
-            raise ValueError(f"subset id {sid!r} must be a non-empty path-safe name")
-        if sid in seen:
-            raise ValueError(f"duplicate subset id {sid!r}")
-        seen.add(sid)
-        sites = spec.get("sites")
-        exclude = tuple(spec.get("exclude") or ())
-        if sites is not None:
-            sites = _validate_sites(sites)
-        run_cfg = dataclasses.replace(
-            cfg,
-            site_subset=sites if sites is not None else cfg.site_subset,
-            exclude_tags=exclude if exclude else cfg.exclude_tags,
-            out_dir=(
-                str(Path(cfg.out_dir) / sid) if cfg.out_dir is not None else None
-            ),
-        )
-        prepared.append((sid, run_cfg))
+            raise ValueError(f"subset {i}: id {sid!r} must be a non-empty path-safe name")
+        if sid in prepared:
+            raise ValueError(f"subset {i}: duplicate id {sid!r}")
+        if "out_dir" in fields:
+            raise ValueError(f"subset {i}: out_dir is set by the sweep, one per id")
+        out_dir = str(Path(cfg.out_dir) / sid) if cfg.out_dir is not None else None
+        try:
+            prepared[sid] = TrainRunConfig.from_dict({**base, **fields, "out_dir": out_dir})
+        except (ValueError, TypeError) as exc:  # TypeError: a section that is no mapping
+            raise ValueError(f"subset {i}: {exc}") from None
 
     reference = train(dataclasses.replace(cfg, site_subset=(), out_dir=None))
     rows = []
-    for sid, run_cfg in prepared:
+    for sid, run_cfg in prepared.items():
         report = train(run_cfg)
         rows.append(
             {

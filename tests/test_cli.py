@@ -240,9 +240,28 @@ def test_train_command_divergence_exit_code(tmp_path, capsys):
     ({"cfg_overrides": {"weight_block": "square"}}, "outer_granularity"),
     ({"outlier_precision": "bogus"}, "outlier_precision"),
     ({"outlier_style": "bogus"}, "outlier_style"),
+    ({"optimizer": {"lr": 5e-3, "weight_decy": 0.01}},
+     "optimizer (AdamW): unknown keys ['weight_decy']"),
+    ({"schedule": {"warmup_step": 5, "total_steps": 20}},
+     "schedule (CosineSchedule): unknown keys ['warmup_step']"),
+    ({"optimizer": {"betas": [0.9, 0.95]}}, "optimizer: missing key 'lr'"),
+    ({"schedule": {"total_steps": 20, "peak_lr": 5e-3}},
+     "schedule (CosineSchedule): unknown keys ['peak_lr']"),
+    ({"cfg_overrides": {"layer_tag": "fc1"}}, "cfg_overrides sets ['layer_tag']"),
+    ({"cfg_overrides": {"rht_seed": 3}}, "cfg_overrides sets ['rht_seed']"),
+    ({"cfg_overrides": {"outlier": None}}, "cfg_overrides sets ['outlier']"),
+    ({"cfg_overrides": {"quantize_fwd_x": "false"}}, "quantize_fwd_x must be true or false"),
+    ({"apply_resets": "false"}, "apply_resets must be true or false"),
+    ({"schedule": {"total_steps": 3.7}}, "total_steps must be an integer"),
+    ({"schedule": {"total_steps": "3"}}, "total_steps must be an integer"),
+    ({"batch_size": 4.5}, "batch_size must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
         "model-key", "corpus-path", "square-outer", "outlier-precision",
-        "outlier-style"])
+        "outlier-style", "optimizer-key", "schedule-key", "missing-lr",
+        "schedule-peak-lr", "override-layer-tag", "override-rht-seed",
+        "override-outlier", "string-flag", "string-resets", "fractional-steps",
+        "string-steps", "fractional-batch", "fractional-seed"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -314,8 +333,8 @@ def test_sweep_command_table(tmp_path):
     write_mlp_config(cfg_path)
     subsets_path = tmp_path / "subsets.json"
     subsets_path.write_text(json.dumps([
-        {"id": "bypass", "sites": []},
-        {"id": "fwd", "sites": ["fwd_x", "fwd_w"]},
+        {"id": "bypass", "site_subset": []},
+        {"id": "fwd", "site_subset": ["fwd_x", "fwd_w"]},
     ]), encoding="ascii")
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--config", str(cfg_path), "--subsets",
@@ -330,7 +349,7 @@ def test_sweep_command_table(tmp_path):
 
 
 @pytest.mark.parametrize("subsets", [
-    [1], [{"id": "a", "sites": 5}], [{"id": "a", "exclude": 7}],
+    [1], [{"id": "a", "site_subset": 5}], [{"id": "a", "exclude_tags": 7}],
 ], ids=["int", "sites-int", "exclude-int"])
 def test_sweep_command_rejects_malformed_subsets_with_exit_two(tmp_path, capsys, subsets):
     cfg_path, subsets_path = tmp_path / "cfg.json", tmp_path / "subsets.json"

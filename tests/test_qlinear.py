@@ -67,6 +67,16 @@ def test_backward_bypass_bit_exact():
     np.testing.assert_array_equal(dw, dy.T @ x)
 
 
+@pytest.mark.parametrize("flag", [
+    *(f"quantize_{s}" for s in ql.QUANTIZER_SITES),
+    "rht_dx", "rht_dw", "align_xhat", "stochastic_backward",
+])
+def test_flag_fields_reject_a_non_bool(flag):
+    for value in ("false", 0, 1, None):
+        with pytest.raises(ValueError, match=f"{flag} must be true or false"):
+            ql.LayerQuantConfig(**{flag: value})
+
+
 def test_all_sites_disabled_keeps_rht_flags_inert():
     # disabling every quantizer must reproduce the reference layer bit-for-bit
     # even when rht flags are on: the rotation is skipped when no operand of

@@ -101,6 +101,15 @@ def test_config_rejects_bad_switch_and_overrides():
         tr.train(mlp_cfg(cfg_overrides={"not_a_field": 1}))
 
 
+def test_optimizer_eps_reaches_adamw():
+    sched = {"warmup_steps": 2, "total_steps": 8, "floor_lr": 0.0}
+    plain = tr.train(mlp_cfg(schedule=sched))
+    optimizer = {**mlp_cfg().optimizer, "eps": 1e-2}
+    wide = tr.train(mlp_cfg(schedule=sched, optimizer=optimizer))
+    assert wide.losses[0] == plain.losses[0]  # the first update is yet to come
+    assert wide.losses[1:] != plain.losses[1:]
+
+
 # ── reference agreement and determinism ──────────────────────────────────────
 
 
@@ -412,10 +421,10 @@ def test_metrics_files_schema_and_content(tmp_path):
 def test_loss_decomposition_sweep_table():
     cfg = mlp_cfg()
     subsets = [
-        {"id": "bypass", "sites": []},
-        {"id": "fwd-only", "sites": ["fwd_x", "fwd_w"]},
-        {"id": "all", "sites": list(ql.QUANTIZER_SITES)},
-        {"id": "no-fc1", "exclude": ["fc1"]},
+        {"id": "bypass", "site_subset": []},
+        {"id": "fwd-only", "site_subset": ["fwd_x", "fwd_w"]},
+        {"id": "all", "site_subset": list(ql.QUANTIZER_SITES)},
+        {"id": "no-fc1", "exclude_tags": ["fc1"]},
     ]
     rows = tr.loss_decomposition_sweep(cfg, subsets)
     assert [r["subset"] for r in rows] == ["bypass", "fwd-only", "all", "no-fc1"]
@@ -427,24 +436,47 @@ def test_loss_decomposition_sweep_table():
     assert rows[2]["final_train_loss"] == tr.train(cfg).final_train_loss
 
 
+def test_sweep_site_subset_variant_is_the_replaced_config(tmp_path):
+    cfg = mlp_cfg(out_dir=str(tmp_path / "sweep"))
+    rows = tr.loss_decomposition_sweep(cfg, [{"id": "fwd", "site_subset": ["fwd_x", "fwd_w"]}])
+    direct = tr.train(dataclasses.replace(
+        cfg, site_subset=("fwd_x", "fwd_w"), out_dir=str(tmp_path / "direct")))
+    assert rows[0]["final_val_loss"] == direct.final_val_loss
+    for name in ("metrics.csv", "oscillation.csv"):
+        assert ((tmp_path / "sweep" / "fwd" / name).read_bytes()
+                == (tmp_path / "direct" / name).read_bytes())
+
+
+def test_sweep_checks_every_variant_before_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tr, "train", lambda cfg: calls.append(cfg))
+    bad = {"id": "b", "optimizer": {"lr": 5e-3, "bogus": 1}}
+    with pytest.raises(ValueError, match=r"subset 1: optimizer \(AdamW\): unknown keys \['bogus'\]"):
+        tr.loss_decomposition_sweep(mlp_cfg(), [{"id": "a"}, bad])
+    assert calls == []
+
+
 def test_sweep_rejects_unknown_sites_and_tags():
     with pytest.raises(ValueError):
-        tr.loss_decomposition_sweep(mlp_cfg(), [{"id": "x", "sites": ["fwd_q"]}])
+        tr.loss_decomposition_sweep(mlp_cfg(), [{"id": "x", "site_subset": ["fwd_q"]}])
     with pytest.raises(ValueError):
-        tr.loss_decomposition_sweep(mlp_cfg(), [{"id": "x", "exclude": ["fc9"]}])
+        tr.loss_decomposition_sweep(mlp_cfg(), [{"id": "x", "exclude_tags": ["fc9"]}])
 
 
 @pytest.mark.parametrize("subsets, named", [
     ([1], "subset 0 must be an object"),
-    ([{"id": "a", "sites": []}, "b"], "subset 1 must be an object"),
-    ([{"id": "a", "sites": 5}], "subset 0: sites must be a list of strings"),
-    ([{"id": "a", "sites": "fwd_x"}], "subset 0: sites must be a list of strings"),
-    ([{"id": "a", "sites": [1]}], "subset 0: sites must be a list of strings"),
-    ([{"id": "a", "exclude": 7}], "subset 0: exclude must be a list of strings"),
-    ([{"id": "a"}, {"id": "b", "exclude": [None]}],
-     "subset 1: exclude must be a list of strings"),
+    ([{"id": "a", "site_subset": []}, "b"], "subset 1 must be an object"),
+    ([{"id": "a", "site_subset": 5}], "subset 0: site_subset must be a list of strings"),
+    ([{"id": "a", "site_subset": "fwd_x"}], "subset 0: site_subset must be a list of strings"),
+    ([{"id": "a", "site_subset": [1]}], "subset 0: site_subset must be a list of strings"),
+    ([{"id": "a", "exclude_tags": 7}], "subset 0: exclude_tags must be a list of strings"),
+    ([{"id": "a"}, {"id": "b", "exclude_tags": [None]}],
+     "subset 1: exclude_tags must be a list of strings"),
+    ([{"id": "a"}, {"id": "b", "sites": []}], r"subset 1: .*unknown keys \['sites'\]"),
+    ([{"id": "a", "out_dir": "elsewhere"}], "subset 0: out_dir is set by the sweep"),
+    ([{"id": "a"}, {"id": "a"}], "subset 1: duplicate id 'a'"),
 ], ids=["int", "str-second", "sites-int", "sites-str", "sites-int-item", "exclude-int",
-        "exclude-null-item"])
+        "exclude-null-item", "unknown-key", "out-dir", "duplicate-id"])
 def test_sweep_rejects_malformed_entries_by_index(subsets, named):
     with pytest.raises(ValueError, match=named):
         tr.loss_decomposition_sweep(mlp_cfg(), subsets)
