@@ -354,7 +354,7 @@ def _scale(grid, sb, sg):
 def _resolve(orientation, outer, mode, element_fmt):
     orientation = Orientation(orientation)
     outer = _layout_outer(orientation, outer)
-    return orientation, outer, fc.RoundingMode.coerce(mode), fc.get_format(element_fmt)
+    return orientation, outer, fc.RoundingMode(mode), fc.get_format(element_fmt)
 
 
 def quantize_double_block(
@@ -465,6 +465,14 @@ def _pair_table(element_fmt: str) -> np.ndarray:
     return table
 
 
+def _bad_code_byte(codes: np.ndarray, fmt: fc.FormatSpec) -> int | None:
+    """The index of the first byte of ``codes`` that holds no code of
+    ``fmt``, or None.  Only 6-bit codes, one per byte, can overflow."""
+    if fmt.bits == 4 or not codes.max(initial=0) >> fmt.bits:
+        return None
+    return int(np.flatnonzero(codes >> fmt.bits)[0])
+
+
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """Float32 reconstruction (P * S_b) * S_g, zeros normalized to +0.
 
@@ -475,11 +483,11 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     """
     fmt = fc.get_format(q.element_fmt)
     codes = q.codes
+    at = _bad_code_byte(codes, fmt)
+    if at is not None:
+        raise ValueError(
+            f"code byte {codes[at]} at index {at} exceeds {fmt.bits}-bit {fmt.name}")
     if fmt.bits != 4:
-        if codes.max(initial=0) >> fmt.bits:
-            at = int(np.flatnonzero(codes >> fmt.bits)[0])
-            raise ValueError(
-                f"code byte {codes[at]} at index {at} exceeds {fmt.bits}-bit {fmt.name}")
         codes = codes.view(np.uint16)
     shape = _grid_shape(q.rows, q.cols, q.orientation)
     grid = _pair_table(fmt.name).take(codes).view(F32).reshape(shape)

@@ -8,9 +8,12 @@ model from a JSON config (a mid-run precision switch is the config's
 merged over it) against an all-bypass reference, and ``osci-analyze``
 exported oscillation tables.  Every subcommand creates its ``--out``
 directory before any work and writes a resolved ``config.json`` next to its
-outputs so a result directory is self-describing, and none of the outputs
-embed timestamps: rerunning a command with the same inputs reproduces the
-same bytes.
+outputs so a result directory is self-describing: ``train`` and ``sweep``
+record the run config, the others their parsed arguments but ``--out``, with
+what the command resolved itself (say the outer granularity) in place.  Every
+JSON file is strict, a non-finite number reading ``null``, and none of the
+outputs embed timestamps: rerunning a command with the same inputs
+reproduces the same bytes.
 
 Exit codes: 0 success, 2 usage, input-format or output-directory error,
 3 training diverged, 4 bias detected by ``bench-bias``.
@@ -19,8 +22,8 @@ Exit codes: 0 success, 2 usage, input-format or output-directory error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -50,15 +53,11 @@ def _fail(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _json_safe(value):
-    """Replace non-finite floats with None so the JSON stays strict."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+def _write_config(args, **resolved) -> None:
+    """``config.json`` in ``--out``: the parsed arguments but ``out``, with
+    ``resolved`` values in place of what the command decided itself."""
+    record = {k: v for k, v in vars(args).items() if k not in ("out", "func")}
+    tr.write_json(Path(args.out) / "config.json", {**record, **resolved})
 
 
 def _load_run_config(args) -> tr.TrainRunConfig:
@@ -92,16 +91,8 @@ def _cmd_quantize(args) -> int:
     mio.save_quantized(out / "quantized.qmxf", q)
     stats = dict(mx.error_stats(m, bq.dequantize(q)))
     stats["clamp_count"] = int(q.clamp_count)
-    tr.write_json(out / "stats.json", _json_safe(stats))
-    tr.write_json(out / "config.json", {
-        "command": "quantize",
-        "input": str(args.input),
-        "orientation": args.orientation,
-        "outer": q.outer.value,
-        "format": args.format,
-        "mode": args.mode,
-        "seed": args.seed,
-    })
+    tr.write_json(out / "stats.json", stats)
+    _write_config(args, outer=q.outer.value)
     print(f"quantized {q.rows}x{q.cols} ({args.format}, outer {q.outer.value}): "
           f"mse {tr.fmt_num(stats['mse'])}, clamps {stats['clamp_count']}")
     return EXIT_OK
@@ -132,21 +123,8 @@ def _cmd_bench_bias(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
-    out = Path(args.out)
-    tr.write_json(out / "bias_report.json", _json_safe(report.to_dict()))
-    tr.write_json(out / "config.json", {
-        "command": "bench-bias",
-        "preset": args.preset,
-        "shape": list(args.shape),
-        "draws": args.draws,
-        "seed": args.seed,
-        "nsigma": args.nsigma,
-        "dy_craft": args.dy_craft,
-        "x_craft": args.x_craft,
-        "w_craft": args.w_craft,
-        "outlier_percent": args.outlier_percent,
-        "outlier_style": args.outlier_style,
-    })
+    tr.write_json(Path(args.out) / "bias_report.json", dataclasses.asdict(report))
+    _write_config(args)
     verdict = "passed" if report.passed else "FAILED"
     print(f"bias check {verdict}: max |z| {tr.fmt_num(float(report.max_z))} "
           f"over {args.draws} draws (limit {tr.fmt_num(args.nsigma)})")
@@ -295,12 +273,7 @@ def _cmd_osci_analyze(args) -> int:
             rows.append(row)
         written, schema = "osci_delta.csv", DELTA_SCHEMA
     tr.write_table(out / written, schema, columns, rows)
-    tr.write_json(out / "config.json", {
-        "command": "osci-analyze",
-        "file": str(args.file),
-        "paired": str(args.paired) if args.paired else None,
-        "thresholds": list(thresholds),
-    })
+    _write_config(args, paired=args.paired or None)
     print(f"analyzed {len(table)} steps -> {out / written}")
     return EXIT_OK
 
@@ -331,6 +304,10 @@ def _thresholds_arg(text: str):
     return values
 
 
+def _values(enum_cls):
+    return [member.value for member in enum_cls]
+
+
 def _sub(subparsers, name: str, help_text: str, example: str):
     return subparsers.add_parser(
         name,
@@ -355,15 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
              "--outer 1x128 --format e2m1 --mode stoch --seed 7")
     p.add_argument("input", help="matrix file (binary dump or CSV)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--orientation", choices=["row", "col", "square"],
+    p.add_argument("--orientation", choices=_values(bq.Orientation),
                    default="row", help="block grouping (default: row)")
-    p.add_argument("--outer", choices=["1x128", "per-row", "per-tensor"],
-                   default=None,
+    p.add_argument("--outer", choices=_values(bq.OuterGranularity), default=None,
                    help="outer-scale granularity (default: 1x128; square "
                         "tiles always use per-tensor)")
     p.add_argument("--format", choices=["e2m1", "e3m2", "e2m3"],
                    default="e2m1", help="element format (default: e2m1)")
-    p.add_argument("--mode", choices=["det", "stoch"], default="det",
+    p.add_argument("--mode", choices=_values(fc.RoundingMode), default="det",
                    help="rounding mode (default: det)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for stochastic rounding (default: 0)")
@@ -385,15 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p.add_argument("--nsigma", type=float, default=5.0,
                    help="z-score pass limit (default: 5.0)")
-    p.add_argument("--dy-craft", choices=["gaussian", "boundary", "signs"],
-                   default="gaussian", help="output-gradient construction")
-    p.add_argument("--x-craft", choices=["gaussian", "boundary", "signs"],
-                   default="gaussian", help="activation construction")
-    p.add_argument("--w-craft", choices=["gaussian", "boundary", "signs"],
-                   default="gaussian", help="weight construction")
+    for operand, what in (("dy", "output-gradient"), ("x", "activation"), ("w", "weight")):
+        p.add_argument(f"--{operand}-craft", choices=mx.INPUT_CRAFTS,
+                       default="gaussian", help=f"{what} construction")
     p.add_argument("--outlier-percent", type=float, default=None,
                    help="retain this percent of channels at high precision")
-    p.add_argument("--outlier-style", choices=["largest-norm", "random", "none"],
+    p.add_argument("--outlier-style", choices=_values(ql.OutlierStyle),
                    default="largest-norm", help="outlier channel selection")
     p.set_defaults(func=_cmd_bench_bias)
 

@@ -42,10 +42,6 @@ class RoundingMode(enum.Enum):
     DETERMINISTIC = "det"
     STOCHASTIC = "stoch"
 
-    @classmethod
-    def coerce(cls, v: "RoundingMode | str") -> "RoundingMode":
-        return v if isinstance(v, cls) else cls(v)
-
 
 @dataclass(frozen=True)
 class FormatSpec:

@@ -197,14 +197,13 @@ def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
         raise FileFormatError(str(exc), offset=outer_at) from None
     codes_at = r.pos + 8  # past the u64 count
     codes = _counted_array(r, n_codes, np.uint8, "code")
-    bits = fc.get_format(element_fmt).bits
-    if bits != 4:  # wider codes are stored one per byte, high bits clear
-        bad = np.flatnonzero(codes >> bits)
-        if bad.size:
-            raise FileFormatError(
-                f"code byte {codes[bad[0]]} exceeds {bits}-bit {element_fmt}",
-                offset=codes_at + int(bad[0]),
-            )
+    fmt = fc.get_format(element_fmt)
+    at = bq._bad_code_byte(codes, fmt)
+    if at is not None:
+        raise FileFormatError(
+            f"code byte {codes[at]} exceeds {fmt.bits}-bit {element_fmt}",
+            offset=codes_at + at,
+        )
     inner = _counted_array(r, n_inner, F32, "inner-scale")
     outer_scales = _counted_array(r, n_outer, F32, "outer-scale")
     (clamp_count,) = r.unpack("<Q", "clamp count")

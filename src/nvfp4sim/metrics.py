@@ -152,12 +152,6 @@ class BiasReport:
     backward_clamps: int
     outlier_channels: Tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["shape"] = list(self.shape)
-        d["outlier_channels"] = list(self.outlier_channels)
-        return d
-
 
 def _z_scores(s1, s2, target, draws: int, nsigma: float):
     """Standardized deviation of each MC mean from its float64 target.
@@ -212,7 +206,7 @@ def mc_backward_bias(
 
     if outlier_percent is not None:
         out_cfg = ql.select_outlier_channels(
-            [x], outlier_percent, outlier_style, seed=seed
+            x, outlier_percent, outlier_style, seed=seed
         )
         cfg = dataclasses.replace(cfg, outlier=out_cfg)
     channels = cfg.outlier.channels if cfg.outlier else ()

@@ -42,8 +42,8 @@ class CosineSchedule:
             raise ValueError("total_steps must be >= 1")
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ValueError("warmup_steps must lie in [0, total_steps]")
-        if not self.peak_lr > 0:
-            raise ValueError("peak_lr must be positive")
+        if not 0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be a positive finite number, got {self.peak_lr!r}")
         if not 0 <= self.floor_lr <= self.peak_lr:
             raise ValueError("floor_lr must lie in [0, peak_lr]")
 
@@ -70,10 +70,11 @@ class AdamW:
     def __init__(self, params, betas=(0.9, 0.95), eps=1e-8, weight_decay=0.0):
         if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+        if not 0 <= weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be a nonnegative finite number, got {weight_decay!r}")
         self.params = params
         self.betas = (float(betas[0]), float(betas[1]))
         self.eps = float(eps)

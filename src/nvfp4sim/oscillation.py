@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -206,6 +207,11 @@ class SuppressionSchedule:
     tau_osci: float = 8.0
 
     def __post_init__(self):
+        for name in ("t_max", "t_start", "t_period", "t_accu"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.tau_osci, numbers.Real) or isinstance(self.tau_osci, bool):
+            raise ValueError(f"tau_osci must be a number, got {self.tau_osci!r}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if not 0 <= self.t_start <= self.t_max:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -161,7 +161,24 @@ class LayerQuantConfig:
             raise ValueError(f"rht_block must be a power of two >= 2, got {self.rht_block}")
 
 
-_PRESETS = ("fp32", "fp4-base", "fp4-full", "fp4-rtn")
+_PRESETS = {
+    "fp32": LayerQuantConfig(
+        **{f"quantize_{s}": False for s in QUANTIZER_SITES},
+        rht_dx=False,
+        rht_dw=False,
+        stochastic_backward=False,
+    ),
+    "fp4-base": LayerQuantConfig(),
+    "fp4-full": LayerQuantConfig(),
+    "fp4-rtn": LayerQuantConfig(
+        rht_dx=False,
+        rht_dw=True,
+        weight_block=Orientation.SQUARE_16X16,
+        outer_granularity=OuterGranularity.PER_TENSOR,
+        align_xhat=False,
+        stochastic_backward=False,
+    ),
+}
 
 
 def preset(name: str) -> LayerQuantConfig:
@@ -178,30 +195,10 @@ def preset(name: str) -> LayerQuantConfig:
       unaligned weight-gradient input, rotation on the weight-gradient
       matmul only.
     """
-    if name == "fp32":
-        return LayerQuantConfig(
-            quantize_fwd_x=False,
-            quantize_fwd_w=False,
-            quantize_dy_for_dx=False,
-            quantize_w_for_dx=False,
-            quantize_dy_for_dw=False,
-            quantize_x_for_dw=False,
-            rht_dx=False,
-            rht_dw=False,
-            stochastic_backward=False,
-        )
-    if name in ("fp4-base", "fp4-full"):
-        return LayerQuantConfig()
-    if name == "fp4-rtn":
-        return LayerQuantConfig(
-            rht_dx=False,
-            rht_dw=True,
-            weight_block=Orientation.SQUARE_16X16,
-            outer_granularity=OuterGranularity.PER_TENSOR,
-            align_xhat=False,
-            stochastic_backward=False,
-        )
-    raise ValueError(f"unknown preset {name!r}; choose from {_PRESETS}")
+    recipe = _PRESETS.get(name) if isinstance(name, str) else None
+    if recipe is None:
+        raise ValueError(f"unknown preset {name!r}; choose from {tuple(_PRESETS)}")
+    return recipe
 
 
 def set_precision_mode(
@@ -270,7 +267,7 @@ def _cast_outlier(cols: np.ndarray, precision: str) -> np.ndarray:
 
 
 def select_outlier_channels(
-    calibration_acts: Sequence[np.ndarray],
+    calibration: np.ndarray,
     p: float,
     style: OutlierStyle | str = OutlierStyle.LARGEST_NORM,
     *,
@@ -279,19 +276,16 @@ def select_outlier_channels(
 ) -> OutlierConfig:
     """Pick round(p% of D) channels to retain, frozen for the run.
 
-    ``largest-norm`` ranks channels by aggregate L2 norm over all calibration
-    batches (ties broken by channel index); ``random`` samples uniformly from
-    the seeded stream; ``none`` retains nothing.
+    D is the column count of the ``calibration`` activation matrix.
+    ``largest-norm`` ranks channels by their L2 norm over its rows (ties
+    broken by channel index); ``random`` samples uniformly from the seeded
+    stream; ``none`` retains nothing.
     """
     style = OutlierStyle(style)
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"outlier ratio must be in [0, 100], got {p}")
-    mats = [as_matrix(a) for a in calibration_acts]
-    if not mats:
-        raise ValueError("outlier selection needs at least one calibration batch")
-    d = mats[0].shape[1]
-    if any(m.shape[1] != d for m in mats):
-        raise ValueError("calibration batches disagree on channel count")
+    m = as_matrix(calibration)
+    d = m.shape[1]
     if style is OutlierStyle.NONE:
         return OutlierConfig(channels=(), precision=precision)
     k = int(round(p / 100.0 * d))
@@ -301,9 +295,7 @@ def select_outlier_channels(
         rng = fc.stream(seed, "outlier-select")
         chosen = rng.choice(d, size=k, replace=False)
     else:
-        sq = np.zeros(d, dtype=np.float64)
-        for m in mats:
-            sq += np.sum(m.astype(np.float64) ** 2, axis=0)
+        sq = np.sum(m.astype(np.float64) ** 2, axis=0)
         chosen = np.argsort(-sq, kind="stable")[:k]
     return OutlierConfig(
         channels=tuple(sorted(int(c) for c in chosen)), precision=precision
@@ -332,23 +324,29 @@ def _quantize_site(cfg, site, m, orientation, mode, rng, clamps):
     return m_hat
 
 
-def _rotate_pair(first, second_rows, cfg, step, side):
-    """Rotate a matmul's operands along the shared contraction axis.
+# the backward matmuls: side -> the sites of its left and right operands
+_BACKWARD_SITES = {"dx": ("dy_for_dx", "w_for_dx"), "dw": ("dy_for_dw", "x_for_dw")}
 
-    ``first`` has the contraction on its last axis; ``second_rows`` on its
-    first.  Both keep the padded width so the contraction stays exact.
+
+def _backward_gemm(side, a, b, b_orientation, cfg, step, mode, rng, clamps):
+    """``Q(a) @ Q(b)`` for the backward matmul ``side``, which contracts the
+    last axis of ``a`` with the first of ``b``.
+
+    When ``rht_<side>`` is set and either site is quantized, both operands
+    are first rotated along that axis, keeping the padded width so the
+    contraction stays exact.  Then ``a`` is quantized in 1x16 row groups and
+    ``b`` in ``b_orientation``, drawing from ``rng`` in that order.
     """
-    ctx = hd.rht_context(
-        first.shape[1],
-        seed=cfg.rht_seed,
-        layer=cfg.layer_tag,
-        step=step,
-        side=side,
-        block=cfg.rht_block,
-    )
-    a = hd.rht_apply(first, ctx)
-    b = hd.rht_apply(second_rows.T, ctx).T
-    return a, b
+    site_a, site_b = _BACKWARD_SITES[side]
+    if getattr(cfg, f"rht_{side}") and (
+        getattr(cfg, f"quantize_{site_a}") or getattr(cfg, f"quantize_{site_b}")
+    ):
+        ctx = hd.rht_context(a.shape[1], seed=cfg.rht_seed, layer=cfg.layer_tag,
+                             step=step, side=side, block=cfg.rht_block)
+        a, b = hd.rht_apply(a, ctx), hd.rht_apply(b.T, ctx).T
+    a = _quantize_site(cfg, site_a, a, Orientation.ROW_GROUPS_1X16, mode, rng, clamps)
+    b = _quantize_site(cfg, site_b, b, b_orientation, mode, rng, clamps)
+    return a @ b
 
 
 # ── forward ──────────────────────────────────────────────────────────────────
@@ -417,11 +415,12 @@ def linear_backward(
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
     """Quantized backward pass returning ``(dx, dw, clamps)``.
 
+    dx and dw are two calls of one rotate, quantize, multiply routine.
     Backward sites round stochastically when ``cfg.stochastic_backward`` is
     set (requires ``rng``), deterministically otherwise.  The generator is
-    consumed in the fixed order Q3, Q4, Q5, Q6, and the rotations take their
-    step from ``cache.step``.  ``clamps`` maps each quantized backward site
-    to its clamp count; ``cache`` is not modified.
+    consumed in the fixed order Q3, Q4 (dx), then Q5, Q6 (dw), and the
+    rotations take their step from ``cache.step``.  ``clamps`` maps each
+    quantized backward site to its clamp count; ``cache`` is not modified.
     """
     dy = as_matrix(dy)
     if dy.shape != (cache.n, cache.c):
@@ -433,33 +432,18 @@ def linear_backward(
     if mode == "stoch" and quantized and rng is None:
         raise ValueError("stochastic backward rounding requires an rng")
     clamps: Dict[str, int] = {}
-
-    # dx = Q3(dy) @ Q4(w_hat), contraction along the output channels
-    a, b = dy, cache.w_hat
-    if cfg.rht_dx and (cfg.quantize_dy_for_dx or cfg.quantize_w_for_dx):
-        a, b = _rotate_pair(a, b, cfg, cache.step, "dx")
     w_orient = (
         Orientation.SQUARE_16X16
         if cfg.weight_block is Orientation.SQUARE_16X16
         else Orientation.COL_GROUPS_16X1
     )
-    a_hat = _quantize_site(
-        cfg, "dy_for_dx", a, Orientation.ROW_GROUPS_1X16, mode, rng, clamps
-    )
-    b_hat = _quantize_site(cfg, "w_for_dx", b, w_orient, mode, rng, clamps)
-    dx = a_hat @ b_hat
-
+    # dx = Q3(dy) @ Q4(w_hat), contraction along the output channels
+    dx = _backward_gemm("dx", dy, cache.w_hat, w_orient, cfg, cache.step, mode, rng, clamps)
     # dw = Q5(dy.T) @ Q6(x_hat or raw x), contraction along the batch
-    at, bt = dy.T, (cache.x_hat if cfg.align_xhat else cache.x_raw)
-    if cfg.rht_dw and (cfg.quantize_dy_for_dw or cfg.quantize_x_for_dw):
-        at, bt = _rotate_pair(at, bt, cfg, cache.step, "dw")
-    at_hat = _quantize_site(
-        cfg, "dy_for_dw", at, Orientation.ROW_GROUPS_1X16, mode, rng, clamps
+    x = cache.x_hat if cfg.align_xhat else cache.x_raw
+    dw = _backward_gemm(
+        "dw", dy.T, x, Orientation.COL_GROUPS_16X1, cfg, cache.step, mode, rng, clamps
     )
-    bt_hat = _quantize_site(
-        cfg, "x_for_dw", bt, Orientation.COL_GROUPS_16X1, mode, rng, clamps
-    )
-    dw = at_hat @ bt_hat
 
     if cfg.outlier and cfg.outlier.channels:
         a_idx = np.asarray(cfg.outlier.channels, dtype=np.intp)

@@ -6,8 +6,9 @@ overrides), optional outlier-channel retention, optional oscillation
 suppression, and an optional mid-run precision switch (``switch_step`` and
 ``switch_mode``: every layer recipe changes mode once, after ``switch_step``).
 Each section takes the keywords of the constructor that consumes it, which is
-its one check (``model`` and ``task`` add a ``kind``; ``optimizer`` is AdamW's
-plus ``lr``, the peak of the ``schedule``, which is CosineSchedule's).
+its one check (``model`` and ``task`` add a ``kind``, and ``model`` takes no
+``vocab``, which the corpus decides; ``optimizer`` is AdamW's plus ``lr``, the
+peak of the ``schedule``, which is CosineSchedule's).
 ``train`` executes it step by step — batch, quantized forward/backward,
 optimizer update on the binary32 master weights, suppression hook — and
 records one :class:`StepRow` per step.  The returned :class:`RunReport`
@@ -23,6 +24,7 @@ import dataclasses
 import inspect
 import json
 import math
+import numbers
 from pathlib import Path
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -121,6 +123,8 @@ class TrainRunConfig:
         if isinstance(self.suppression, Mapping):
             object.__setattr__(self, "suppression", _construct(
                 osc.SuppressionSchedule, dict(self.suppression), "suppression"))
+        elif not isinstance(self.suppression, (osc.SuppressionSchedule, type(None))):
+            raise ValueError(f"suppression must be an object, got {self.suppression!r}")
         for name in ("batch_size", "seed", "val_every", "val_batches", "switch_step"):
             value = getattr(self, name)
             if type(value) is not int and not (name == "switch_step" and value is None):
@@ -130,8 +134,10 @@ class TrainRunConfig:
         for name in ("batch_size", "val_every", "val_batches"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.outlier_ratio <= 100.0:
-            raise ValueError("outlier_ratio is a percentage in [0, 100]")
+        ratio = self.outlier_ratio
+        if (not isinstance(ratio, numbers.Real) or isinstance(ratio, bool)
+                or not 0.0 <= ratio <= 100.0):
+            raise ValueError(f"outlier_ratio is a percentage in [0, 100], got {ratio!r}")
         styles = tuple(s.value for s in ql.OutlierStyle)
         for name, valid in (("outlier_precision", ql.OUTLIER_PRECISIONS),
                             ("outlier_style", styles)):
@@ -280,11 +286,6 @@ def _build_model(cfg: TrainRunConfig, task):
     if kind == "tiny-transformer":
         if task.kind != "char-lm":
             raise ValueError("the transformer trains on the char-lm task")
-        declared = spec.pop("vocab", None)
-        if declared is not None and int(declared) != task.vocab:
-            raise ValueError(
-                f"model declares vocab {declared} but the corpus has {task.vocab}"
-            )
         model = _construct(models.TinyTransformer, spec, "model", vocab=task.vocab)
         if model.seq_len != task.seq_len:
             raise ValueError(
@@ -338,7 +339,7 @@ def _build_layer_cfgs(model, task, params, cfg: TrainRunConfig):
             acts = model.input_acts(params, calib, bypass, step=0)
             for tag in eligible:
                 oc = ql.select_outlier_channels(
-                    [acts[tag]],
+                    acts[tag],
                     cfg.outlier_ratio,
                     cfg.outlier_style,
                     seed=cfg.seed,
@@ -380,11 +381,21 @@ def write_table(path, schema: str, columns: Sequence[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _finite_or_none(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, Mapping):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def write_json(path, obj) -> None:
-    """Write ``obj`` as indented, key-sorted ASCII JSON."""
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    """Write ``obj`` as indented, key-sorted ASCII JSON, strict: a non-finite
+    float, which JSON cannot carry, is written as ``null``."""
+    text = json.dumps(_finite_or_none(obj), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 _OSCI_COLUMNS = (
@@ -434,12 +445,14 @@ def _validation_loss(model, task, params, cfgs, cfg, step) -> float:
     return float(np.mean(vals))
 
 
-def _max_abs_grad(grads) -> float:
+def _max_abs_grad(grads) -> Optional[float]:
+    """The largest gradient magnitude, or None, as JSON writes it, when one is
+    not finite."""
     worst = 0.0
     for g in grads.values():
         m = float(np.max(np.abs(g))) if g.size else 0.0
         if not math.isfinite(m):
-            return float("inf")
+            return None
         worst = max(worst, m)
     return worst
 

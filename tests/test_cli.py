@@ -3,6 +3,7 @@ and byte-exact reruns."""
 
 import argparse
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -228,6 +229,9 @@ def test_train_command_divergence_exit_code(tmp_path, capsys):
     assert (out / "diverged.json").exists()
 
 
+_SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
+
+
 @pytest.mark.parametrize("extra, named", [
     ({"cfg_overrides": {"no_such_field": 1}}, "no_such_field"),
     ({"cfg_overrides": {"rht_fwd": True}}, "rht_fwd"),
@@ -256,12 +260,27 @@ def test_train_command_divergence_exit_code(tmp_path, capsys):
     ({"schedule": {"total_steps": "3"}}, "total_steps must be an integer"),
     ({"batch_size": 4.5}, "batch_size must be an integer"),
     ({"seed": 1.5}, "seed must be an integer"),
+    ({"suppression": 5}, "suppression must be an object, got 5"),
+    ({"suppression": {**_SUPPRESSION, "t_period": 2.5}}, "t_period must be an integer"),
+    ({"suppression": {**_SUPPRESSION, "t_start": 1.0}}, "t_start must be an integer"),
+    ({"suppression": {**_SUPPRESSION, "t_accu": True}}, "t_accu must be an integer"),
+    ({"suppression": {**_SUPPRESSION, "tau_osci": "8"}}, "tau_osci must be a number"),
+    ({"suppression": {**_SUPPRESSION, "tau_osci": False}}, "tau_osci must be a number"),
+    ({"outlier_ratio": "5"}, "outlier_ratio is a percentage in [0, 100], got '5'"),
+    ({"outlier_ratio": True}, "outlier_ratio is a percentage in [0, 100], got True"),
+    ({"optimizer": {"lr": math.inf}}, "peak_lr must be a positive finite number"),
+    ({"optimizer": {"lr": 5e-3, "eps": math.inf}}, "eps must be a positive finite number"),
+    ({"optimizer": {"lr": 5e-3, "weight_decay": math.nan}},
+     "weight_decay must be a nonnegative finite number"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
         "model-key", "corpus-path", "square-outer", "outlier-precision",
         "outlier-style", "optimizer-key", "schedule-key", "missing-lr",
         "schedule-peak-lr", "override-layer-tag", "override-rht-seed",
         "override-outlier", "string-flag", "string-resets", "fractional-steps",
-        "string-steps", "fractional-batch", "fractional-seed"])
+        "string-steps", "fractional-batch", "fractional-seed", "int-suppression",
+        "fractional-period", "float-start", "bool-accu", "string-tau", "bool-tau",
+        "string-outlier-ratio", "bool-outlier-ratio", "infinite-lr", "infinite-eps",
+        "nan-weight-decay"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -290,6 +309,21 @@ def test_train_command_rejects_bad_transformer_dims_with_exit_two(
     err = capsys.readouterr().err
     assert err.startswith("error: bad config: ")
     assert f"{field} must be >= " in err and str(value) in err
+    assert not (tmp_path / "r" / "config.json").exists()
+
+
+def test_train_command_refuses_a_model_vocab_with_exit_two(tmp_path, capsys):
+    # the corpus decides the vocabulary; the model section cannot repeat it
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(tasks.synthesize_corpus(4_000, seed=3), encoding="ascii")
+    model = {"kind": "tiny-transformer", "layers": 1, "d_model": 16, "heads": 2,
+             "seq_len": 16, "vocab": tasks.CharLM(str(corpus), seq_len=16).vocab}
+    cfg_path = tmp_path / "cfg.json"
+    write_mlp_config(cfg_path, model=model, task={
+        "kind": "char-lm", "corpus_path": str(corpus), "seq_len": 16})
+    rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "model (TinyTransformer): unknown keys ['vocab']" in capsys.readouterr().err
     assert not (tmp_path / "r" / "config.json").exists()
 
 
@@ -491,6 +525,89 @@ def test_out_on_a_file_exits_two_before_any_work(tmp_path, capsys, argv, below):
     assert captured.err.startswith(f"error: cannot create output directory {out}: ")
     assert captured.out == ""
     assert blocker.read_text(encoding="ascii") == "not a directory"
+
+
+# ── config records and strict JSON ───────────────────────────────────────────
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(path):
+    """Parse ``path`` refusing NaN and Infinity, which strict JSON lacks."""
+    return json.loads(Path(path).read_text(encoding="ascii"), parse_constant=_no_constant)
+
+
+_OSCI_THRESHOLDS = '  "thresholds": [\n    8.0,\n    16.0\n  ]\n}\n'
+_BIAS_TAIL = ('  "preset": "fp32",\n  "seed": {seed},\n  "shape": [\n    4,\n    16,\n'
+              '    8\n  ],\n  "w_craft": "gaussian",\n  "x_craft": "gaussian"\n}}\n')
+
+
+# recorded from the hand-built records these replaced
+@pytest.mark.parametrize("argv, expected", [
+    (["quantize", "m.csv"],
+     '{\n  "command": "quantize",\n  "format": "e2m1",\n  "input": "m.csv",\n'
+     '  "mode": "det",\n  "orientation": "row",\n  "outer": "1x128",\n  "seed": 0\n}\n'),
+    (["quantize", "m.csv", "--mode", "stoch", "--seed", "7", "--format", "e3m2",
+      "--outer", "per-row"],
+     '{\n  "command": "quantize",\n  "format": "e3m2",\n  "input": "m.csv",\n'
+     '  "mode": "stoch",\n  "orientation": "row",\n  "outer": "per-row",\n  "seed": 7\n}\n'),
+    (["quantize", "m.csv", "--orientation", "square"],
+     '{\n  "command": "quantize",\n  "format": "e2m1",\n  "input": "m.csv",\n'
+     '  "mode": "det",\n  "orientation": "square",\n  "outer": "per-tensor",\n'
+     '  "seed": 0\n}\n'),
+    (["bench-bias", "--preset", "fp32", "--shape", "4,16,8"],
+     '{\n  "command": "bench-bias",\n  "draws": 10000,\n  "dy_craft": "gaussian",\n'
+     '  "nsigma": 5.0,\n  "outlier_percent": null,\n  "outlier_style": "largest-norm",\n'
+     + _BIAS_TAIL.format(seed=0)),
+    (["bench-bias", "--preset", "fp32", "--shape", "4,16,8", "--seed", "2",
+      "--outlier-percent", "12.5", "--outlier-style", "random", "--dy-craft", "signs"],
+     '{\n  "command": "bench-bias",\n  "draws": 10000,\n  "dy_craft": "signs",\n'
+     '  "nsigma": 5.0,\n  "outlier_percent": 12.5,\n  "outlier_style": "random",\n'
+     + _BIAS_TAIL.format(seed=2)),
+    (["osci-analyze", "a.csv"],
+     '{\n  "command": "osci-analyze",\n  "file": "a.csv",\n  "paired": null,\n'
+     + _OSCI_THRESHOLDS),
+    (["osci-analyze", "a.csv", "--paired", "b.csv"],
+     '{\n  "command": "osci-analyze",\n  "file": "a.csv",\n  "paired": "b.csv",\n'
+     + _OSCI_THRESHOLDS),
+    (["osci-analyze", "a.csv", "--paired", ""],
+     '{\n  "command": "osci-analyze",\n  "file": "a.csv",\n  "paired": null,\n'
+     + _OSCI_THRESHOLDS),
+], ids=["quantize", "quantize-stoch", "quantize-square", "bench-bias",
+        "bench-bias-flags", "osci", "osci-paired", "osci-paired-empty"])
+def test_config_record_bytes(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    mio.save_csv("m.csv", rnd((16, 48), seed=5))
+    osci_file("a.csv", ["51,fc0,100,10,5,20,2,40,30,10,10,0"])
+    osci_file("b.csv", ["51,fc0,100,30,0,20,2,40,30,30,30,0"])
+    assert cli.main(argv + ["--out", "out"]) == 0
+    assert (tmp_path / "out" / "config.json").read_text(encoding="ascii") == expected
+
+
+def test_written_json_is_strict(tmp_path):
+    # an exact match writes sqnr_db inf as null
+    src = tmp_path / "m.csv"
+    mio.save_csv(src, representable((16, 32), seed=1))
+    assert cli.main(["quantize", str(src), "--out", str(tmp_path / "q")]) == 0
+    assert strict_json(tmp_path / "q" / "stats.json")["sqnr_db"] is None
+    assert cli.main(["bench-bias", "--out", str(tmp_path / "b"), "--preset", "fp32",
+                     "--shape", "4,16,8"]) == 0
+    assert strict_json(tmp_path / "b" / "bias_report.json")["passed"] is True
+    cfg_path = tmp_path / "cfg.json"
+    write_mlp_config(cfg_path, optimizer={"lr": 1e8, "betas": [0.9, 0.95],
+                                          "weight_decay": 0.0})
+    with np.errstate(all="ignore"):
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+    assert rc == 3
+    assert strict_json(tmp_path / "d" / "diverged.json")["max_abs_grad"] is None
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "x.json"
+    tr.write_json(path, {"a": [1.5, math.inf, (-math.inf, math.nan)], "b": {"c": 2}})
+    assert strict_json(path) == {"a": [1.5, None, [None, None]], "b": {"c": 2}}
 
 
 # ── surface ──────────────────────────────────────────────────────────────────

@@ -101,7 +101,7 @@ def test_bias_bench_bypass_is_round_off_only():
 def test_bias_bench_stochastic_passes():
     cfg = dataclasses.replace(ql.preset("fp4-base"), rht_block=16)
     rep = mx.mc_backward_bias(cfg, draws=1500, seed=5)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
     assert rep.backward_clamps == 0
     assert rep.draws == 1500
 
@@ -109,7 +109,7 @@ def test_bias_bench_stochastic_passes():
 def test_bias_bench_stochastic_passes_on_boundary_inputs():
     cfg = dataclasses.replace(ql.preset("fp4-base"), rht_dx=False, rht_dw=False)
     rep = mx.mc_backward_bias(cfg, draws=2500, seed=6, dy_craft="boundary", x_craft="boundary")
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 def test_bias_bench_det_backward_fails_on_boundary():
@@ -131,7 +131,7 @@ def test_bias_bench_det_backward_passes_on_representable_inputs():
     rep = mx.mc_backward_bias(
         cfg, draws=3, seed=6, dy_craft="signs", x_craft="signs", w_craft="signs"
     )
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 def test_bias_bench_unaligned_x_fails_on_boundary():
@@ -147,7 +147,7 @@ def test_bias_bench_unaligned_x_fails_on_boundary():
 def test_bias_bench_with_outlier_retention_passes():
     cfg = dataclasses.replace(ql.preset("fp4-base"), rht_dx=False, rht_dw=False)
     rep = mx.mc_backward_bias(cfg, draws=400, seed=9, outlier_percent=12.5)
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
     assert rep.outlier_channels  # selection actually happened
 
 
@@ -159,6 +159,6 @@ def test_bias_bench_rejects_bad_nsigma(nsigma):
 
 def test_bias_report_dict():
     rep = mx.mc_backward_bias(ql.preset("fp32"), draws=4, seed=1)
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     for key in ("passed", "max_z", "max_z_dx", "max_z_dw", "draws", "nsigma", "shape"):
         assert key in d

@@ -71,6 +71,8 @@ def test_schedule_no_warmup_starts_at_peak():
         dict(floor=5e-4),
         dict(floor=-1e-6),
         dict(peak=0.0),
+        dict(peak=float("inf")),
+        dict(peak=float("nan")),
     ],
 )
 def test_schedule_validation(kw):
@@ -159,6 +161,16 @@ def test_rejects_mismatched_grad_keys():
 def test_rejects_bad_betas(betas):
     with pytest.raises(ValueError):
         op.AdamW(params_2d(), betas=betas)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(eps=0.0), dict(eps=float("inf")), dict(eps=float("nan")),
+    dict(weight_decay=-0.1), dict(weight_decay=float("inf")),
+    dict(weight_decay=float("nan")),
+])
+def test_rejects_a_bad_eps_or_weight_decay_naming_it(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        op.AdamW(params_2d(), **kw)
 
 
 # The optimizer updates through scratch buffers in place, in the same order

@@ -69,6 +69,11 @@ def test_schedule_defaults():
         dict(t_max=1000, t_start=-1),
         dict(t_max=1000, t_start=400, tau_osci=0.0),
         dict(t_max=1000, t_start=400, tau_osci=float("nan")),
+        dict(t_max=1000, t_start=400, t_period=2.5, t_accu=1),
+        dict(t_max=1000.0, t_start=400),
+        dict(t_max=1000, t_start=400, t_accu=True),
+        dict(t_max=1000, t_start=400, tau_osci="8"),
+        dict(t_max=1000, t_start=400, tau_osci=True),
     ],
 )
 def test_schedule_validation(kw):

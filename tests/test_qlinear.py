@@ -324,7 +324,7 @@ def _mc_backward(cfg, n_draws, seed, with_outlier=False):
     dy = rnd((n, c), seed + 2)
     if with_outlier:
         x[:, 3] *= 50.0
-        out = ql.select_outlier_channels([x], p=100.0 / d, style="largest-norm")
+        out = ql.select_outlier_channels(x, p=100.0 / d, style="largest-norm")
         cfg = dataclasses.replace(cfg, outlier=out)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
     tx = dy.astype(np.float64) @ cache.w_hat.astype(np.float64)
@@ -391,7 +391,7 @@ def test_outlier_forward_error_smaller_than_without():
     w = fp4_grid_matrix((16, 64), seed=34, unit=1.0)
     exact = x.astype(np.float64) @ w.astype(np.float64).T
     out = ql.select_outlier_channels(
-        [x], p=100.0 / 64, style="largest-norm", precision="float16"
+        x, p=100.0 / 64, style="largest-norm", precision="float16"
     )
     assert out.channels == (5,)
     cfg_plain = base_cfg()
@@ -415,7 +415,7 @@ def test_outlier_e4m3_wins_on_clustered_outliers():
     x[:, 6] = g.uniform(250.0, 350.0, size=32).astype(F32)
     w = fp4_grid_matrix((16, 64), seed=36, unit=1.0)
     exact = x.astype(np.float64) @ w.astype(np.float64).T
-    out = ql.select_outlier_channels([x], p=100.0 * 2 / 64, style="largest-norm")
+    out = ql.select_outlier_channels(x, p=100.0 * 2 / 64, style="largest-norm")
     assert out.channels == (5, 6)
     assert out.precision == "e4m3"
     y_plain, _ = ql.linear_forward(x, w, base_cfg(), step=0)
@@ -426,7 +426,7 @@ def test_outlier_e4m3_wins_on_clustered_outliers():
 def test_outlier_dw_columns_noise_free():
     x, w = rnd((16, 32), 35), rnd((8, 32), 36)
     x[:, 7] *= 30.0
-    out = ql.select_outlier_channels([x], p=100.0 / 32, style="largest-norm")
+    out = ql.select_outlier_channels(x, p=100.0 / 32, style="largest-norm")
     assert out.channels == (7,)
     cfg = base_cfg(outlier=out, rht_block=16)
     dy = rnd((16, 8), 37)
@@ -444,7 +444,7 @@ def test_outlier_dw_columns_noise_free():
 def test_outlier_forward_cache_holds_passthrough():
     x, w = rnd((8, 32), 40), rnd((4, 32), 41)
     x[:, 11] = 600.0
-    out = ql.select_outlier_channels([x], p=100.0 / 32, style="largest-norm", precision="float32")
+    out = ql.select_outlier_channels(x, p=100.0 / 32, style="largest-norm", precision="float32")
     cfg = base_cfg(outlier=out)
     y, cache = ql.linear_forward(x, w, cfg, step=0)
     np.testing.assert_array_equal(cache.x_hat[:, 11], x[:, 11])
@@ -474,9 +474,8 @@ def test_outlier_e4m3_passthrough_uses_tensor_scale():
 
 def test_select_outlier_channels_styles_and_errors():
     g = np.random.Generator(np.random.Philox(44))
-    acts = [g.normal(size=(16, 64)).astype(F32) for _ in range(3)]
-    for a in acts:
-        a[:, [4, 17, 40]] *= 100.0
+    acts = g.normal(size=(48, 64)).astype(F32)
+    acts[:, [4, 17, 40]] *= 100.0
     sel = ql.select_outlier_channels(acts, p=100.0 * 3 / 64, style="largest-norm")
     assert sel.channels == (4, 17, 40)
     assert ql.select_outlier_channels(acts, p=0.0, style="largest-norm").channels == ()
@@ -490,7 +489,7 @@ def test_select_outlier_channels_styles_and_errors():
     assert len(r1.channels) == round(0.25 * 64)
     assert ql.select_outlier_channels(acts, p=50.0, style="none").channels == ()
     with pytest.raises(ValueError):
-        ql.select_outlier_channels([], p=10.0, style="largest-norm")
+        ql.select_outlier_channels(acts[0], p=10.0, style="largest-norm")  # 1-D
     with pytest.raises(ValueError):
         ql.select_outlier_channels(acts, p=-1.0, style="largest-norm")
     with pytest.raises(ValueError):
@@ -502,6 +501,13 @@ def test_outlier_index_out_of_range_rejected():
     bad = ql.OutlierConfig(channels=(32,), precision="e4m3")
     with pytest.raises(ValueError):
         ql.linear_forward(x, w, base_cfg(outlier=bad), step=0)
+
+
+@pytest.mark.parametrize("name", ["fp8", 5, None, ["fp32"]])
+def test_preset_rejects_an_unknown_name_naming_it(name):
+    with pytest.raises(ValueError) as exc:
+        ql.preset(name)
+    assert str(exc.value).startswith(f"unknown preset {name!r}; choose from ('fp32', ")
 
 
 # ── precision modes ───────────────────────────────────────────────────────────
