@@ -10,6 +10,21 @@ Code layout is sign-magnitude: the top bit is the sign, the low bits index an
 ascending magnitude table, so code order equals magnitude order within each
 half. E4M3 reserves its top magnitude code (exp=15, mant=7) for NaN; inputs
 are finite by contract, so that code never comes out of a rounding call.
+
+Stochastic rounding takes its draws through one call, ``rng.random(out=u)``,
+so ``rng`` may be a numpy Generator or any object with that method.
+:func:`draw_ahead` gives one that makes a generator's draws ahead on a second
+thread, into a ring of 8 slots of 65,536 float64 draws (4 MiB), and hands
+them on in order. A speed-up may not change how much of a stream a quantizer
+consumes, and this one does not: every site takes exactly the draws it would
+take from the bare generator, so no rounded value changes. The generator
+itself runs up to one ring past the last draw taken, which suits only a
+generator that nothing reads afterwards, like the trainer's per-step
+``stream(seed, "sr", step)``, dropped after its step. The thread runs only
+``Generator.random(out=)`` and queue hand-offs. No function the benchmark's
+tracer times may run there: the tracer keeps one span stack and does not
+track threads, so a span on a second thread breaks its check that the self
+times of a step sum to the step.
 """
 
 from __future__ import annotations
@@ -17,6 +32,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +53,7 @@ __all__ = [
     "round_stoch",
     "round_scale_e4m3",
     "stream",
+    "draw_ahead",
 ]
 
 
@@ -116,10 +135,10 @@ _FORMATS = {
 
 
 def get_format(name: str) -> FormatSpec:
-    try:
-        return _FORMATS[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown format {name!r}") from None
+    fmt = _FORMATS.get(name.lower()) if isinstance(name, str) else None
+    if fmt is None:
+        raise ValueError(f"unknown format {name!r}; choose from {tuple(_FORMATS)}")
+    return fmt
 
 
 # ── rounding cores (magnitude space) ─────────────────────────────────────────
@@ -314,3 +333,78 @@ def stream(seed: int, *tags) -> np.random.Generator:
             digest = hashlib.blake2b(str(t).encode(), digest_size=8).digest()
             words.append(int.from_bytes(digest, "little"))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+
+
+# ── draws made ahead on a second thread ──────────────────────────────────────
+
+_RING_SLOTS = 8
+_SLOT = 1 << 16  # draws per slot: four rounding chunks
+
+
+class _DrawAhead:
+    """``gen``'s float64 draws, in order, through ``random(out=)``; a thread
+    started by the first call fills a ring of slots ahead of the caller."""
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._ring = None  # (slots, draws) float64, made by the first call
+        self._thread = None
+        self._stop = False
+        self._free = queue.SimpleQueue()  # slot indices to fill; None stops
+        self._full = queue.SimpleQueue()  # filled slot indices, or the error
+        self._slot = None  # the slot being read and the next draw in it
+        self._pos = 0
+
+    def _produce(self):
+        try:
+            while (i := self._free.get()) is not None and not self._stop:
+                self._gen.random(out=self._ring[i])
+                self._full.put(i)
+        except BaseException as exc:  # any: the reader raises it, never waits on
+            self._full.put(exc)  # a dead thread
+
+    def random(self, *, out: np.ndarray) -> np.ndarray:
+        """Fill float64 ``out`` with the generator's next draws."""
+        if self._thread is None:
+            self._ring = np.empty((_RING_SLOTS, _SLOT))
+            for i in range(_RING_SLOTS):
+                self._free.put(i)
+            self._thread = threading.Thread(target=self._produce, name="draw-ahead",
+                                            daemon=True)
+            self._thread.start()
+        dst = _flat(out)
+        done = 0
+        while done < dst.size:
+            if self._slot is None:
+                item = self._full.get()
+                if isinstance(item, BaseException):
+                    self._full.put(item)  # every later call raises it too
+                    raise item
+                self._slot, self._pos = item, 0
+            take = min(dst.size - done, _SLOT - self._pos)
+            dst[done : done + take] = self._ring[self._slot, self._pos : self._pos + take]
+            done += take
+            self._pos += take
+            if self._pos == _SLOT:
+                self._free.put(self._slot)
+                self._slot = None
+        return out
+
+    def close(self) -> None:
+        """Stop and join the thread, if one started."""
+        if self._thread is not None:
+            self._stop = True
+            self._free.put(None)
+            self._thread.join()
+
+
+@contextmanager
+def draw_ahead(gen: np.random.Generator):
+    """A stand-in for ``gen`` in the rounding cores whose draws are made
+    ahead on a second thread (see the module docstring); the thread, started
+    by the first draw, is joined when the block exits."""
+    ahead = _DrawAhead(gen)
+    try:
+        yield ahead
+    finally:
+        ahead.close()

@@ -113,7 +113,9 @@ class MLP(_QuantizedModel):
     """Bias-free ReLU MLP; hidden linears quantized, head binary32."""
 
     def __init__(self, widths: Tuple[int, ...] = (784, 256, 256, 10)):
-        widths = tuple(int(w) for w in widths)
+        widths = tuple(widths)
+        if not all(type(w) is int for w in widths):
+            raise ValueError(f"widths must be whole numbers, got {widths}")
         if len(widths) < 3:
             raise ValueError("MLP needs at least (input, hidden, output) widths")
         if any(w < 1 for w in widths):
@@ -229,6 +231,11 @@ class TinyTransformer(_QuantizedModel):
         vocab: int = 32,
         ffn_hidden: int = 0,
     ):
+        dims = {"layers": layers, "d_model": d_model, "heads": heads, "seq_len": seq_len,
+                "vocab": vocab, "ffn_hidden": ffn_hidden}
+        for field, value in dims.items():
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         for field, value in (("layers", layers), ("d_model", d_model), ("heads", heads)):
             if value < 1:
                 raise ValueError(f"{field} must be >= 1, got {value}")

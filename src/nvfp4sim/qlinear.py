@@ -34,7 +34,9 @@ the step and the forward sites' clamp counts.
 where ``clamps`` maps each quantized backward site to its clamp count.  The
 stochastic backward consumes its generator in the fixed site order Q3, Q4,
 Q5, Q6 (disabled sites draw nothing), which makes runs replayable from the
-generator key alone.
+generator key alone.  ``rng`` is a numpy Generator or any object with its
+``random(out=)``, the one call the rounding takes draws through, such as
+:func:`~nvfp4sim.fpcodec.draw_ahead`'s.
 """
 
 from __future__ import annotations
@@ -154,7 +156,10 @@ class LayerQuantConfig:
                 and self.outer_granularity is not OuterGranularity.PER_TENSOR):
             raise ValueError("weight_block square takes outer_granularity per-tensor")
         for site in QUANTIZER_SITES:
-            fc.get_format(getattr(self, f"format_{site}"))
+            try:
+                fc.get_format(getattr(self, f"format_{site}"))
+            except ValueError as exc:
+                raise ValueError(f"format_{site}: {exc}") from None
         if self.fp6_variant not in ("e3m2", "e2m3"):
             raise ValueError(f"fp6_variant must be e3m2 or e2m3, got {self.fp6_variant!r}")
         if self.rht_block < 2 or (self.rht_block & (self.rht_block - 1)) != 0:
@@ -417,10 +422,11 @@ def linear_backward(
 
     dx and dw are two calls of one rotate, quantize, multiply routine.
     Backward sites round stochastically when ``cfg.stochastic_backward`` is
-    set (requires ``rng``), deterministically otherwise.  The generator is
-    consumed in the fixed order Q3, Q4 (dx), then Q5, Q6 (dw), and the
-    rotations take their step from ``cache.step``.  ``clamps`` maps each
-    quantized backward site to its clamp count; ``cache`` is not modified.
+    set (requires ``rng``, any object with numpy's ``random(out=)``),
+    deterministically otherwise.  The generator is consumed in the fixed
+    order Q3, Q4 (dx), then Q5, Q6 (dw), and the rotations take their step
+    from ``cache.step``.  ``clamps`` maps each quantized backward site to its
+    clamp count; ``cache`` is not modified.
     """
     dy = as_matrix(dy)
     if dy.shape != (cache.n, cache.c):

@@ -8,6 +8,8 @@ with the same seed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from pathlib import Path
 from typing import Tuple
 
@@ -39,6 +41,13 @@ class SyntheticRegression:
         outlier_count: int = 16,
         outlier_gain: float = 50.0,
     ):
+        for name, value in (("in_dim", in_dim), ("out_dim", out_dim),
+                            ("outlier_count", outlier_count)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if (not isinstance(outlier_gain, numbers.Real) or isinstance(outlier_gain, bool)
+                or not math.isfinite(outlier_gain)):
+            raise ValueError(f"outlier_gain must be a finite number, got {outlier_gain!r}")
         if not 0 <= outlier_count <= in_dim:
             raise ValueError(
                 f"outlier_count must be in [0, {in_dim}], got {outlier_count}"
@@ -137,8 +146,10 @@ class CharLM:
     """
 
     def __init__(self, corpus_path, seq_len: int = 128):
+        if type(seq_len) is not int:
+            raise ValueError(f"seq_len must be an integer, got {seq_len!r}")
         text = Path(corpus_path).read_text(encoding="ascii")
-        self.seq_len = int(seq_len)
+        self.seq_len = seq_len
         self.alphabet = "".join(sorted(set(text)))
         if len(self.alphabet) > 64:
             raise ValueError(

@@ -15,7 +15,10 @@ records one :class:`StepRow` per step.  The returned :class:`RunReport`
 derives every total from those rows; with ``out_dir`` set ``train`` also
 writes ``config.json``, ``metrics.csv`` (the rows themselves) and
 ``oscillation.csv``.  Every random draw derives from ``cfg.seed`` through
-named counter streams, so reruns are byte-identical.
+named counter streams, so reruns are byte-identical.  A step's
+stochastic-rounding draws are made ahead on a second thread
+(:func:`~nvfp4sim.fpcodec.draw_ahead`), which is joined before the step's
+optimizer update.
 """
 
 from __future__ import annotations
@@ -487,8 +490,8 @@ def train(cfg: TrainRunConfig) -> RunReport:
             cfgs = switched
             views = _tracked_views(model, cfgs)
         lr = sched.lr_at(step)
-        rng = fc.stream(cfg.seed, "sr", step)
-        loss, grads, aux = model.loss_and_grads(params, batch, cfgs, step=step, rng=rng)
+        with fc.draw_ahead(fc.stream(cfg.seed, "sr", step)) as rng:
+            loss, grads, aux = model.loss_and_grads(params, batch, cfgs, step=step, rng=rng)
         loss_f = float(loss)
         if not math.isfinite(loss_f):
             diagnostics = {

@@ -272,6 +272,17 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
     ({"optimizer": {"lr": 5e-3, "eps": math.inf}}, "eps must be a positive finite number"),
     ({"optimizer": {"lr": 5e-3, "weight_decay": math.nan}},
      "weight_decay must be a nonnegative finite number"),
+    ({"task": {"kind": "synthetic-regression", "in_dim": 64, "out_dim": 8,
+               "outlier_count": 4.5}}, "outlier_count must be an integer, got 4.5"),
+    ({"task": {"kind": "synthetic-regression", "in_dim": "64", "out_dim": 8}},
+     "in_dim must be an integer, got '64'"),
+    ({"cfg_overrides": {"format_fwd_x": 5}}, "format_fwd_x: unknown format 5"),
+    ({"task": {"kind": "synthetic-regression", "in_dim": 64, "out_dim": 8,
+               "outlier_gain": math.inf}}, "outlier_gain must be a finite number, got inf"),
+    ({"model": {"kind": "mlp", "widths": [64, 32.5, 32, 8]}},
+     "widths must be whole numbers, got (64, 32.5, 32, 8)"),
+    ({"model": {"kind": "mlp", "widths": [64, True, 32, 8]}},
+     "widths must be whole numbers, got (64, True, 32, 8)"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
         "model-key", "corpus-path", "square-outer", "outlier-precision",
         "outlier-style", "optimizer-key", "schedule-key", "missing-lr",
@@ -280,7 +291,8 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
         "string-steps", "fractional-batch", "fractional-seed", "int-suppression",
         "fractional-period", "float-start", "bool-accu", "string-tau", "bool-tau",
         "string-outlier-ratio", "bool-outlier-ratio", "infinite-lr", "infinite-eps",
-        "nan-weight-decay"])
+        "nan-weight-decay", "fractional-outlier-count", "string-in-dim",
+        "int-format", "infinite-outlier-gain", "fractional-width", "bool-width"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -309,6 +321,25 @@ def test_train_command_rejects_bad_transformer_dims_with_exit_two(
     err = capsys.readouterr().err
     assert err.startswith("error: bad config: ")
     assert f"{field} must be >= " in err and str(value) in err
+    assert not (tmp_path / "r" / "config.json").exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("model", "layers", 1.5), ("model", "d_model", 16.0), ("task", "seq_len", 16.5),
+])
+def test_train_command_rejects_fractional_transformer_sizes_with_exit_two(
+        tmp_path, capsys, section, field, value):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(tasks.synthesize_corpus(4_000, seed=3), encoding="ascii")
+    cfg = {"model": {"kind": "tiny-transformer", "layers": 1, "d_model": 16, "heads": 2,
+                     "seq_len": 16},
+           "task": {"kind": "char-lm", "corpus_path": str(corpus), "seq_len": 16}}
+    cfg[section][field] = value
+    cfg_path = tmp_path / "cfg.json"
+    write_mlp_config(cfg_path, **cfg)
+    rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert f"{field} must be an integer, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "r" / "config.json").exists()
 
 

@@ -8,6 +8,8 @@ code for code and draw for draw.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -343,6 +345,91 @@ def test_stream_determinism_and_separation():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# ── draws made ahead on a second thread ──────────────────────────────────────
+
+# around the rounding chunk (16384), one slot (65536) and one ring (8 slots)
+_AHEAD_SIZES = (0, 1, 16_383, 16_384, 65_537, 3, 8 * 65_536 + 5, 16_384, 1)
+
+
+def test_draw_ahead_hands_on_the_generators_draws_in_order():
+    threads = threading.active_count()
+    with fc.draw_ahead(fc.stream(7, "sr", 1)) as ahead:
+        got = [ahead.random(out=np.empty(n)) for n in _AHEAD_SIZES]
+    bare = fc.stream(7, "sr", 1)
+    for n, u in zip(_AHEAD_SIZES, got):
+        np.testing.assert_array_equal(u, bare.random(n))
+    assert threading.active_count() == threads
+
+
+def test_draw_ahead_rounds_like_the_bare_generator():
+    x = np.random.default_rng(0).standard_normal((3, 50_000)) * 4
+    with fc.draw_ahead(fc.stream(2, "sr", 9)) as ahead:
+        got = fc.round_stoch(x, fc.FP4_E2M1, ahead)
+    want = fc.round_stoch(x, fc.FP4_E2M1, fc.stream(2, "sr", 9))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_draw_ahead_keeps_order_under_fast_thread_switches():
+    # three rings filled at once on two cores, the interpreter switching
+    # threads every 10 us: a slot handed on twice or out of turn shows
+    sizes = np.random.default_rng(4).integers(0, 40_000, size=(40, 3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with (fc.draw_ahead(fc.stream(1, "sr", 1)) as a,
+              fc.draw_ahead(fc.stream(1, "sr", 2)) as b,
+              fc.draw_ahead(fc.stream(1, "sr", 3)) as c):
+            got = [[r.random(out=np.empty(n)) for r, n in zip((a, b, c), row)]
+                   for row in sizes]
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(3):
+        bare = fc.stream(1, "sr", k + 1)
+        for row, n in zip(got, sizes[:, k]):
+            np.testing.assert_array_equal(row[k], bare.random(n))
+
+
+class _FailingGenerator:
+    """Fills ``good`` slots, then raises."""
+
+    def __init__(self, good):
+        self.good = good
+
+    def random(self, out):
+        if self.good == 0:
+            raise RuntimeError("generator failed")
+        self.good -= 1
+        out.fill(0.5)
+        return out
+
+
+@pytest.mark.parametrize("good", [0, 2])
+def test_draw_ahead_raises_a_generator_error_in_the_caller(good):
+    threads = threading.active_count()
+    with fc.draw_ahead(_FailingGenerator(good)) as ahead:
+        np.testing.assert_array_equal(ahead.random(out=np.empty(0)), [])
+        for _ in range(good * 4):  # the draws made before the failure arrive
+            assert (ahead.random(out=np.empty(16_384)) == 0.5).all()
+        for _ in range(2):  # and every later call raises
+            with pytest.raises(RuntimeError, match="generator failed"):
+                ahead.random(out=np.empty(16_384))
+    assert threading.active_count() == threads
+
+
+def test_draw_ahead_joins_its_thread_on_every_exit():
+    threads = threading.active_count()
+    with fc.draw_ahead(fc.stream(1, "sr", 1)) as ahead:
+        ahead.random(out=np.empty(5))  # the ring fills ahead, then waits
+    assert threading.active_count() == threads
+    with pytest.raises(KeyError):
+        with fc.draw_ahead(fc.stream(1, "sr", 1)) as ahead:
+            ahead.random(out=np.empty(70_000))
+            raise KeyError("left early")
+    assert threading.active_count() == threads
+    with fc.draw_ahead(fc.stream(1, "sr", 1)):
+        assert threading.active_count() == threads  # no draw, no thread
 
 
 # ── properties ───────────────────────────────────────────────────────────────

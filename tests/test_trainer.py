@@ -2,7 +2,9 @@
 precision switching, metrics files, and failure diagnostics."""
 
 import dataclasses
+import hashlib
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -491,3 +493,71 @@ def test_transformer_run_smoke(tmp_path):
     assert np.isfinite(report.final_train_loss)
     assert np.isfinite(report.final_val_loss)
     assert report.clamp_total >= 0
+
+
+@pytest.mark.parametrize("preset, started", [("fp4-rtn", 0), ("fp4-base", 6)])
+def test_train_starts_draw_threads_only_for_stochastic_steps(monkeypatch, preset, started):
+    threads, starts = threading.active_count(), []
+    thread_start = threading.Thread.start
+
+    def start(self):
+        starts.append(self.name)
+        thread_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    tr.train(mlp_cfg(preset=preset,
+                     schedule={"warmup_steps": 2, "total_steps": 6, "floor_lr": 0.0}))
+    assert starts == ["draw-ahead"] * started  # one per step
+    assert threading.active_count() == threads
+
+
+# ── byte pins of whole stochastic runs ───────────────────────────────────────
+# Recorded before the stochastic-rounding draws moved to a second thread: a
+# step's draws must reach each rounding site in the order one generator makes
+# them, so both runs below must keep these bytes whatever produces the draws.
+
+TRAIN_SHA256 = {
+    "transformer-fp4-full": {
+        "metrics.csv": "eec6696eb30878967e5021621182a0b1c0945baadebf353b166b9b75af34c060",
+        "oscillation.csv": "f8f8b99220acb771957af65fd56a6c5f9b335d887bdcf7e365ccf677c036d2ff",
+        "params": "df28298344692fea9edc70c7770cf426a7d694ba5d33d33b31b2abb4dcb74b3b",
+    },
+    "mlp-fp4-base": {
+        "metrics.csv": "2f657f1a1017e08ab2b5ba1e658002753a5dc9f2568289eef19645b06c2bb1f3",
+        "oscillation.csv": "91267dd3efa3c402d9288107fa9db0d6bc0b939bb884cc161c5761244ec9583d",
+        "params": "d4fa30f43786fd5ce7602fb0e2005fb7fc49c94160207ee83c1339338df21ab8",
+    },
+}
+
+
+def _pinned_run_cfg(name, tmp_path):
+    out_dir = str(tmp_path / name)
+    if name == "transformer-fp4-full":
+        return transformer_cfg(
+            tmp_path, preset="fp4-full", out_dir=out_dir, outlier_ratio=6.25,
+            suppression=osc.SuppressionSchedule(t_max=12, t_start=2, t_period=4,
+                                                t_accu=1, tau_osci=0.5),
+        )
+    return mlp_cfg(preset="fp4-base", out_dir=out_dir,
+                   schedule={"warmup_steps": 5, "total_steps": 20, "floor_lr": 0.0})
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_SHA256))
+def test_stochastic_train_keeps_its_bytes(tmp_path, monkeypatch, name):
+    kept = []
+    for cls in (models.MLP, models.TinyTransformer):
+        def init_params(self, seed, _init=cls.init_params):
+            kept.append(_init(self, seed))  # the optimizer updates it in place
+            return kept[-1]
+        monkeypatch.setattr(cls, "init_params", init_params)
+    cfg = _pinned_run_cfg(name, tmp_path)
+    tr.train(cfg)
+    (params,) = kept
+    h = hashlib.sha256()
+    for key in sorted(params):
+        h.update(key.encode())
+        h.update(params[key].tobytes())
+    got = {f: hashlib.sha256((Path(cfg.out_dir) / f).read_bytes()).hexdigest()
+           for f in ("metrics.csv", "oscillation.csv")}
+    got["params"] = h.hexdigest()
+    assert got == TRAIN_SHA256[name]
