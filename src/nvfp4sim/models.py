@@ -15,12 +15,14 @@ Both expose the same protocol: ``init_params(seed)``, ``quant_tags()``,
 driven by a mapping ``tag -> LayerQuantConfig`` (see :func:`uniform_cfgs`).
 ``forward_loss`` returns the loss alone; ``loss_and_grads`` returns
 ``(loss, grads, aux)``.  Each forward keeps its layers' ``(tag,
-LinearCache)`` pairs in forward order: ``input_acts`` returns each cache's
-raw layer input, and the clamp telemetry in ``aux`` (``clamp_events``,
-``clamp_by_layer``) sums each cache's forward clamp counts with the
-backward counts ``linear_backward`` returns.  The backward pass visits
-quantized layers in exactly the reverse of forward order, so a run is
-replayable from the generator key alone.
+LinearCache)`` pairs in forward order, and the clamp telemetry in ``aux``
+(``clamp_events``, ``clamp_by_layer``) sums each cache's forward clamp
+counts with the backward counts ``linear_backward`` returns.
+``input_acts(params, batch, step)`` runs the all-bypass (``fp32``) recipe
+itself and returns each cache's ``x_hat``, which under that recipe is the
+layer input itself.  The backward pass visits quantized layers in exactly
+the reverse of forward order, so a run is replayable from the generator key
+alone.
 
 Gradients follow the straight-through convention of the quantized layer:
 no gradient flows into quantization scales.
@@ -36,6 +38,14 @@ its operands, shapes and output layout (a fresh C-ordered product, never
 them.  Arrays a step reads but does not own (``params``, the batch, the
 layer caches) are never written; :func:`_softmax_causal` overwrites the
 scores it is given, and :func:`_rmsnorm_bwd` the gradient it is given.
+
+Lifetime rule: ``loss_and_grads`` consumes the forward context it made.  It
+takes the forward clamp counts first, then pops each block, each array and
+each layer's cache off the context as the backward reads it (a cache just
+before its ``linear_backward``), and rebinds one running gradient name, so
+a forward array or cache lives only until its last backward use and a step
+peaks with only the blocks still ahead of the backward alive.  This changes
+lifetimes only: no op, operand or evaluation order, hence no byte.
 """
 
 from __future__ import annotations
@@ -65,12 +75,13 @@ def uniform_cfgs(model, base_cfg: ql.LayerQuantConfig) -> Dict[str, ql.LayerQuan
     }
 
 
-def _clamp_aux(caches, backward) -> dict:
-    """Clamp telemetry of one step: per layer, the forward counts held in
-    its cache plus the backward counts in ``backward[tag]``."""
+def _clamp_aux(forward, backward) -> dict:
+    """Clamp telemetry of one step: per layer, in the order of ``forward``,
+    its forward counts ``forward[tag]`` plus its backward counts
+    ``backward[tag]``."""
     by_layer = {
-        tag: sum(cache.clamp_counts.values()) + sum(backward[tag].values())
-        for tag, cache in caches.items()
+        tag: sum(counts.values()) + sum(backward[tag].values())
+        for tag, counts in forward.items()
     }
     return {"clamp_events": sum(by_layer.values()), "clamp_by_layer": by_layer}
 
@@ -100,10 +111,13 @@ class _QuantizedModel:
         """The loss of one forward pass."""
         return self._run(params, batch, cfgs, step)[0]
 
-    def input_acts(self, params, batch, cfgs, step):
-        """The raw input of every quantized layer, keyed by tag."""
+    def input_acts(self, params, batch, step):
+        """The input of every quantized layer under the all-bypass recipe,
+        keyed by tag: each cache's ``x_hat``, which that recipe leaves as the
+        layer input itself."""
+        cfgs = uniform_cfgs(self, ql.preset("fp32"))
         _, ctx = self._run(params, batch, cfgs, step)
-        return {tag: cache.x_raw for tag, cache in ctx["caches"].items()}
+        return {tag: cache.x_hat for tag, cache in ctx["caches"].items()}
 
 
 # ── MLP ──────────────────────────────────────────────────────────────────────
@@ -154,18 +168,19 @@ class MLP(_QuantizedModel):
 
     def loss_and_grads(self, params, batch, cfgs, step, rng):
         loss, ctx = self._run(params, batch, cfgs, step)
-        err, h = ctx["err"], ctx["h"]
-        dyhat = np.multiply(2.0 / err.size, err, out=err)
-        grads = {"head.w": dyhat.T @ h}
-        dh = dyhat @ params["head.w"]
+        caches, pre = ctx["caches"], ctx["pre"]
+        forward = {tag: cache.clamp_counts for tag, cache in caches.items()}
+        g = ctx.pop("err")
+        g = np.multiply(2.0 / g.size, g, out=g)
+        grads = {"head.w": g.T @ ctx.pop("h")}
+        g = g @ params["head.w"]
         backward = {}
-        for i in range(len(self._tags) - 1, -1, -1):
-            tag = self._tags[i]
-            da = np.multiply(dh, ctx["pre"][i] > 0, out=dh)
-            dh, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
-                da, ctx["caches"][tag], cfgs[tag], rng=rng
+        for tag in reversed(self._tags):
+            g = np.multiply(g, pre.pop() > 0, out=g)
+            g, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
+                g, caches.pop(tag), cfgs[tag], rng=rng
             )
-        return loss, grads, _clamp_aux(ctx["caches"], backward)
+        return loss, grads, _clamp_aux(forward, backward)
 
 
 # ── transformer building blocks ──────────────────────────────────────────────
@@ -191,6 +206,42 @@ def _rmsnorm_bwd(dy, x, g, r):
     dx = np.divide(t, r, out=t)
     dx -= np.multiply(x, dot / (x.shape[-1] * r**3), out=tmp)
     return dx, dg
+
+
+def _swiglu_bwd(g, u, w_half, sig):
+    """``(du | dw_half)`` of ``s = silu(u) * w_half`` from ``g = ds``, as one
+    ``(n, 2 * f)`` array; ``sig`` is ``sigmoid(u)``."""
+    fdim = u.shape[1]
+    duv = np.empty((u.shape[0], 2 * fdim), dtype=F32)
+    du, dw_half = duv[:, :fdim], duv[:, fdim:]
+    # dw_half holds silu'(u) until du is done, then silu(u) = u * sig
+    dsilu = np.subtract(1.0, sig, out=dw_half)
+    np.multiply(u, dsilu, out=dsilu)
+    np.add(1.0, dsilu, out=dsilu)
+    np.multiply(sig, dsilu, out=dsilu)
+    np.multiply(g, w_half, out=du)
+    du *= dsilu
+    su = np.multiply(u, sig, out=dw_half)
+    np.multiply(g, su, out=dw_half)
+    return duv
+
+
+def _attention_bwd(g, q, k, v, p, scale):
+    """Gradient of the fused ``qkv`` output of ``p @ v``, where ``p`` is the
+    causal softmax of ``q @ k^T * scale``, from ``g = d(p @ v)`` (all
+    ``(b, h, L, hd)`` but ``p``): a ``(b * L, 3 * h * hd)`` array with dq, dk
+    and dv in their ``(b, L, 3, h, hd)`` slots."""
+    b, h, length, hd = q.shape
+    g, dv = g @ v.transpose(0, 1, 3, 2), p.transpose(0, 1, 3, 2) @ g
+    g -= np.sum(g * p, axis=-1, keepdims=True)
+    np.multiply(p, g, out=g)  # d(scores)
+    del p  # the softmax dies here, before the dq and dk products
+    dqkv = np.empty((b * length, 3 * h * hd), dtype=F32)
+    dtrip = dqkv.reshape(b, length, 3, h, hd).transpose(2, 0, 3, 1, 4)
+    np.multiply(g @ k, scale, out=dtrip[0])
+    np.multiply(g.transpose(0, 1, 3, 2) @ q, scale, out=dtrip[1])
+    dtrip[2] = dv
+    return dqkv
 
 
 def _sigmoid(u):
@@ -392,66 +443,48 @@ class TinyTransformer(_QuantizedModel):
         hd = d // h
         scale = F32(1.0 / math.sqrt(hd))
         n_tok = b * length
+        caches = ctx["caches"]
+        forward = {tag: cache.clamp_counts for tag, cache in caches.items()}
         grads, backward = {}, {}
 
         def linear_backward(tag, dy):
             dx, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
-                dy, ctx["caches"][tag], cfgs[tag], rng=rng
+                dy, caches.pop(tag), cfgs[tag], rng=rng
             )
             return dx
 
-        dlogits = ctx["softmax"]
-        dlogits[np.arange(n_tok), ctx["targets"]] -= F32(1.0)
-        dlogits /= F32(n_tok)
-        grads["head.w"] = dlogits.T @ ctx["n3_2"]
-        dn3 = (dlogits @ params["head.w"]).reshape(b, length, d)
+        g = ctx.pop("softmax")  # d(logits)
+        g[np.arange(n_tok), ctx.pop("targets")] -= F32(1.0)
+        g /= F32(n_tok)
+        grads["head.w"] = g.T @ ctx.pop("n3_2")
+        g = (g @ params["head.w"]).reshape(b, length, d)
         dx, grads["out_norm"] = _rmsnorm_bwd(
-            dn3, ctx["x_final"], params["out_norm"], ctx["r3"]
+            g, ctx.pop("x_final"), params["out_norm"], ctx.pop("r3")
         )
 
         for i in range(self.layers - 1, -1, -1):
-            blk = ctx["blocks"][i]
+            blk = ctx["blocks"].pop()
 
             # ffn sublayer: x2 = x1 + ffn2(swiglu(ffn1(norm(x1))))
-            ds = linear_backward(f"l{i}.ffn2", dx.reshape(n_tok, d))
-            sig, u, w_half = blk["sig"], blk["u"], blk["w_half"]
-            fdim = self.ffn_hidden
-            duv = np.empty((n_tok, 2 * fdim), dtype=F32)
-            du, dw_half = duv[:, :fdim], duv[:, fdim:]
-            # dw_half holds silu'(u) until du is done, then silu(u) = u * sig
-            dsilu = np.subtract(1.0, sig, out=dw_half)
-            np.multiply(u, dsilu, out=dsilu)
-            np.add(1.0, dsilu, out=dsilu)
-            np.multiply(sig, dsilu, out=dsilu)
-            np.multiply(ds, w_half, out=du)
-            du *= dsilu
-            su = np.multiply(u, sig, out=dw_half)
-            np.multiply(ds, su, out=dw_half)
-            dn2 = linear_backward(f"l{i}.ffn1", duv).reshape(b, length, d)
-            dx1, grads[f"l{i}.ffn_norm"] = _rmsnorm_bwd(
-                dn2, blk["x1"], params[f"l{i}.ffn_norm"], blk["r2"]
+            g = linear_backward(f"l{i}.ffn2", dx.reshape(n_tok, d))
+            g = _swiglu_bwd(g, blk.pop("u"), blk.pop("w_half"), blk.pop("sig"))
+            g = linear_backward(f"l{i}.ffn1", g).reshape(b, length, d)
+            g, grads[f"l{i}.ffn_norm"] = _rmsnorm_bwd(
+                g, blk.pop("x1"), params[f"l{i}.ffn_norm"], blk.pop("r2")
             )
-            dx += dx1
+            dx += g
 
             # attention sublayer: x1 = x0 + att_out(attend(qkv(norm(x0))))
-            dctx2 = linear_backward(f"l{i}.att_out", dx.reshape(n_tok, d))
-            dctx = dctx2.reshape(b, length, h, hd).transpose(0, 2, 1, 3)
-            p, q, k, v = blk["p"], blk["q"], blk["k"], blk["v"]
-            dp = dctx @ v.transpose(0, 1, 3, 2)
-            dv = p.transpose(0, 1, 3, 2) @ dctx
-            dp -= np.sum(dp * p, axis=-1, keepdims=True)
-            dscores = np.multiply(p, dp, out=dp)
-            # dq, dk and dv land in their (b, length, 3, h, hd) slots of dqkv
-            dqkv = np.empty((n_tok, 3 * d), dtype=F32)
-            dtrip = dqkv.reshape(b, length, 3, h, hd).transpose(2, 0, 3, 1, 4)
-            np.multiply(dscores @ k, scale, out=dtrip[0])
-            np.multiply(dscores.transpose(0, 1, 3, 2) @ q, scale, out=dtrip[1])
-            dtrip[2] = dv
-            dn1 = linear_backward(f"l{i}.qkv", dqkv).reshape(b, length, d)
-            dx0, grads[f"l{i}.att_norm"] = _rmsnorm_bwd(
-                dn1, blk["x0"], params[f"l{i}.att_norm"], blk["r1"]
+            g = linear_backward(f"l{i}.att_out", dx.reshape(n_tok, d))
+            g = _attention_bwd(
+                g.reshape(b, length, h, hd).transpose(0, 2, 1, 3),
+                blk.pop("q"), blk.pop("k"), blk.pop("v"), blk.pop("p"), scale,
             )
-            dx += dx0
+            g = linear_backward(f"l{i}.qkv", g).reshape(b, length, d)
+            g, grads[f"l{i}.att_norm"] = _rmsnorm_bwd(
+                g, blk.pop("x0"), params[f"l{i}.att_norm"], blk.pop("r1")
+            )
+            dx += g
 
         ids = np.asarray(batch[0])
         dx2 = dx.reshape(n_tok, d)
@@ -462,4 +495,4 @@ class TinyTransformer(_QuantizedModel):
         dpos[:length] = dx.sum(axis=0)
         grads["pos_emb"] = dpos
 
-        return loss, grads, _clamp_aux(ctx["caches"], backward)
+        return loss, grads, _clamp_aux(forward, backward)

@@ -29,7 +29,9 @@ columns zeroed, and the matching weight-gradient columns are computed from
 the cached activation in full precision.
 
 ``linear_forward(x, w, cfg, step)`` returns ``(y, cache)``; the cache holds
-the step and the forward sites' clamp counts.
+the step and the forward sites' clamp counts, and the raw layer input
+``x_raw`` only when ``align_xhat`` is off (``None`` otherwise); a backward
+under the unaligned recipe rejects a cache made without it.
 ``linear_backward(dy, cache, cfg, rng)`` returns ``(dx, dw, clamps)``,
 where ``clamps`` maps each quantized backward site to its clamp count.  The
 stochastic backward consumes its generator in the fixed site order Q3, Q4,
@@ -236,14 +238,15 @@ def set_precision_mode(
 class LinearCache:
     """Forward-pass tensors the backward pass must see unchanged.
 
-    ``x_raw`` is the layer input as given; ``step`` keys the backward
-    rotation signs; ``clamp_counts`` holds the clamp counts of the quantized
-    forward sites.
+    ``x_raw`` is the layer input as given, held only when the forward ran
+    with ``align_xhat`` off (the one recipe whose Q6 reads it) and ``None``
+    otherwise; ``step`` keys the backward rotation signs; ``clamp_counts``
+    holds the clamp counts of the quantized forward sites.
     """
 
     x_hat: np.ndarray
     w_hat: np.ndarray
-    x_raw: np.ndarray
+    x_raw: Optional[np.ndarray]
     step: int
     n: int
     d: int
@@ -399,7 +402,7 @@ def linear_forward(
     cache = LinearCache(
         x_hat=x_hat,
         w_hat=w_hat,
-        x_raw=x,
+        x_raw=None if cfg.align_xhat else x,
         step=step,
         n=n,
         d=d,
@@ -426,12 +429,18 @@ def linear_backward(
     deterministically otherwise.  The generator is consumed in the fixed
     order Q3, Q4 (dx), then Q5, Q6 (dw), and the rotations take their step
     from ``cache.step``.  ``clamps`` maps each quantized backward site to its
-    clamp count; ``cache`` is not modified.
+    clamp count; ``cache`` is not modified.  With ``cfg.align_xhat`` off the
+    cache must come from a forward under that recipe, which holds ``x_raw``.
     """
     dy = as_matrix(dy)
     if dy.shape != (cache.n, cache.c):
         raise ValueError(
             f"dy must have shape {(cache.n, cache.c)}, got {dy.shape}"
+        )
+    if not cfg.align_xhat and cache.x_raw is None:
+        raise ValueError(
+            "align_xhat is off but the cache was made with it on, so it holds "
+            "no raw layer input"
         )
     mode = "stoch" if cfg.stochastic_backward else "det"
     quantized = any(getattr(cfg, f"quantize_{s}") for s in QUANTIZER_SITES[2:])

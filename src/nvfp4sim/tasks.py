@@ -142,7 +142,9 @@ class CharLM:
 
     The first 90% of characters form the training region, the final 10% the
     validation region; batches are random ``seq_len + 1`` windows from the
-    split's region, drawn from the ``(seed, split, step)`` stream.
+    split's region, drawn from the ``(seed, split, step)`` stream.  The
+    corpus is held as one byte per character (the alphabet is capped at 64);
+    each batch is an ``int64`` copy of its windows.
     """
 
     def __init__(self, corpus_path, seq_len: int = 128):
@@ -159,7 +161,7 @@ class CharLM:
             raise ValueError("corpus needs at least two distinct characters")
         lut = {ch: i for i, ch in enumerate(self.alphabet)}
         self.encoded = np.fromiter(
-            (lut[ch] for ch in text), dtype=np.int64, count=len(text)
+            (lut[ch] for ch in text), dtype=np.uint8, count=len(text)
         )
         self.val_start = int(len(self.encoded) * 0.9)
         if self.val_start < self.seq_len + 1 or len(self.encoded) - self.val_start < self.seq_len + 1:
@@ -188,5 +190,5 @@ class CharLM:
         rng = fc.stream(seed, "data", split, step)
         starts = rng.integers(lo, hi + 1, size=batch_size)
         idx = starts[:, None] + np.arange(self.seq_len + 1)[None, :]
-        windows = self.encoded[idx]
+        windows = self.encoded[idx].astype(np.int64)
         return windows[:, :-1], windows[:, 1:]

@@ -338,8 +338,7 @@ def _build_layer_cfgs(model, task, params, cfg: TrainRunConfig):
         ]
         if eligible:
             calib = task.batch("train", 0, cfg.batch_size, cfg.seed)
-            bypass = models.uniform_cfgs(model, ql.preset("fp32"))
-            acts = model.input_acts(params, calib, bypass, step=0)
+            acts = model.input_acts(params, calib, step=0)
             for tag in eligible:
                 oc = ql.select_outlier_channels(
                     acts[tag],

@@ -12,6 +12,7 @@ Oracles:
 
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_mlp_input_acts():
     m = md.MLP(widths=(24, 16, 16, 8))
     params = m.init_params(3)
     x, y = mlp_batch(m, seed=4, n=5)
-    acts = m.input_acts(params, (x, y), bypass_cfgs(m), step=1)
+    acts = m.input_acts(params, (x, y), step=1)
     assert set(acts) == {"fc0", "fc1"}
     assert acts["fc0"].shape == (5, 24)
     assert acts["fc1"].shape == (5, 16)
@@ -228,7 +229,7 @@ def test_transformer_input_acts_shapes():
     m = tiny_lm()
     params = m.init_params(1)
     batch = lm_batch(m, seed=3, n=2)
-    acts = m.input_acts(params, batch, bypass_cfgs(m), step=1)
+    acts = m.input_acts(params, batch, step=1)
     assert set(acts) == set(m.quant_tags())
     bl = 2 * m.seq_len
     assert acts["l0.qkv"].shape == (bl, 8)
@@ -310,6 +311,49 @@ def test_vocab_bound_checked():
     x[0, 0] = m.vocab  # out of range
     with pytest.raises(ValueError):
         m.forward_loss(params, (x, y), bypass_cfgs(m), step=1)
+
+
+@pytest.mark.parametrize("case", ["lm-fp4-full", "lm-fp32", "mlp-fp4-rtn"])
+def test_backward_releases_its_forward_context(monkeypatch, case):
+    # a step keeps a forward array or layer cache only until the backward is
+    # past it: block L's are dead when block L-1's first linear_backward
+    # starts, and each cache is dead once its own backward has returned
+    if case == "mlp-fp4-rtn":
+        m = md.MLP(widths=(32, 32, 32, 32, 8))
+        batch, preset = mlp_batch(m, seed=7, n=16), "fp4-rtn"
+        block_of = {tag: i for i, tag in enumerate(m.quant_tags())}
+    else:
+        m = md.TinyTransformer(layers=3, d_model=16, heads=2, seq_len=8, vocab=13)
+        batch, preset = lm_batch(m, seed=7), case[len("lm-"):]
+        block_of = {tag: i // 4 for i, tag in enumerate(m.quant_tags())}
+    refs, cache_refs, done = {}, {}, []
+    forward, backward = m._forward, ql.linear_backward
+
+    def watched_forward(*args):
+        loss, ctx = forward(*args)
+        blocks = ctx.get("blocks") or [{"pre": a} for a in ctx["pre"]]
+        for i, blk in enumerate(blocks):
+            refs[i] = [(name, weakref.ref(a)) for name, a in blk.items()]
+        for tag, cache in ctx["caches"].items():
+            cache_refs[tag] = weakref.ref(cache)
+            refs[block_of[tag]].append((tag, cache_refs[tag]))
+        return loss, ctx
+
+    def watched_backward(dy, cache, cfg, rng=None):
+        j = block_of[cfg.layer_tag]
+        alive = [(i, name) for i, held in refs.items() if i > j
+                 for name, ref in held if ref() is not None]
+        assert not alive, f"{cfg.layer_tag} backward starts with {alive} alive"
+        assert [t for t in done if cache_refs[t]() is not None] == []
+        done.append(cfg.layer_tag)
+        return backward(dy, cache, cfg, rng=rng)
+
+    monkeypatch.setattr(m, "_forward", watched_forward)
+    monkeypatch.setattr(ql, "linear_backward", watched_backward)
+    cfgs = md.uniform_cfgs(m, ql.preset(preset))
+    m.loss_and_grads(m.init_params(8), batch, cfgs, step=1, rng=fc.stream(9, "g"))
+    assert done == list(reversed(m.quant_tags()))
+    assert len(refs) == max(block_of.values()) + 1
 
 
 # ── golden digests ───────────────────────────────────────────────────────────

@@ -302,10 +302,17 @@ def test_align_xhat_ablation_switches_q6_input():
     cfg_raw = dataclasses.replace(cfg, align_xhat=False)
     x, w = rnd((8, 32), 27), rnd((16, 32), 28)
     dy = rnd((8, 16), 29)
+    # the forward ignores align_xhat; only the unaligned cache keeps x_raw
     _, cache = ql.linear_forward(x, w, cfg, step=0)
+    _, cache_raw = ql.linear_forward(x, w, cfg_raw, step=0)
+    assert cache.x_raw is None
+    np.testing.assert_array_equal(cache_raw.x_hat, cache.x_hat)
+    np.testing.assert_array_equal(cache_raw.x_raw, x)
     _, dw_aligned, _ = ql.linear_backward(dy, cache, cfg)
-    _, dw_raw, _ = ql.linear_backward(dy, cache, cfg_raw)
+    _, dw_raw, _ = ql.linear_backward(dy, cache_raw, cfg_raw)
     assert not np.array_equal(dw_aligned, dw_raw)
+    with pytest.raises(ValueError, match="align_xhat"):
+        ql.linear_backward(dy, cache, cfg_raw)
 
     outer = cfg.outer_granularity
     q5 = bq.quantize_double_block(
