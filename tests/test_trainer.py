@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -477,11 +478,19 @@ def test_sweep_rejects_unknown_sites_and_tags():
     ([{"id": "a"}, {"id": "b", "sites": []}], r"subset 1: .*unknown keys \['sites'\]"),
     ([{"id": "a", "out_dir": "elsewhere"}], "subset 0: out_dir is set by the sweep"),
     ([{"id": "a"}, {"id": "a"}], "subset 1: duplicate id 'a'"),
+    ([{"id": "a"}, {"id": "b", "exclude_tags": ["fc9"]}],
+     r"subset 1: exclude_tags \['fc9'\] are not layers of this model"),
+    ([{"id": "a"}, {"id": "b", "model": {"kind": "mlp", "widths": [16, 32, 7]}}],
+     "subset 1: MLP widths .* do not match the task's 64 -> 8"),
 ], ids=["int", "str-second", "sites-int", "sites-str", "sites-int-item", "exclude-int",
-        "exclude-null-item", "unknown-key", "out-dir", "duplicate-id"])
-def test_sweep_rejects_malformed_entries_by_index(subsets, named):
+        "exclude-null-item", "unknown-key", "out-dir", "duplicate-id", "exclude-unknown-tag",
+        "model-task-mismatch"])
+def test_sweep_rejects_malformed_entries_by_index(monkeypatch, subsets, named):
+    calls = []
+    monkeypatch.setattr(tr, "train", lambda cfg: calls.append(cfg))
     with pytest.raises(ValueError, match=named):
         tr.loss_decomposition_sweep(mlp_cfg(), subsets)
+    assert calls == []
 
 
 # ── transformer smoke ────────────────────────────────────────────────────────
@@ -509,6 +518,86 @@ def test_train_starts_draw_threads_only_for_stochastic_steps(monkeypatch, preset
                      schedule={"warmup_steps": 2, "total_steps": 6, "floor_lr": 0.0}))
     assert starts == ["draw-ahead"] * started  # one per step
     assert threading.active_count() == threads
+
+
+# ── the step contract ────────────────────────────────────────────────────────
+
+
+def test_each_step_asks_for_its_train_batch_first_and_updates_params_in_place(monkeypatch):
+    """perfbench opens a step when ``task.batch("train", step, ...)`` is called
+    and digests the dict ``init_params`` returned, so both must hold."""
+    events, kept, last_val = [], [], {}
+    batch, backward = tasks.SyntheticRegression.batch, models.MLP.loss_and_grads
+    forward, init = models.MLP.forward_loss, models.MLP.init_params
+
+    def spy_batch(self, split, step, *args, **kwargs):
+        if split == "train":
+            events.append(("batch", step))
+        return batch(self, split, step, *args, **kwargs)
+
+    def spy_backward(self, *args, step, **kwargs):
+        events.append(("backward", step))
+        return backward(self, *args, step=step, **kwargs)
+
+    def spy_forward(self, params, val_batch, cfgs, step):
+        last_val.update(cfgs=cfgs, step=step)
+        return forward(self, params, val_batch, cfgs, step)
+
+    def spy_init(self, seed):
+        kept.append(init(self, seed))
+        return kept[-1]
+
+    monkeypatch.setattr(tasks.SyntheticRegression, "batch", spy_batch)
+    monkeypatch.setattr(models.MLP, "loss_and_grads", spy_backward)
+    monkeypatch.setattr(models.MLP, "forward_loss", spy_forward)
+    monkeypatch.setattr(models.MLP, "init_params", spy_init)
+    cfg = suppressed_cfg(outlier_ratio=12.5)
+    report = tr.train(cfg)
+
+    # step 0 is the outlier calibration batch, which opens no step
+    steps = range(1, cfg.total_steps + 1)
+    assert events == [("batch", 0)] + [e for s in steps for e in (("batch", s), ("backward", s))]
+    # the dict init_params returned holds the weights the final validation saw
+    (params,) = kept
+    assert last_val["step"] == cfg.total_steps
+    task = tasks.SyntheticRegression(**{k: v for k, v in cfg.task.items() if k != "kind"})
+    model = models.MLP(widths=cfg.model["widths"])
+    vals = [float(forward(model, params, batch(task, "val", v, cfg.batch_size, cfg.seed),
+                          last_val["cfgs"], cfg.total_steps))
+            for v in range(cfg.val_batches)]
+    assert float(np.mean(vals)) == report.final_val_loss
+    assert report.total_resets > 0  # the resets wrote into the same dict
+
+
+@pytest.mark.parametrize("kind", ["mlp-fp4-full", "transformer-fp32"])
+def test_step_gradients_live_until_the_next_backward_returns(tmp_path, monkeypatch, kind):
+    # Dropped at the step's end instead, the next backward faults their pages
+    # in again: keep them until it has made its own.
+    prev, alive_in_backward, dead_at_update = [], [], []
+    backwards = {cls: cls.loss_and_grads for cls in (models.MLP, models.TinyTransformer)}
+    adamw_step = optim.AdamW.step
+
+    def spy_backward(self, *args, **kwargs):
+        out = backwards[type(self)](self, *args, **kwargs)
+        alive_in_backward.append(all(r() is not None for r in prev))
+        return out
+
+    def spy_update(self, grads, lr):
+        dead_at_update.append(all(r() is None for r in prev))
+        prev[:] = [weakref.ref(g) for g in grads.values()]
+        return adamw_step(self, grads, lr)
+
+    for cls in backwards:
+        monkeypatch.setattr(cls, "loss_and_grads", spy_backward)
+    monkeypatch.setattr(optim.AdamW, "step", spy_update)
+    sched = {"warmup_steps": 2, "total_steps": 6, "floor_lr": 0.0}
+    if kind == "mlp-fp4-full":
+        cfg = mlp_cfg(schedule=sched)
+    else:
+        cfg = transformer_cfg(tmp_path, preset="fp32", schedule=sched)
+    tr.train(cfg)
+    assert prev and alive_in_backward == [True] * 6 and dead_at_update == [True] * 6
+    assert all(r() is None for r in prev)  # the run's record is gone
 
 
 # ── byte pins of whole stochastic runs ───────────────────────────────────────
