@@ -76,6 +76,8 @@ __all__ = [
     "Orientation",
     "OuterGranularity",
     "QuantizedMatrix",
+    "ELEMENT_FORMATS",
+    "element_format",
     "as_matrix",
     "layout_sizes",
     "quantize_double_block",
@@ -88,6 +90,7 @@ _SCALE_TOP = np.float32(448.0)
 _CLAMP_TOL = 1 + 1e-6  # one-ulp grace before an overshoot counts as a clamp
 _OUTER_SPAN = 128  # grid columns per BLOCK_1X128 outer scale
 _GROUP = 16  # elements per inner block
+ELEMENT_FORMATS = ("e2m1", "e3m2", "e2m3")  # in the order of their file codes
 
 
 class Orientation(enum.Enum):
@@ -100,6 +103,13 @@ class OuterGranularity(enum.Enum):
     BLOCK_1X128 = "1x128"
     PER_ROW = "per-row"
     PER_TENSOR = "per-tensor"
+
+
+def element_format(name) -> fc.FormatSpec:
+    """The spec of element format ``name``; ValueError for any other name."""
+    if name not in ELEMENT_FORMATS:
+        raise ValueError(f"unknown format {name!r}; choose from {ELEMENT_FORMATS}")
+    return fc.get_format(name)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -117,7 +127,7 @@ class QuantizedMatrix:
     cols: int
     orientation: Orientation
     outer: OuterGranularity
-    element_fmt: str  # e2m1 | e3m2 | e2m3
+    element_fmt: str  # one of ELEMENT_FORMATS
     codes: np.ndarray  # packed uint8; 4-bit formats hold two codes per byte,
     # low nibble = lower linear index in the work grid
     inner_scales: np.ndarray  # float32, one per inner block, work-grid order
@@ -190,7 +200,7 @@ def layout_sizes(rows, cols, orientation, outer, element_fmt):
     outer = _layout_outer(orientation, outer)
     wr, wc = _grid_shape(rows, cols, orientation)
     br, bc = _block_shape(orientation)
-    n_codes = wr * wc // (2 if fc.get_format(element_fmt).bits == 4 else 1)
+    n_codes = wr * wc // (2 if element_format(element_fmt).bits == 4 else 1)
     return n_codes, (wr // br) * (wc // bc), int(np.prod(_outer_grid(outer, wr, wc)))
 
 
@@ -354,7 +364,7 @@ def _scale(grid, sb, sg):
 def _resolve(orientation, outer, mode, element_fmt):
     orientation = Orientation(orientation)
     outer = _layout_outer(orientation, outer)
-    return orientation, outer, fc.RoundingMode(mode), fc.get_format(element_fmt)
+    return orientation, outer, fc.RoundingMode(mode), element_format(element_fmt)
 
 
 def quantize_double_block(
@@ -448,7 +458,7 @@ def _pair_table(element_fmt: str) -> np.ndarray:
     code bytes read as a native uint16. Bytes past the format's codes
     decode to NaN.
     """
-    fmt = fc.get_format(element_fmt)
+    fmt = element_format(element_fmt)
     half = 1 << (fmt.bits - 1)
     signed = np.full(256, np.nan, dtype=F32)
     signed[: fmt.mag.size] = fmt.mag
@@ -481,7 +491,7 @@ def dequantize(q: QuantizedMatrix) -> np.ndarray:
     is padded. Raises ValueError naming the index of the first code byte
     that holds no code of the format.
     """
-    fmt = fc.get_format(q.element_fmt)
+    fmt = element_format(q.element_fmt)
     codes = q.codes
     at = _bad_code_byte(codes, fmt)
     if at is not None:

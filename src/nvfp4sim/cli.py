@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", choices=_values(bq.OuterGranularity), default=None,
                    help="outer-scale granularity (default: 1x128; square "
                         "tiles always use per-tensor)")
-    p.add_argument("--format", choices=["e2m1", "e3m2", "e2m3"],
+    p.add_argument("--format", choices=bq.ELEMENT_FORMATS,
                    default="e2m1", help="element format (default: e2m1)")
     p.add_argument("--mode", choices=_values(fc.RoundingMode), default="det",
                    help="rounding mode (default: det)")

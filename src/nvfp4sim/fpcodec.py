@@ -13,28 +13,23 @@ are finite by contract, so that code never comes out of a rounding call.
 
 Stochastic rounding takes its draws through one call, ``rng.random(out=u)``,
 so ``rng`` may be a numpy Generator or any object with that method.
-:func:`draw_ahead` gives one that makes a generator's draws ahead on a second
-thread, into a ring of 8 slots of 65,536 float64 draws (4 MiB), and hands
-them on in order. A speed-up may not change how much of a stream a quantizer
-consumes, and this one does not: every site takes exactly the draws it would
-take from the bare generator, so no rounded value changes. The generator
-itself runs up to one ring past the last draw taken, which suits only a
-generator that nothing reads afterwards, like the trainer's per-step
-``stream(seed, "sr", step)``, dropped after its step. The thread runs only
-``Generator.random(out=)`` and queue hand-offs. No function the benchmark's
-tracer times may run there: the tracer keeps one span stack and does not
-track threads, so a span on a second thread breaks its check that the self
-times of a step sum to the step.
+:func:`draw_ahead` gives one whose draws a one-worker thread pool makes ahead
+of the caller, into 8 slots of 65,536 float64 draws (4 MiB), handed on in
+order. Every site takes exactly the draws the bare generator would give, so
+no rounded value changes. The generator runs up to 8 slots past the last draw
+taken, which suits only a stream that nothing reads afterwards, like the
+trainer's per-step ``stream(seed, "sr", step)``. The worker runs only
+``Generator.random``, none of this package's functions, so a profiler that
+follows only the calling thread still sees all of their time.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import hashlib
 import math
-import queue
-import threading
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +130,7 @@ _FORMATS = {
 
 
 def get_format(name: str) -> FormatSpec:
-    fmt = _FORMATS.get(name.lower()) if isinstance(name, str) else None
+    fmt = _FORMATS.get(name) if isinstance(name, str) else None
     if fmt is None:
         raise ValueError(f"unknown format {name!r}; choose from {tuple(_FORMATS)}")
     return fmt
@@ -342,69 +337,50 @@ _SLOT = 1 << 16  # draws per slot: four rounding chunks
 
 
 class _DrawAhead:
-    """``gen``'s float64 draws, in order, through ``random(out=)``; a thread
-    started by the first call fills a ring of slots ahead of the caller."""
+    """``gen``'s float64 draws, in order, through ``random(out=)``; a one-worker
+    pool started by the first call fills a ring of slots ahead of the caller."""
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self._ring = None  # (slots, draws) float64, made by the first call
-        self._thread = None
-        self._stop = False
-        self._free = queue.SimpleQueue()  # slot indices to fill; None stops
-        self._full = queue.SimpleQueue()  # filled slot indices, or the error
-        self._slot = None  # the slot being read and the next draw in it
-        self._pos = 0
-
-    def _produce(self):
-        try:
-            while (i := self._free.get()) is not None and not self._stop:
-                self._gen.random(out=self._ring[i])
-                self._full.put(i)
-        except BaseException as exc:  # any: the reader raises it, never waits on
-            self._full.put(exc)  # a dead thread
+        self._pool = None
+        self._fills = collections.deque()  # (slot, its fill) in draw order
+        self._pos = 0  # the next draw in the oldest slot
 
     def random(self, *, out: np.ndarray) -> np.ndarray:
         """Fill float64 ``out`` with the generator's next draws."""
-        if self._thread is None:
-            self._ring = np.empty((_RING_SLOTS, _SLOT))
-            for i in range(_RING_SLOTS):
-                self._free.put(i)
-            self._thread = threading.Thread(target=self._produce, name="draw-ahead",
-                                            daemon=True)
-            self._thread.start()
+        if self._pool is None:
+            # imported here: it loads logging, which runs that never draw need not
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="draw-ahead")
+            for slot in np.empty((_RING_SLOTS, _SLOT)):
+                self._submit(slot)
         dst = _flat(out)
         done = 0
         while done < dst.size:
-            if self._slot is None:
-                item = self._full.get()
-                if isinstance(item, BaseException):
-                    self._full.put(item)  # every later call raises it too
-                    raise item
-                self._slot, self._pos = item, 0
+            slot, fill = self._fills[0]
+            fill.result()  # a failed fill stays first, so every later call raises
             take = min(dst.size - done, _SLOT - self._pos)
-            dst[done : done + take] = self._ring[self._slot, self._pos : self._pos + take]
+            dst[done : done + take] = slot[self._pos : self._pos + take]
             done += take
             self._pos += take
             if self._pos == _SLOT:
-                self._free.put(self._slot)
-                self._slot = None
+                self._fills.popleft()
+                self._submit(slot)
+                self._pos = 0
         return out
 
+    def _submit(self, slot: np.ndarray) -> None:
+        self._fills.append((slot, self._pool.submit(self._gen.random, out=slot)))
+
     def close(self) -> None:
-        """Stop and join the thread, if one started."""
-        if self._thread is not None:
-            self._stop = True
-            self._free.put(None)
-            self._thread.join()
+        """Cancel the pending fills and join the worker, if one started."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
-@contextmanager
-def draw_ahead(gen: np.random.Generator):
+def draw_ahead(gen: np.random.Generator) -> closing:
     """A stand-in for ``gen`` in the rounding cores whose draws are made
     ahead on a second thread (see the module docstring); the thread, started
     by the first draw, is joined when the block exits."""
-    ahead = _DrawAhead(gen)
-    try:
-        yield ahead
-    finally:
-        ahead.close()
+    return closing(_DrawAhead(gen))

@@ -65,7 +65,7 @@ _OUTER_CODES = {
     OuterGranularity.PER_ROW: 1,
     OuterGranularity.PER_TENSOR: 2,
 }
-_ELEMENT_CODES = {"e2m1": 0, "e3m2": 1, "e2m3": 2}
+_ELEMENT_CODES = {name: i for i, name in enumerate(bq.ELEMENT_FORMATS)}
 _SCALE_BYTE = 0  # E4M3 inner scales
 _GROUP_BYTE = 16  # elements per inner block
 _ORIENT_NAMES = {v: k for k, v in _ORIENT_CODES.items()}

@@ -212,51 +212,42 @@ def mc_backward_bias(
     channels = cfg.outlier.channels if cfg.outlier else ()
 
     _, cache = ql.linear_forward(x, w, cfg, step=0)
-    tx = dy.astype(np.float64) @ cache.w_hat.astype(np.float64)
-    tw = dy.T.astype(np.float64) @ cache.x_hat.astype(np.float64)
-
-    s1x = np.zeros_like(tx)
-    s2x = np.zeros_like(tx)
-    s1w = np.zeros_like(tw)
-    s2w = np.zeros_like(tw)
+    targets = {
+        "dx": dy.astype(np.float64) @ cache.w_hat.astype(np.float64),
+        "dw": dy.T.astype(np.float64) @ cache.x_hat.astype(np.float64),
+    }
+    sums = {g: (np.zeros_like(t), np.zeros_like(t)) for g, t in targets.items()}
     backward_clamps = 0
     for i in range(draws):
-        dx, dw, clamps = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i))
-        dx64 = dx.astype(np.float64)
-        dw64 = dw.astype(np.float64)
-        s1x += dx64
-        s2x += dx64 * dx64
-        s1w += dw64
-        s2w += dw64 * dw64
+        *grads, clamps = ql.linear_backward(dy, cache, cfg, rng=fc.stream(seed, "mc", i))
+        for (s1, s2), g in zip(sums.values(), grads):
+            g64 = g.astype(np.float64)
+            s1 += g64
+            s2 += g64 * g64
         backward_clamps += sum(clamps.values())
 
-    zx, mean_x, sem_x = _z_scores(s1x, s2x, tx, draws, nsigma)
-    zw, mean_w, sem_w = _z_scores(s1w, s2w, tw, draws, nsigma)
-    max_z_dx = float(np.max(zx))
-    max_z_dw = float(np.max(zw))
-    if max_z_dx >= max_z_dw:
-        grad, z, mean, sem, target = "dx", zx, mean_x, sem_x, tx
-    else:
-        grad, z, mean, sem, target = "dw", zw, mean_w, sem_w, tw
+    stats = {g: _z_scores(*sums[g], t, draws, nsigma) for g, t in targets.items()}
+    max_z = {g: float(np.max(z)) for g, (z, _, _) in stats.items()}
+    grad = max(max_z, key=max_z.get)  # the first name wins a tie
+    z, mean, sem = stats[grad]
     idx = np.unravel_index(int(np.argmax(z)), z.shape)
     worst = {
         "grad": grad,
         "index": [int(i) for i in idx],
         "mean": float(mean[idx]),
-        "target": float(target[idx]),
+        "target": float(targets[grad][idx]),
         "sem": float(sem[idx]),
         "z": float(z[idx]),
     }
-    max_z = max(max_z_dx, max_z_dw)
     return BiasReport(
-        passed=bool(max_z <= nsigma),
+        passed=bool(max_z[grad] <= nsigma),
         draws=draws,
         nsigma=nsigma,
         shape=(n, d, c),
         seed=seed,
-        max_z=max_z,
-        max_z_dx=max_z_dx,
-        max_z_dw=max_z_dw,
+        max_z=max_z[grad],
+        max_z_dx=max_z["dx"],
+        max_z_dw=max_z["dw"],
         worst=worst,
         backward_clamps=backward_clamps,
         outlier_channels=channels,

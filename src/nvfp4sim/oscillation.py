@@ -39,7 +39,6 @@ import numbers
 import numpy as np
 
 from . import blockquant as bq
-from . import fpcodec as fc
 
 F32 = np.float32
 
@@ -89,10 +88,10 @@ def double_block_weight_view(orientation, outer=None, element_fmt: str = "e2m1")
     grids rather than C-ordered copies; no codes are formed.
     """
     orientation = bq.Orientation(orientation)
-    fmt = fc.get_format(element_fmt).name
+    bq.element_format(element_fmt)  # a bad name fails here, not at the first view
 
     def view(w) -> QuantizedWeightView:
-        return QuantizedWeightView(*bq._weight_view(w, orientation, outer, fmt))
+        return QuantizedWeightView(*bq._weight_view(w, orientation, outer, element_fmt))
 
     return view
 

@@ -159,7 +159,7 @@ class LayerQuantConfig:
             raise ValueError("weight_block square takes outer_granularity per-tensor")
         for site in QUANTIZER_SITES:
             try:
-                fc.get_format(getattr(self, f"format_{site}"))
+                bq.element_format(getattr(self, f"format_{site}"))
             except ValueError as exc:
                 raise ValueError(f"format_{site}: {exc}") from None
         if self.fp6_variant not in ("e3m2", "e2m3"):

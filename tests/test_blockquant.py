@@ -192,6 +192,14 @@ def test_padding_codes_are_zero_and_shape_restored():
     assert bq.dequantize(q).shape == (5, 23)
 
 
+@pytest.mark.parametrize("name", ["e4m3", "E2M1"])
+def test_only_the_element_formats_quantize(name):
+    # e4m3 is the scale format, which a matrix file cannot store as elements
+    for route in (bq.quantize_double_block, bq.quantize_dequantize):
+        with pytest.raises(ValueError, match=f"unknown format '{name}'"):
+            route(rnd((3, 40), seed=4), "row", element_fmt=name)
+
+
 @pytest.mark.parametrize("fmt", ["e3m2", "e2m3"])
 def test_dequantize_rejects_a_code_past_the_format(fmt):
     q = bq.quantize_double_block(rnd((3, 40), seed=4), "row", element_fmt=fmt)

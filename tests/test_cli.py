@@ -667,6 +667,15 @@ def test_every_help_example_parses():
         assert not any(str(v).count("--") for v in vars(args).values()), args
 
 
+def test_quantize_offers_the_library_element_formats():
+    parser = cli.build_parser()
+    for fmt in bq.ELEMENT_FORMATS:
+        assert parser.parse_args(["quantize", "m.csv", "--out", "q", "--format", fmt]).format == fmt
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["quantize", "m.csv", "--out", "q", "--format", "e4m3"])
+    assert exc.value.code == 2
+
+
 def test_unknown_subcommand_is_an_error(capsys):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -69,6 +69,15 @@ def test_quantized_roundtrip_all_layouts(tmp_path, orientation, outer):
     assert mio.load_quantized(p) == q
 
 
+@pytest.mark.parametrize("fmt", bq.ELEMENT_FORMATS)
+def test_quantized_roundtrip_every_element_format(tmp_path, fmt):
+    m = (fc.stream(12, "mio", fmt).standard_normal((16, 32)) * 5).astype(F32)
+    q = bq.quantize_double_block(m, "row", element_fmt=fmt)
+    p = tmp_path / "q.qmx"
+    mio.save_quantized(p, q)
+    assert mio.load_quantized(p) == q
+
+
 def test_deterministic_dump_bytes(tmp_path):
     m = (fc.stream(4, "dup").standard_normal((16, 16)) * 3).astype(F32)
     q = bq.quantize_double_block(m, "row")

@@ -11,6 +11,8 @@ Oracles:
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -155,6 +157,23 @@ def test_bias_bench_with_outlier_retention_passes():
 def test_bias_bench_rejects_bad_nsigma(nsigma):
     with pytest.raises(ValueError, match="nsigma"):
         mx.mc_backward_bias(ql.preset("fp32"), draws=4, seed=1, nsigma=nsigma)
+
+
+_DET = dict(stochastic_backward=False, rht_dx=False, rht_dw=False)
+
+
+@pytest.mark.parametrize("changes, kw, digest", [
+    ({}, dict(shape=(8, 32, 16), draws=40, seed=5),
+     "c830bd78d126a920c1e88964c00a40dde9522f0f4d9e54b790d12fe22e615410"),
+    (_DET, dict(draws=3, seed=6, dy_craft="boundary"),  # dw is the worst
+     "2cfd0851e195d6de421ebc3433cbdae506899e87780f57bc40070dee6639636f"),
+    (_DET, dict(draws=3, seed=6, dy_craft="signs", x_craft="signs", w_craft="signs"),
+     "1a15cbe2a0e48537a912f429dc685dc03e16fe246fb8ebe387587c070c638746"),  # a 0 = 0 tie
+], ids=["fp4-base", "det-boundary", "det-tie"])
+def test_bias_report_keeps_its_bytes(changes, kw, digest):
+    rep = mx.mc_backward_bias(dataclasses.replace(ql.preset("fp4-base"), **changes), **kw)
+    blob = json.dumps(dataclasses.asdict(rep), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_bias_report_dict():

@@ -510,6 +510,12 @@ def test_outlier_index_out_of_range_rejected():
         ql.linear_forward(x, w, base_cfg(outlier=bad), step=0)
 
 
+@pytest.mark.parametrize("name", ["e4m3", "E2M1"])
+def test_config_takes_only_the_element_formats(name):
+    with pytest.raises(ValueError, match=f"format_w_for_dx: unknown format '{name}'"):
+        ql.LayerQuantConfig(format_w_for_dx=name)
+
+
 @pytest.mark.parametrize("name", ["fp8", 5, None, ["fp32"]])
 def test_preset_rejects_an_unknown_name_naming_it(name):
     with pytest.raises(ValueError) as exc:

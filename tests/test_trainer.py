@@ -326,6 +326,18 @@ def test_switch_keeps_trackers_whose_weight_format_stays(monkeypatch):
         assert tracker is before
 
 
+def test_a_format_has_one_spelling():
+    # the precision switch compares stored names: a second spelling of e2m1
+    # would read as a new weight format and drop the oscillation trackers
+    run = dict(preset="fp4-base", switch_step=3, switch_mode="fp4xfp4",
+               suppression=osc.SuppressionSchedule(t_max=40, t_start=1, t_period=8, t_accu=5))
+    with pytest.raises(ValueError, match="format_fwd_w: unknown format 'E2M1'"):
+        tr.train(mlp_cfg(cfg_overrides={"format_fwd_w": "E2M1"}, **run))
+    spelled = tr.train(mlp_cfg(cfg_overrides={"format_fwd_w": "e2m1"}, **run))
+    plain = tr.train(mlp_cfg(**run))
+    assert (spelled.rows, spelled.osci_rows) == (plain.rows, plain.osci_rows)
+
+
 def test_switch_records_config(tmp_path):
     out = tmp_path / "sw"
     tr.train(mlp_cfg(preset="fp4-base", out_dir=str(out), switch_step=20,
@@ -516,8 +528,27 @@ def test_train_starts_draw_threads_only_for_stochastic_steps(monkeypatch, preset
     monkeypatch.setattr(threading.Thread, "start", start)
     tr.train(mlp_cfg(preset=preset,
                      schedule={"warmup_steps": 2, "total_steps": 6, "floor_lr": 0.0}))
-    assert starts == ["draw-ahead"] * started  # one per step
+    assert starts == ["draw-ahead_0"] * started  # one worker per step
     assert threading.active_count() == threads
+
+
+def test_only_the_draw_fill_runs_off_the_calling_thread():
+    """perfbench's tracer keeps one span stack for every thread, so no
+    function of this package may run on another one."""
+    caller, elsewhere = threading.get_ident(), set()
+
+    def profile(frame, event, arg):
+        if threading.get_ident() != caller:
+            elsewhere.add((frame.f_globals.get("__name__", ""), frame.f_code.co_name))
+
+    threading.setprofile(profile)
+    try:
+        tr.train(mlp_cfg(preset="fp4-base",
+                         schedule={"warmup_steps": 2, "total_steps": 3, "floor_lr": 0.0}))
+    finally:
+        threading.setprofile(None)
+    assert elsewhere  # the profile saw the worker
+    assert [f for f in elsewhere if f[0].startswith("nvfp4sim")] == []
 
 
 # ── the step contract ────────────────────────────────────────────────────────
