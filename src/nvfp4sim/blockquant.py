@@ -361,10 +361,14 @@ def _scale(grid, sb, sg):
     grid += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bytes
 
 
-def _resolve(orientation, outer, mode, element_fmt):
+def _resolve(m, orientation, outer, mode, element_fmt):
+    """The quantizers' arguments, checked; an empty matrix has no scale."""
+    m = as_matrix(m)
+    if not m.size:
+        raise ValueError(f"cannot quantize an empty matrix, got shape {m.shape}")
     orientation = Orientation(orientation)
     outer = _layout_outer(orientation, outer)
-    return orientation, outer, fc.RoundingMode(mode), element_format(element_fmt)
+    return m, orientation, outer, fc.RoundingMode(mode), element_format(element_fmt)
 
 
 def quantize_double_block(
@@ -377,8 +381,7 @@ def quantize_double_block(
 ) -> QuantizedMatrix:
     """Quantize a binary32 matrix with the two-level block scheme; codes are
     packed row-major over the work grid."""
-    m = as_matrix(m)
-    orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
+    m, orientation, outer, mode, fmt = _resolve(m, orientation, outer, mode, element_fmt)
     grid, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)[:5]
     codes = fc._codes(grid, _round(grid, fmt, mode, rng), fmt).reshape(-1)
     sign = sign.view(np.uint8).reshape(-1)
@@ -417,8 +420,7 @@ def quantize_dequantize(
     the two-step route consumes it, so the two routes are interchangeable
     mid-stream.
     """
-    m = as_matrix(m)
-    orientation, outer, mode, fmt = _resolve(orientation, outer, mode, element_fmt)
+    m, orientation, outer, mode, fmt = _resolve(m, orientation, outer, mode, element_fmt)
     grid, sign, sb, sg, clamps = _plan(m, orientation, outer, fmt)[:5]
     rs = _round(grid, fmt, mode, rng)
     fc._values(grid, rs)
@@ -435,8 +437,7 @@ def _weight_view(m, orientation, outer, element_fmt):
     mask of elements whose magnitude rounded to the format's top value (the
     top code), and each element's block max of ``|m|``.
     """
-    m = as_matrix(m)
-    orientation, outer, _, fmt = _resolve(orientation, outer, "det", element_fmt)
+    m, orientation, outer, _, fmt = _resolve(m, orientation, outer, "det", element_fmt)
     grid, sign, sb, sg, _, bmax = _plan(m, orientation, outer, fmt)
     rs = fc._mag_round_det(grid, fmt)
     fc._values(grid, rs)

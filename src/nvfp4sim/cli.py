@@ -15,8 +15,8 @@ JSON file is strict, a non-finite number reading ``null``, and none of the
 outputs embed timestamps: rerunning a command with the same inputs
 reproduces the same bytes.
 
-Exit codes: 0 success, 2 usage, input-format or output-directory error,
-3 training diverged, 4 bias detected by ``bench-bias``.
+Exit codes: 0 success, 2 usage, unreadable or malformed input or
+output-directory error, 3 training diverged, 4 bias detected by ``bench-bias``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def _cmd_quantize(args) -> int:
         m = np.ascontiguousarray(mio.load_matrix(args.input))
     except mio.FileFormatError as exc:
         return _fail(f"malformed matrix file at byte offset {exc.offset}: {exc}")
+    except OSError as exc:
+        return _fail(f"cannot read {args.input}: {exc.strerror}")
     rng = fc.stream(args.seed, "cli", "quantize") if args.mode == "stoch" else None
     try:
         q = bq.quantize_double_block(

@@ -184,6 +184,8 @@ def _read_header(r: _Reader):
 
 
 def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
+    if not rows * cols:  # no quantizer makes one: an empty matrix has no scale
+        raise FileFormatError(f"quantized shape {rows}x{cols} is empty", offset=r.pos - 8)
     orientation = r.coded(_ORIENT_NAMES, "orientation")
     outer_at = r.pos
     outer = r.coded(_OUTER_NAMES, "outer granularity")

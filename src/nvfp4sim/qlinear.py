@@ -9,10 +9,11 @@ quantizers, one per matmul operand:
 
 Every operand is quantized with 1x16 groups along its contraction axis
 (weights optionally in 16x16 square tiles).  Site ``s`` is quantized when
-``quantize_<s>`` is set, in the element format ``format_<s>``.  Q4 and Q6
-consume the cached *dequantized* forward operands so the backward sees
-exactly the tensors the forward multiplied; disabling that alignment
-(``align_xhat=False``) makes Q6 quantize the raw activation instead.
+``quantize_<s>`` is set, in the element format ``site_format(s)`` that the
+``precision`` mode gives it.  Q4 and Q6 consume the cached *dequantized*
+forward operands so the backward sees exactly the tensors the forward
+multiplied; disabling that alignment (``align_xhat=False``) makes Q6
+quantize the raw activation instead.
 
 Backward matmuls can rotate both operands with a shared signed block-Hadamard
 transform along the contraction axis before quantization (``rht_dx`` /
@@ -63,7 +64,6 @@ __all__ = [
     "LayerQuantConfig",
     "LinearCache",
     "preset",
-    "set_precision_mode",
     "select_outlier_channels",
     "linear_forward",
     "linear_backward",
@@ -90,9 +90,22 @@ class OutlierStyle(enum.Enum):
 
 
 class PrecisionMode(enum.Enum):
+    """The element formats of a layer's six sites: ``fp4xfp4`` is FP4 (e2m1)
+    on all six; ``fp6xfp4`` lifts the activation side (the forward activation,
+    the output gradient feeding dx and the activation feeding dw) to the
+    recipe's ``fp6_variant``; ``fp6xfp6`` lifts all six."""
+
     FP4XFP4 = "fp4xfp4"
     FP6XFP4 = "fp6xfp4"
     FP6XFP6 = "fp6xfp6"
+
+
+# the sites each mode lifts to fp6_variant; every other site is e2m1
+_FP6_SITES = {
+    PrecisionMode.FP4XFP4: (),
+    PrecisionMode.FP6XFP4: ("fwd_x", "dy_for_dx", "x_for_dw"),
+    PrecisionMode.FP6XFP6: QUANTIZER_SITES,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,12 +136,7 @@ class LayerQuantConfig:
     quantize_w_for_dx: bool = True
     quantize_dy_for_dw: bool = True
     quantize_x_for_dw: bool = True
-    format_fwd_x: str = "e2m1"
-    format_fwd_w: str = "e2m1"
-    format_dy_for_dx: str = "e2m1"
-    format_w_for_dx: str = "e2m1"
-    format_dy_for_dw: str = "e2m1"
-    format_x_for_dw: str = "e2m1"
+    precision: PrecisionMode = PrecisionMode.FP4XFP4
     rht_dx: bool = True
     rht_dw: bool = True
     rht_block: int = hd.DEFAULT_BLOCK
@@ -146,10 +154,14 @@ class LayerQuantConfig:
                      "align_xhat", "stochastic_backward"):
             if type(getattr(self, name)) is not bool:
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        object.__setattr__(self, "weight_block", Orientation(self.weight_block))
-        object.__setattr__(
-            self, "outer_granularity", OuterGranularity(self.outer_granularity)
-        )
+        for name, kind in (("weight_block", Orientation),
+                           ("outer_granularity", OuterGranularity),
+                           ("precision", PrecisionMode)):
+            try:
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except ValueError:
+                raise ValueError(f"{name} must be one of {[m.value for m in kind]}, "
+                                 f"got {getattr(self, name)!r}") from None
         if self.weight_block is Orientation.COL_GROUPS_16X1:
             raise ValueError(
                 "weight_block must be ROW_GROUPS_1X16 or SQUARE_16X16"
@@ -157,15 +169,20 @@ class LayerQuantConfig:
         if (self.weight_block is Orientation.SQUARE_16X16
                 and self.outer_granularity is not OuterGranularity.PER_TENSOR):
             raise ValueError("weight_block square takes outer_granularity per-tensor")
-        for site in QUANTIZER_SITES:
-            try:
-                bq.element_format(getattr(self, f"format_{site}"))
-            except ValueError as exc:
-                raise ValueError(f"format_{site}: {exc}") from None
         if self.fp6_variant not in ("e3m2", "e2m3"):
             raise ValueError(f"fp6_variant must be e3m2 or e2m3, got {self.fp6_variant!r}")
-        if self.rht_block < 2 or (self.rht_block & (self.rht_block - 1)) != 0:
-            raise ValueError(f"rht_block must be a power of two >= 2, got {self.rht_block}")
+        block = self.rht_block
+        if type(block) is not int or block < 2 or block & (block - 1):
+            raise ValueError(f"rht_block must be an integer power of two >= 2, got {block!r}")
+
+    def site_format(self, site: str) -> str:
+        """The element format of ``site``: ``fp6_variant`` where ``precision``
+        lifts the site, e2m1 elsewhere."""
+        return self.fp6_variant if site in _FP6_SITES[self.precision] else "e2m1"
+
+    @property
+    def format_fwd_w(self) -> str:  # the format the weight's oscillation view reads
+        return self.site_format("fwd_w")
 
 
 _PRESETS = {
@@ -189,7 +206,8 @@ _PRESETS = {
 
 
 def preset(name: str) -> LayerQuantConfig:
-    """Named layer recipes.
+    """Named layer recipes, each in ``precision`` fp4xfp4 until a run's
+    ``cfg_overrides`` or mid-run switch sets another mode.
 
     * ``fp32``     — every site bypassed: the binary32 reference layer.
     * ``fp4-base`` — all six sites in FP4, rotations on both backward
@@ -206,32 +224,6 @@ def preset(name: str) -> LayerQuantConfig:
     if recipe is None:
         raise ValueError(f"unknown preset {name!r}; choose from {tuple(_PRESETS)}")
     return recipe
-
-
-def set_precision_mode(
-    cfg: LayerQuantConfig, mode: PrecisionMode | str
-) -> LayerQuantConfig:
-    """Assign element formats for a precision mode.
-
-    ``fp6xfp4`` lifts the activation-side operands — the forward activation,
-    the output gradient feeding dx, and the activation feeding dw — to FP6
-    while the weight-side operands and the output gradient feeding dw stay
-    FP4; ``fp6xfp6`` lifts all six sites.
-    """
-    mode = PrecisionMode(mode)
-    fp6 = cfg.fp6_variant
-    if mode is PrecisionMode.FP4XFP4:
-        fmts = dict.fromkeys(QUANTIZER_SITES, "e2m1")
-    elif mode is PrecisionMode.FP6XFP4:
-        fmts = dict.fromkeys(QUANTIZER_SITES, "e2m1")
-        fmts["fwd_x"] = fp6
-        fmts["dy_for_dx"] = fp6
-        fmts["x_for_dw"] = fp6
-    else:
-        fmts = dict.fromkeys(QUANTIZER_SITES, fp6)
-    return dataclasses.replace(
-        cfg, **{f"format_{site}": fmt for site, fmt in fmts.items()}
-    )
 
 
 @dataclasses.dataclass
@@ -314,7 +306,7 @@ def select_outlier_channels(
 
 
 def _quantize_site(cfg, site, m, orientation, mode, rng, clamps):
-    """``Q_site(m)`` under ``cfg``'s ``quantize_<site>`` / ``format_<site>``.
+    """``Q_site(m)`` under ``cfg``'s ``quantize_<site>``, in the site's format.
 
     A bypassed site returns ``m`` itself; a quantized one records its clamp
     count under ``clamps[site]``.
@@ -327,7 +319,7 @@ def _quantize_site(cfg, site, m, orientation, mode, rng, clamps):
         outer=cfg.outer_granularity,
         mode=mode,
         rng=rng,
-        element_fmt=getattr(cfg, f"format_{site}"),
+        element_fmt=cfg.site_format(site),
     )
     return m_hat
 

@@ -175,7 +175,9 @@ class TrainRunConfig:
                     f"switch_step must lie in [0, total_steps={total}], "
                     f"got {self.switch_step}"
                 )
-            ql.PrecisionMode(self.switch_mode)  # raises ValueError on bad mode
+            modes = [m.value for m in ql.PrecisionMode]
+            if self.switch_mode not in modes:
+                raise ValueError(f"switch_mode must be one of {modes}, got {self.switch_mode!r}")
 
     @property
     def total_steps(self) -> int:
@@ -463,7 +465,7 @@ def _train_step(run: _Run, step: int) -> Tuple[StepRow, list]:
     cfg, model, params = run.cfg, run.model, run.params
     batch = run.task.batch("train", step, cfg.batch_size, cfg.seed)
     if cfg.switch_step is not None and step == cfg.switch_step + 1:
-        switched = {t: ql.set_precision_mode(c, cfg.switch_mode) for t, c in run.cfgs.items()}
+        switched = {t: dataclasses.replace(c, precision=cfg.switch_mode) for t, c in run.cfgs.items()}
         for tag, c in switched.items():
             if c.format_fwd_w != run.cfgs[tag].format_fwd_w:
                 # Q(w) changes format: a distance across it is no oscillation

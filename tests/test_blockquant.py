@@ -200,6 +200,22 @@ def test_only_the_element_formats_quantize(name):
             route(rnd((3, 40), seed=4), "row", element_fmt=name)
 
 
+_LAYOUTS = [(o, outer) for o in ("row", "col") for outer in ("1x128", "per-row", "per-tensor")]
+_LAYOUTS.append(("square", "per-tensor"))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("orientation, outer", _LAYOUTS)
+def test_an_empty_matrix_is_rejected_naming_its_shape(orientation, outer, shape):
+    # no block of an empty matrix has an amax to scale by
+    for route in (bq.quantize_double_block, bq.quantize_dequantize):
+        for mode in ("det", "stoch"):
+            with pytest.raises(ValueError) as exc:
+                route(np.zeros(shape, F32), orientation, outer=outer, mode=mode,
+                      rng=fc.stream(1))
+            assert str(exc.value) == f"cannot quantize an empty matrix, got shape {shape}"
+
+
 @pytest.mark.parametrize("fmt", ["e3m2", "e2m3"])
 def test_dequantize_rejects_a_code_past_the_format(fmt):
     q = bq.quantize_double_block(rnd((3, 40), seed=4), "row", element_fmt=fmt)

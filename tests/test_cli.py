@@ -125,6 +125,29 @@ def test_quantize_nonfinite_csv_exits_two(tmp_path, capsys):
     assert "byte 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what", ["missing", "directory"])
+def test_quantize_unreadable_input_exits_two_naming_it(tmp_path, capsys, what):
+    src = tmp_path / "missing.csv" if what == "missing" else tmp_path / "d"
+    src.parent.mkdir(exist_ok=True)
+    if what == "directory":
+        src.mkdir()
+    rc = cli.main(["quantize", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    reason = "No such file or directory" if what == "missing" else "Is a directory"
+    assert capsys.readouterr().err == f"error: cannot read {src}: {reason}\n"
+    assert not (tmp_path / "o" / "config.json").exists()
+
+
+def test_quantize_empty_matrix_exits_two(tmp_path, capsys):
+    src = tmp_path / "empty.qmxf"
+    mio.save_dense(src, np.zeros((0, 4), F32))
+    rc = cli.main(["quantize", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: cannot quantize an empty matrix, got shape (0, 4)\n")
+    assert not (tmp_path / "o" / "config.json").exists()
+
+
 def test_quantize_stochastic_mode_uses_seed(tmp_path):
     m = rnd((16, 64), seed=4)
     src = tmp_path / "m.csv"
@@ -276,7 +299,20 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
                "outlier_count": 4.5}}, "outlier_count must be an integer, got 4.5"),
     ({"task": {"kind": "synthetic-regression", "in_dim": "64", "out_dim": 8}},
      "in_dim must be an integer, got '64'"),
-    ({"cfg_overrides": {"format_fwd_x": 5}}, "format_fwd_x: unknown format 5"),
+    ({"cfg_overrides": {"format_fwd_x": 5}}, "cfg_overrides sets ['format_fwd_x']; it takes"),
+    ({"cfg_overrides": {"precision": 5}},
+     "precision must be one of ['fp4xfp4', 'fp6xfp4', 'fp6xfp6'], got 5"),
+    ({"cfg_overrides": {"precision": "FP4XFP4"}}, "precision must be one of"),
+    ({"cfg_overrides": {"rht_block": "32"}},
+     "rht_block must be an integer power of two >= 2, got '32'"),
+    ({"cfg_overrides": {"rht_block": 32.0}},
+     "rht_block must be an integer power of two >= 2, got 32.0"),
+    ({"cfg_overrides": {"weight_block": "diag"}},
+     "weight_block must be one of ['row', 'col', 'square'], got 'diag'"),
+    ({"cfg_overrides": {"outer_granularity": "2x64"}},
+     "outer_granularity must be one of ['1x128', 'per-row', 'per-tensor'], got '2x64'"),
+    ({"switch_step": 3, "switch_mode": "FP6XFP4"},
+     "switch_mode must be one of ['fp4xfp4', 'fp6xfp4', 'fp6xfp6'], got 'FP6XFP4'"),
     ({"task": {"kind": "synthetic-regression", "in_dim": 64, "out_dim": 8,
                "outlier_gain": math.inf}}, "outlier_gain must be a finite number, got inf"),
     ({"model": {"kind": "mlp", "widths": [64, 32.5, 32, 8]}},
@@ -292,7 +328,9 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
         "fractional-period", "float-start", "bool-accu", "string-tau", "bool-tau",
         "string-outlier-ratio", "bool-outlier-ratio", "infinite-lr", "infinite-eps",
         "nan-weight-decay", "fractional-outlier-count", "string-in-dim",
-        "int-format", "infinite-outlier-gain", "fractional-width", "bool-width"])
+        "int-format", "int-precision", "upper-precision", "string-rht-block",
+        "float-rht-block", "diag-weight-block", "bad-outer",
+        "upper-switch-mode", "infinite-outlier-gain", "fractional-width", "bool-width"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)

@@ -213,6 +213,12 @@ def test_six_bit_code_bytes_must_fit_the_format(tmp_path, fmt):
     assert _load_patched(tmp_path, raw) == first + 5
 
 
+def test_an_empty_quantized_shape_is_rejected(tmp_path):
+    raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((4, 32), F32), "row"))
+    raw[9:13] = struct.pack("<I", 0)  # rows 4 -> 0: rejected at the shape, not later
+    assert _load_patched(tmp_path, raw) == 9
+
+
 def test_square_tiles_with_a_per_row_outer_level_are_rejected(tmp_path):
     raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((16, 16), F32), "square"))
     raw[_OUTER_AT] = 1  # per-row

@@ -512,8 +512,22 @@ def test_outlier_index_out_of_range_rejected():
 
 @pytest.mark.parametrize("name", ["e4m3", "E2M1"])
 def test_config_takes_only_the_element_formats(name):
-    with pytest.raises(ValueError, match=f"format_w_for_dx: unknown format '{name}'"):
-        ql.LayerQuantConfig(format_w_for_dx=name)
+    # a format reaches the config only as fp6_variant or through precision
+    with pytest.raises(ValueError, match=f"fp6_variant must be e3m2 or e2m3, got '{name}'"):
+        ql.LayerQuantConfig(fp6_variant=name)
+    with pytest.raises(ValueError, match=f"precision must be one of .*, got '{name}'"):
+        ql.LayerQuantConfig(precision=name)
+    with pytest.raises(TypeError):
+        ql.LayerQuantConfig(format_w_for_dx="e2m1")  # no site has a format field
+
+
+@pytest.mark.parametrize("value", ["FP4XFP4", 5, None])
+def test_precision_takes_only_the_mode_names(value):
+    with pytest.raises(ValueError) as exc:
+        ql.LayerQuantConfig(precision=value)
+    assert str(exc.value) == (
+        f"precision must be one of ['fp4xfp4', 'fp6xfp4', 'fp6xfp6'], got {value!r}")
+    assert ql.LayerQuantConfig(precision="fp6xfp4").precision is ql.PrecisionMode.FP6XFP4
 
 
 @pytest.mark.parametrize("name", ["fp8", 5, None, ["fp32"]])
@@ -528,31 +542,26 @@ def test_preset_rejects_an_unknown_name_naming_it(name):
 
 def test_set_precision_mode_fp4_is_identity():
     cfg = ql.preset("fp4-base")
-    assert ql.set_precision_mode(cfg, "fp4xfp4") == cfg
+    assert cfg.precision is ql.PrecisionMode.FP4XFP4
+    assert dataclasses.replace(cfg, precision="fp4xfp4") == cfg
+    assert {cfg.site_format(s) for s in ql.QUANTIZER_SITES} == {"e2m1"}
 
 
 def test_set_precision_mode_fp6xfp4_placement():
-    cfg = ql.set_precision_mode(ql.preset("fp4-base"), "fp6xfp4")
+    cfg = base_cfg(precision="fp6xfp4")
     fp6 = cfg.fp6_variant
-    assert cfg.format_fwd_x == fp6
-    assert cfg.format_dy_for_dx == fp6
-    assert cfg.format_x_for_dw == fp6
-    assert cfg.format_fwd_w == "e2m1"
-    assert cfg.format_w_for_dx == "e2m1"
-    assert cfg.format_dy_for_dw == "e2m1"
+    assert cfg.site_format("fwd_x") == fp6
+    assert cfg.site_format("dy_for_dx") == fp6
+    assert cfg.site_format("x_for_dw") == fp6
+    assert cfg.site_format("fwd_w") == cfg.format_fwd_w == "e2m1"
+    assert cfg.site_format("w_for_dx") == "e2m1"
+    assert cfg.site_format("dy_for_dw") == "e2m1"
 
 
 def test_set_precision_mode_fp6xfp6_lifts_all_sites():
-    cfg = ql.set_precision_mode(ql.preset("fp4-base"), "fp6xfp6")
-    fp6 = cfg.fp6_variant
-    assert {
-        cfg.format_fwd_x,
-        cfg.format_fwd_w,
-        cfg.format_dy_for_dx,
-        cfg.format_w_for_dx,
-        cfg.format_dy_for_dw,
-        cfg.format_x_for_dw,
-    } == {fp6}
+    cfg = base_cfg(precision="fp6xfp6", fp6_variant="e2m3")
+    assert {cfg.site_format(s) for s in ql.QUANTIZER_SITES} == {"e2m3"}
+    assert cfg.format_fwd_w == "e2m3"
 
 
 def test_fp6_forward_mse_not_worse_than_fp4():
@@ -560,7 +569,7 @@ def test_fp6_forward_mse_not_worse_than_fp4():
     exact = x.astype(np.float64) @ w.astype(np.float64).T
     errs = {}
     for mode in ("fp4xfp4", "fp6xfp6"):
-        cfg = ql.set_precision_mode(base_cfg(), mode)
+        cfg = base_cfg(precision=mode)
         y, _ = ql.linear_forward(x, w, cfg, step=0)
         errs[mode] = float(np.mean((y - exact) ** 2))
     assert errs["fp6xfp6"] <= errs["fp4xfp4"]

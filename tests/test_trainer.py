@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nvfp4sim import blockquant as bq
 from nvfp4sim import fpcodec as fc
 from nvfp4sim import models, optim, oscillation as osc, qlinear as ql, tasks
 from nvfp4sim import trainer as tr
@@ -327,15 +328,43 @@ def test_switch_keeps_trackers_whose_weight_format_stays(monkeypatch):
 
 
 def test_a_format_has_one_spelling():
-    # the precision switch compares stored names: a second spelling of e2m1
-    # would read as a new weight format and drop the oscillation trackers
+    # the precision switch compares the weight's format before and after: a
+    # second spelling of a mode would drop the oscillation trackers it keeps
     run = dict(preset="fp4-base", switch_step=3, switch_mode="fp4xfp4",
                suppression=osc.SuppressionSchedule(t_max=40, t_start=1, t_period=8, t_accu=5))
-    with pytest.raises(ValueError, match="format_fwd_w: unknown format 'E2M1'"):
-        tr.train(mlp_cfg(cfg_overrides={"format_fwd_w": "E2M1"}, **run))
-    spelled = tr.train(mlp_cfg(cfg_overrides={"format_fwd_w": "e2m1"}, **run))
+    with pytest.raises(ValueError, match="precision must be one of .*, got 'FP4XFP4'"):
+        tr.train(mlp_cfg(cfg_overrides={"precision": "FP4XFP4"}, **run))
+    # a config from before the precision field fails loudly, not differently
+    with pytest.raises(ValueError, match=r"cfg_overrides sets \['format_fwd_w'\]; it takes"):
+        tr.train(mlp_cfg(cfg_overrides={"format_fwd_w": "e2m1"}, **run))
+    spelled = tr.train(mlp_cfg(cfg_overrides={"precision": "fp4xfp4"}, **run))
     plain = tr.train(mlp_cfg(**run))
     assert (spelled.rows, spelled.osci_rows) == (plain.rows, plain.osci_rows)
+
+
+# the sites each mode lifts to the run's fp6_variant; every other site is e2m1
+_FP6_SITES = {"fp4xfp4": (), "fp6xfp4": ("fwd_x", "dy_for_dx", "x_for_dw"),
+              "fp6xfp6": ql.QUANTIZER_SITES}
+
+
+@pytest.mark.parametrize("variant", ["e3m2", "e2m3"])
+@pytest.mark.parametrize("mode", sorted(_FP6_SITES))
+def test_a_precision_mode_sets_each_site_format(monkeypatch, mode, variant):
+    formats = []
+    quantize = bq.quantize_dequantize
+
+    def spy(*args, element_fmt="e2m1", **kwargs):
+        formats.append(element_fmt)
+        return quantize(*args, element_fmt=element_fmt, **kwargs)
+
+    monkeypatch.setattr(bq, "quantize_dequantize", spy)
+    tr.train(mlp_cfg(preset="fp4-base", val_batches=1, switch_step=0, switch_mode=mode,
+                     schedule={"warmup_steps": 0, "total_steps": 1, "floor_lr": 0.0},
+                     cfg_overrides={"fp6_variant": variant}))
+    site = {s: variant if s in _FP6_SITES[mode] else "e2m1" for s in ql.QUANTIZER_SITES}
+    forward = [site["fwd_x"], site["fwd_w"]] * 2  # the quantized fc0 and fc1
+    backward = [site[s] for s in ql.QUANTIZER_SITES[2:]] * 2
+    assert formats == forward + backward + forward  # the step, then its validation
 
 
 def test_switch_records_config(tmp_path):
@@ -647,6 +676,18 @@ TRAIN_SHA256 = {
         "oscillation.csv": "91267dd3efa3c402d9288107fa9db0d6bc0b939bb884cc161c5761244ec9583d",
         "params": "d4fa30f43786fd5ce7602fb0e2005fb7fc49c94160207ee83c1339338df21ab8",
     },
+    # recorded while each site's element format was a field of its own: one
+    # precision mode per layer recipe must give these runs the same bytes
+    "mlp-switch-fp6xfp4-e2m3": {
+        "metrics.csv": "06260c8b5f414daf4d4b42d680fe642797f1d2e0d06e21430b56dcd2a6c5fc42",
+        "oscillation.csv": "2c2c964f6881d1a2b3e20c8eb0e421f837de17bf4018281bf75b8ff397b6b875",
+        "params": "ca9e5b69d99723bf8089d8294bbcc8d3e81c0276f25f6f97c87beb7e7e1c3350",
+    },
+    "mlp-switch-fp6xfp6": {
+        "metrics.csv": "5ab9e4cd32d8a4a67f32f7814d141ed5a0d51bb8af6a2f31c74084f80bd7b87c",
+        "oscillation.csv": "16c5aeb89940a51d3b3b8c08868a1289c4a464d1b09102138819ffeee1bb189a",
+        "params": "9f7ffd01e193145ae8aa4ed45582cc434d848b2900fefb0bce97c301c15587a2",
+    },
 }
 
 
@@ -658,8 +699,17 @@ def _pinned_run_cfg(name, tmp_path):
             suppression=osc.SuppressionSchedule(t_max=12, t_start=2, t_period=4,
                                                 t_accu=1, tau_osci=0.5),
         )
-    return mlp_cfg(preset="fp4-base", out_dir=out_dir,
-                   schedule={"warmup_steps": 5, "total_steps": 20, "floor_lr": 0.0})
+    run = dict(preset="fp4-base", out_dir=out_dir,
+               schedule={"warmup_steps": 5, "total_steps": 20, "floor_lr": 0.0})
+    if name == "mlp-fp4-base":
+        return mlp_cfg(**run)
+    # a switch at step 10, inside the window that opens at step 8 and resets
+    # at step 14: fp6xfp4 keeps the weight's trackers, fp6xfp6 drops them
+    mode = name.split("-")[2]
+    overrides = {"fp6_variant": "e2m3"} if name.endswith("e2m3") else {}
+    return mlp_cfg(**run, switch_step=9, switch_mode=mode, cfg_overrides=overrides,
+                   suppression=osc.SuppressionSchedule(t_max=20, t_start=1, t_period=8,
+                                                       t_accu=5, tau_osci=0.5))
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN_SHA256))
