@@ -87,10 +87,6 @@ class FormatSpec:
     def num_codes(self) -> int:
         return 1 << self.bits
 
-    @property
-    def top_mag_code(self) -> int:
-        return self.mag.size - 1
-
 
 def _minifloat_magnitudes(exp_bits: int, man_bits: int, bias: int, reserve_top: bool):
     out = []

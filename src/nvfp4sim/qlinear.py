@@ -8,20 +8,20 @@ quantizers, one per matmul operand:
               dw = Q5(dy.T)   @ Q6(x_hat)      (stochastic by default)
 
 Every operand is quantized with 1x16 groups along its contraction axis
-(weights optionally in 16x16 square tiles).  Site ``s`` is quantized when
-``quantize_<s>`` is set, in the element format ``site_format(s)`` that the
+(weights optionally in 16x16 square tiles).  Site ``s`` is quantized when the
+recipe's ``sites`` name it, in the element format ``site_format(s)`` that the
 ``precision`` mode gives it.  Q4 and Q6 consume the cached *dequantized*
 forward operands so the backward sees exactly the tensors the forward
 multiplied; disabling that alignment (``align_xhat=False``) makes Q6
 quantize the raw activation instead.
 
-Backward matmuls can rotate both operands with a shared signed block-Hadamard
-transform along the contraction axis before quantization (``rht_dx`` /
-``rht_dw``); the rotation is skipped when neither operand of that matmul is
-quantized, so disabling every site reproduces the binary32 reference layer
-bit-for-bit.  Sign vectors derive from ``(rht_seed, layer_tag, step, side)``
-with side tags "dx" and "dw"; the backward takes ``step`` from the forward
-cache, so both passes of one training step share it.
+The backward matmuls that ``rht_sides`` names ("dx", "dw") rotate both
+operands with a shared signed block-Hadamard transform along the contraction
+axis before quantization; the rotation is skipped when neither operand of
+that matmul is quantized, so empty ``sites`` reproduce the binary32 reference
+layer bit-for-bit.  Sign vectors derive from ``(rht_seed, layer_tag, step,
+side)``; the backward takes ``step`` from the forward cache, so both passes
+of one training step share it.
 
 Outlier-channel retention splits the forward activation: selected columns
 bypass low-bit quantization (kept in ``e4m3`` with a shared current scale,
@@ -63,6 +63,7 @@ __all__ = [
     "OutlierConfig",
     "LayerQuantConfig",
     "LinearCache",
+    "name_set",
     "preset",
     "select_outlier_channels",
     "linear_forward",
@@ -79,6 +80,9 @@ QUANTIZER_SITES = (
     "dy_for_dw",
     "x_for_dw",
 )
+
+# the backward matmuls: side -> the sites of its left and right operands
+_BACKWARD_SITES = {"dx": ("dy_for_dx", "w_for_dx"), "dw": ("dy_for_dw", "x_for_dw")}
 
 OUTLIER_PRECISIONS = ("e4m3", "float16", "float32")
 
@@ -116,6 +120,10 @@ class OutlierConfig:
     precision: str = "e4m3"
 
     def __post_init__(self):
+        bad = [c for c in self.channels if not isinstance(c, (int, np.integer))
+               or isinstance(c, bool)]
+        if bad:
+            raise ValueError(f"outlier channels must be integers, got {bad[0]!r}")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
         if self.precision not in OUTLIER_PRECISIONS:
             raise ValueError(
@@ -126,19 +134,29 @@ class OutlierConfig:
             raise ValueError("outlier channels must be unique")
 
 
+def name_set(field: str, value, valid: Tuple[str, ...]) -> Tuple[str, ...]:
+    """``value``, a list or tuple of distinct names from ``valid``, as a tuple
+    in the order of ``valid``; anything else is a ValueError naming ``field``."""
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{field} must be a list of strings from {list(valid)}, got {value!r}")
+    unknown = [v for v in value if v not in valid]
+    if unknown:
+        raise ValueError(f"{field} names unknown {unknown}; valid names are {list(valid)}")
+    if len(set(value)) != len(value):
+        raise ValueError(f"{field} names a value twice: {list(value)}")
+    return tuple(v for v in valid if v in value)
+
+
 @dataclasses.dataclass(frozen=True)
 class LayerQuantConfig:
-    """Complete quantization recipe for one linear layer."""
+    """Complete quantization recipe for one linear layer.  ``sites`` names
+    the quantized sites, from :data:`QUANTIZER_SITES`, and ``rht_sides`` the
+    rotated backward matmuls, from ("dx", "dw"): each a list or tuple of
+    distinct names, stored in that order."""
 
-    quantize_fwd_x: bool = True
-    quantize_fwd_w: bool = True
-    quantize_dy_for_dx: bool = True
-    quantize_w_for_dx: bool = True
-    quantize_dy_for_dw: bool = True
-    quantize_x_for_dw: bool = True
+    sites: Tuple[str, ...] = QUANTIZER_SITES
     precision: PrecisionMode = PrecisionMode.FP4XFP4
-    rht_dx: bool = True
-    rht_dw: bool = True
+    rht_sides: Tuple[str, ...] = tuple(_BACKWARD_SITES)
     rht_block: int = hd.DEFAULT_BLOCK
     weight_block: Orientation = Orientation.ROW_GROUPS_1X16
     outer_granularity: OuterGranularity = OuterGranularity.BLOCK_1X128
@@ -150,8 +168,10 @@ class LayerQuantConfig:
     rht_seed: int = 0
 
     def __post_init__(self):
-        for name in (*(f"quantize_{s}" for s in QUANTIZER_SITES), "rht_dx", "rht_dw",
-                     "align_xhat", "stochastic_backward"):
+        object.__setattr__(self, "sites", name_set("sites", self.sites, QUANTIZER_SITES))
+        object.__setattr__(self, "rht_sides",
+                           name_set("rht_sides", self.rht_sides, tuple(_BACKWARD_SITES)))
+        for name in ("align_xhat", "stochastic_backward"):
             if type(getattr(self, name)) is not bool:
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name, kind in (("weight_block", Orientation),
@@ -184,19 +204,17 @@ class LayerQuantConfig:
     def format_fwd_w(self) -> str:  # the format the weight's oscillation view reads
         return self.site_format("fwd_w")
 
+    @property
+    def quantize_fwd_w(self) -> bool:  # whether the weight has an oscillation view
+        return "fwd_w" in self.sites
+
 
 _PRESETS = {
-    "fp32": LayerQuantConfig(
-        **{f"quantize_{s}": False for s in QUANTIZER_SITES},
-        rht_dx=False,
-        rht_dw=False,
-        stochastic_backward=False,
-    ),
+    "fp32": LayerQuantConfig(sites=(), rht_sides=(), stochastic_backward=False),
     "fp4-base": LayerQuantConfig(),
     "fp4-full": LayerQuantConfig(),
     "fp4-rtn": LayerQuantConfig(
-        rht_dx=False,
-        rht_dw=True,
+        rht_sides=("dw",),
         weight_block=Orientation.SQUARE_16X16,
         outer_granularity=OuterGranularity.PER_TENSOR,
         align_xhat=False,
@@ -209,7 +227,8 @@ def preset(name: str) -> LayerQuantConfig:
     """Named layer recipes, each in ``precision`` fp4xfp4 until a run's
     ``cfg_overrides`` or mid-run switch sets another mode.
 
-    * ``fp32``     — every site bypassed: the binary32 reference layer.
+    * ``fp32``     — no site quantized and no matmul rotated: the binary32
+      reference layer.
     * ``fp4-base`` — all six sites in FP4, rotations on both backward
       matmuls, 1x16 weight groups, 1x128 outer scaling blocks, aligned
       backward inputs, stochastic backward rounding.
@@ -306,12 +325,12 @@ def select_outlier_channels(
 
 
 def _quantize_site(cfg, site, m, orientation, mode, rng, clamps):
-    """``Q_site(m)`` under ``cfg``'s ``quantize_<site>``, in the site's format.
+    """``Q_site(m)`` when ``site`` is one of ``cfg.sites``, in its format.
 
     A bypassed site returns ``m`` itself; a quantized one records its clamp
     count under ``clamps[site]``.
     """
-    if not getattr(cfg, f"quantize_{site}"):
+    if site not in cfg.sites:
         return m
     m_hat, clamps[site] = bq.quantize_dequantize(
         m,
@@ -324,23 +343,17 @@ def _quantize_site(cfg, site, m, orientation, mode, rng, clamps):
     return m_hat
 
 
-# the backward matmuls: side -> the sites of its left and right operands
-_BACKWARD_SITES = {"dx": ("dy_for_dx", "w_for_dx"), "dw": ("dy_for_dw", "x_for_dw")}
-
-
 def _backward_gemm(side, a, b, b_orientation, cfg, step, mode, rng, clamps):
     """``Q(a) @ Q(b)`` for the backward matmul ``side``, which contracts the
     last axis of ``a`` with the first of ``b``.
 
-    When ``rht_<side>`` is set and either site is quantized, both operands
-    are first rotated along that axis, keeping the padded width so the
-    contraction stays exact.  Then ``a`` is quantized in 1x16 row groups and
+    When ``cfg.rht_sides`` names ``side`` and either site is quantized, both
+    operands are first rotated along that axis, keeping the padded width so
+    the contraction stays exact.  Then ``a`` is quantized in 1x16 row groups and
     ``b`` in ``b_orientation``, drawing from ``rng`` in that order.
     """
     site_a, site_b = _BACKWARD_SITES[side]
-    if getattr(cfg, f"rht_{side}") and (
-        getattr(cfg, f"quantize_{site_a}") or getattr(cfg, f"quantize_{site_b}")
-    ):
+    if side in cfg.rht_sides and (site_a in cfg.sites or site_b in cfg.sites):
         ctx = hd.rht_context(a.shape[1], seed=cfg.rht_seed, layer=cfg.layer_tag,
                              step=step, side=side, block=cfg.rht_block)
         a, b = hd.rht_apply(a, ctx), hd.rht_apply(b.T, ctx).T
@@ -380,7 +393,7 @@ def linear_forward(
 
     clamps: Dict[str, int] = {}
     x_low = x
-    if outlier is not None and cfg.quantize_fwd_x:
+    if outlier is not None and "fwd_x" in cfg.sites:
         x_low = x.copy()
         x_low[:, a_idx] = 0.0
     x_hat = _quantize_site(
@@ -435,7 +448,7 @@ def linear_backward(
             "no raw layer input"
         )
     mode = "stoch" if cfg.stochastic_backward else "det"
-    quantized = any(getattr(cfg, f"quantize_{s}") for s in QUANTIZER_SITES[2:])
+    quantized = any(s in cfg.sites for s in QUANTIZER_SITES[2:])
     if mode == "stoch" and quantized and rng is None:
         raise ValueError("stochastic backward rounding requires an rng")
     clamps: Dict[str, int] = {}

@@ -177,9 +177,6 @@ class CharLM:
     def vocab(self) -> int:
         return len(self.alphabet)
 
-    def decode(self, ids) -> str:
-        return "".join(self.alphabet[int(i)] for i in np.asarray(ids).reshape(-1))
-
     def batch(self, split: str, step: int, batch_size: int, seed: int):
         if split == "train":
             lo, hi = 0, self.val_start - self.seq_len - 1

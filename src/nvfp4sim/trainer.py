@@ -1,10 +1,13 @@
 """Desk-scale training harness for the quantized linear stack.
 
 One :class:`TrainRunConfig` describes a full run: model, task, AdamW with a
-warmup-then-cosine schedule, the per-layer quantization recipe (preset plus
-overrides), optional outlier-channel retention, optional oscillation
-suppression, and an optional mid-run precision switch (``switch_step`` and
-``switch_mode``: every layer recipe changes mode once, after ``switch_step``).
+warmup-then-cosine schedule, the per-layer quantization recipe, optional
+outlier-channel retention, optional oscillation suppression, and an optional
+mid-run precision switch (``switch_step`` and ``switch_mode``: every layer
+recipe changes mode once, after ``switch_step``).  The recipe is the preset
+with ``cfg_overrides``, which sets any field of it but four; ``site_subset``
+sets its ``sites``, and ``exclude_tags`` names the layers that quantize no
+site; the trainer sets ``layer_tag``, ``rht_seed`` and ``outlier`` per layer.
 Each section takes the keywords of the constructor that consumes it, which is
 its one check (``model`` and ``task`` add a ``kind``, and ``model`` takes no
 ``vocab``, which the corpus decides; ``optimizer`` is AdamW's plus ``lr``, the
@@ -118,17 +121,13 @@ class TrainRunConfig:
     def __post_init__(self):
         for name in ("model", "task", "optimizer", "schedule", "cfg_overrides"):
             object.__setattr__(self, name, _freeze(dict(getattr(self, name))))
-        for name in ("site_subset", "exclude_tags"):
-            value = getattr(self, name)
-            if value is None and name == "site_subset":
-                continue
-            if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
-                raise ValueError(f"{name} must be a list of strings, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
-        unknown = [s for s in self.site_subset or () if s not in ql.QUANTIZER_SITES]
-        if unknown:
-            raise ValueError(f"unknown quantizer sites {unknown}; valid sites are "
-                             f"{list(ql.QUANTIZER_SITES)}")
+        if self.site_subset is not None:  # kept in the order given, as config.json shows it
+            ql.name_set("site_subset", self.site_subset, ql.QUANTIZER_SITES)
+            object.__setattr__(self, "site_subset", tuple(self.site_subset))
+        tags = self.exclude_tags
+        if not (isinstance(tags, (list, tuple)) and all(isinstance(t, str) for t in tags)):
+            raise ValueError(f"exclude_tags must be a list of strings, got {tags!r}")
+        object.__setattr__(self, "exclude_tags", tuple(tags))
         if isinstance(self.suppression, Mapping):
             object.__setattr__(self, "suppression", _construct(
                 osc.SuppressionSchedule, dict(self.suppression), "suppression"))
@@ -154,9 +153,10 @@ class TrainRunConfig:
                 raise ValueError(
                     f"{name} must be one of {valid}, got {getattr(self, name)!r}"
                 )
-        # the trainer sets layer_tag, rht_seed and outlier per layer
+        # the trainer sets layer_tag, rht_seed and outlier per layer, and sites
+        # from site_subset and exclude_tags
         settable = [f.name for f in dataclasses.fields(ql.LayerQuantConfig)
-                    if f.name not in ("layer_tag", "rht_seed", "outlier")]
+                    if f.name not in ("layer_tag", "rht_seed", "outlier", "sites")]
         bad = sorted(set(self.cfg_overrides) - set(settable))
         if bad:
             raise ValueError(f"cfg_overrides sets {bad}; it takes {settable}")
@@ -214,10 +214,6 @@ class RunReport:
     @property
     def losses(self) -> Tuple[float, ...]:
         return tuple(r.train_loss for r in self.rows)
-
-    @property
-    def val_records(self) -> Tuple[Tuple[int, float], ...]:
-        return tuple((r.step, r.val_loss) for r in self.rows if r.val_loss is not None)
 
     @property
     def clamp_total(self) -> int:
@@ -314,15 +310,11 @@ def _build_model(cfg: TrainRunConfig, task):
     return model
 
 
-def _site_flags(enabled_sites) -> dict:
-    return {f"quantize_{s}": (s in enabled_sites) for s in ql.QUANTIZER_SITES}
-
-
 def _layer_recipe(cfg: TrainRunConfig) -> ql.LayerQuantConfig:
     """The preset with ``cfg_overrides`` and then ``site_subset`` applied."""
     recipe = dataclasses.replace(ql.preset(cfg.preset), **cfg.cfg_overrides)
     if cfg.site_subset is not None:
-        recipe = dataclasses.replace(recipe, **_site_flags(cfg.site_subset))
+        recipe = dataclasses.replace(recipe, sites=cfg.site_subset)
     return recipe
 
 
@@ -333,16 +325,12 @@ def _build_layer_cfgs(model, task, params, cfg: TrainRunConfig):
     for tag in model.quant_tags():
         c = dataclasses.replace(base, layer_tag=tag, rht_seed=cfg.seed)
         if tag in cfg.exclude_tags:
-            c = dataclasses.replace(c, **_site_flags(()))
+            c = dataclasses.replace(c, sites=())
         cfgs[tag] = c
 
     outlier_channels: Dict[str, Tuple[int, ...]] = {}
     if cfg.outlier_ratio > 0.0:
-        eligible = [
-            tag
-            for tag, c in cfgs.items()
-            if any(getattr(c, f"quantize_{s}") for s in ql.QUANTIZER_SITES)
-        ]
+        eligible = [tag for tag, c in cfgs.items() if c.sites]
         if eligible:
             calib = task.batch("train", 0, cfg.batch_size, cfg.seed)
             acts = model.input_acts(params, calib, step=0)

@@ -277,7 +277,7 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
     ({"cfg_overrides": {"layer_tag": "fc1"}}, "cfg_overrides sets ['layer_tag']"),
     ({"cfg_overrides": {"rht_seed": 3}}, "cfg_overrides sets ['rht_seed']"),
     ({"cfg_overrides": {"outlier": None}}, "cfg_overrides sets ['outlier']"),
-    ({"cfg_overrides": {"quantize_fwd_x": "false"}}, "quantize_fwd_x must be true or false"),
+    ({"cfg_overrides": {"align_xhat": "false"}}, "align_xhat must be true or false"),
     ({"apply_resets": "false"}, "apply_resets must be true or false"),
     ({"schedule": {"total_steps": 3.7}}, "total_steps must be an integer"),
     ({"schedule": {"total_steps": "3"}}, "total_steps must be an integer"),
@@ -319,6 +319,11 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
      "widths must be whole numbers, got (64, 32.5, 32, 8)"),
     ({"model": {"kind": "mlp", "widths": [64, True, 32, 8]}},
      "widths must be whole numbers, got (64, True, 32, 8)"),
+    ({"cfg_overrides": {"quantize_fwd_x": False}},
+     "cfg_overrides sets ['quantize_fwd_x']; it takes"),
+    ({"cfg_overrides": {"sites": ["fwd_x"]}}, "cfg_overrides sets ['sites']; it takes"),
+    ({"cfg_overrides": {"rht_sides": "dx"}}, "rht_sides must be a list of strings"),
+    ({"site_subset": ["fwd_x", "fwd_x"]}, "site_subset names a value twice"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
         "model-key", "corpus-path", "square-outer", "outlier-precision",
         "outlier-style", "optimizer-key", "schedule-key", "missing-lr",
@@ -330,7 +335,8 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
         "nan-weight-decay", "fractional-outlier-count", "string-in-dim",
         "int-format", "int-precision", "upper-precision", "string-rht-block",
         "float-rht-block", "diag-weight-block", "bad-outer",
-        "upper-switch-mode", "infinite-outlier-gain", "fractional-width", "bool-width"])
+        "upper-switch-mode", "infinite-outlier-gain", "fractional-width", "bool-width",
+        "removed-site-flag", "override-sites", "string-rht-sides", "duplicate-site"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)

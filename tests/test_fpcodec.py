@@ -564,7 +564,7 @@ def test_non_finite_codes_are_unchanged(name, dtype):
     # det gives the top code to NaN and +inf; stoch gives NaN the code below
     # the top and +inf the top code, and consumes a draw for each
     fmt = fc.get_format(name)
-    top = fmt.top_mag_code
+    top = fmt.mag.size - 1
     x = np.array([np.nan, np.inf, 2.0 * fmt.max], dtype)
     np.testing.assert_array_equal(core_codes(fc._mag_round_det, x, fmt), [top, top, top])
     r1, r2 = fc.stream(1, "non-finite"), fc.stream(1, "non-finite")

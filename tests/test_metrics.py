@@ -109,14 +109,14 @@ def test_bias_bench_stochastic_passes():
 
 
 def test_bias_bench_stochastic_passes_on_boundary_inputs():
-    cfg = dataclasses.replace(ql.preset("fp4-base"), rht_dx=False, rht_dw=False)
+    cfg = dataclasses.replace(ql.preset("fp4-base"), rht_sides=())
     rep = mx.mc_backward_bias(cfg, draws=2500, seed=6, dy_craft="boundary", x_craft="boundary")
     assert rep.passed, rep
 
 
 def test_bias_bench_det_backward_fails_on_boundary():
     cfg = dataclasses.replace(
-        ql.preset("fp4-base"), stochastic_backward=False, rht_dx=False, rht_dw=False
+        ql.preset("fp4-base"), stochastic_backward=False, rht_sides=()
     )
     rep = mx.mc_backward_bias(cfg, draws=3, seed=6, dy_craft="boundary")
     assert not rep.passed
@@ -128,7 +128,7 @@ def test_bias_bench_det_backward_passes_on_representable_inputs():
     # inputs the deterministic path has (near-)zero error under every block
     # orientation, so the bench stays green
     cfg = dataclasses.replace(
-        ql.preset("fp4-base"), stochastic_backward=False, rht_dx=False, rht_dw=False
+        ql.preset("fp4-base"), stochastic_backward=False, rht_sides=()
     )
     rep = mx.mc_backward_bias(
         cfg, draws=3, seed=6, dy_craft="signs", x_craft="signs", w_craft="signs"
@@ -138,7 +138,7 @@ def test_bias_bench_det_backward_passes_on_representable_inputs():
 
 def test_bias_bench_unaligned_x_fails_on_boundary():
     cfg = dataclasses.replace(
-        ql.preset("fp4-base"), align_xhat=False, rht_dx=False, rht_dw=False
+        ql.preset("fp4-base"), align_xhat=False, rht_sides=()
     )
     rep = mx.mc_backward_bias(cfg, draws=2000, seed=8, x_craft="boundary")
     assert not rep.passed
@@ -147,7 +147,7 @@ def test_bias_bench_unaligned_x_fails_on_boundary():
 
 
 def test_bias_bench_with_outlier_retention_passes():
-    cfg = dataclasses.replace(ql.preset("fp4-base"), rht_dx=False, rht_dw=False)
+    cfg = dataclasses.replace(ql.preset("fp4-base"), rht_sides=())
     rep = mx.mc_backward_bias(cfg, draws=400, seed=9, outlier_percent=12.5)
     assert rep.passed, rep
     assert rep.outlier_channels  # selection actually happened
@@ -159,7 +159,7 @@ def test_bias_bench_rejects_bad_nsigma(nsigma):
         mx.mc_backward_bias(ql.preset("fp32"), draws=4, seed=1, nsigma=nsigma)
 
 
-_DET = dict(stochastic_backward=False, rht_dx=False, rht_dw=False)
+_DET = dict(stochastic_backward=False, rht_sides=())
 
 
 @pytest.mark.parametrize("changes, kw, digest", [

@@ -11,6 +11,7 @@ Oracles:
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -67,29 +68,44 @@ def test_backward_bypass_bit_exact():
     np.testing.assert_array_equal(dw, dy.T @ x)
 
 
-@pytest.mark.parametrize("flag", [
-    *(f"quantize_{s}" for s in ql.QUANTIZER_SITES),
-    "rht_dx", "rht_dw", "align_xhat", "stochastic_backward",
-])
+@pytest.mark.parametrize("flag", ["align_xhat", "stochastic_backward"])
 def test_flag_fields_reject_a_non_bool(flag):
     for value in ("false", 0, 1, None):
         with pytest.raises(ValueError, match=f"{flag} must be true or false"):
             ql.LayerQuantConfig(**{flag: value})
 
 
+@pytest.mark.parametrize("field, valid", [
+    ("sites", ql.QUANTIZER_SITES), ("rht_sides", ("dx", "dw")),
+])
+def test_name_sets_take_only_distinct_known_names(field, valid):
+    for value, error in (
+        (["fwd_q"], r"names unknown \['fwd_q'\]"),
+        ([valid[-1], valid[-1]], "names a value twice"),
+        (valid[0], "must be a list of strings"),  # a bare string is no list
+        ({valid[0]}, "must be a list of strings"),
+        (5, "must be a list of strings"),
+        (None, "must be a list of strings"),
+        ([1], "must be a list of strings"),
+    ):
+        with pytest.raises(ValueError, match=f"{field} {error}"):
+            ql.LayerQuantConfig(**{field: value})
+
+
+def test_name_sets_are_stored_in_canonical_order():
+    cfg = ql.LayerQuantConfig(sites=["x_for_dw", "fwd_x"], rht_sides=["dw", "dx"])
+    assert cfg.sites == ("fwd_x", "x_for_dw") and cfg.rht_sides == ("dx", "dw")
+    assert cfg == ql.LayerQuantConfig(sites=("fwd_x", "x_for_dw"))
+    assert cfg.quantize_fwd_w is False and base_cfg().quantize_fwd_w is True
+
+
 def test_all_sites_disabled_keeps_rht_flags_inert():
     # disabling every quantizer must reproduce the reference layer bit-for-bit
-    # even when rht flags are on: the rotation is skipped when no operand of
-    # that matmul is quantized, so the fp32 baseline and the loss-decomposition
-    # sweep share one code path
-    cfg = base_cfg(
-        quantize_fwd_x=False,
-        quantize_fwd_w=False,
-        quantize_dy_for_dx=False,
-        quantize_w_for_dx=False,
-        quantize_dy_for_dw=False,
-        quantize_x_for_dw=False,
-    )
+    # even when both matmuls are rotated: the rotation is skipped when no
+    # operand of that matmul is quantized, so the fp32 baseline and the
+    # loss-decomposition sweep share one code path
+    cfg = base_cfg(sites=())
+    assert cfg.rht_sides == ("dx", "dw")
     x, w, dy = rnd((8, 32), 6), rnd((16, 32), 7), rnd((8, 16), 8)
     y, cache = ql.linear_forward(x, w, cfg, step=3)
     dx, dw, _ = ql.linear_backward(dy, cache, cfg, rng=fc.stream(0))
@@ -126,7 +142,7 @@ def test_forward_grid_inputs_exact():
     # quantized forward reproduces the reference matmul bit-for-bit
     x = fp4_grid_matrix((8, 32), seed=11)
     w = fp4_grid_matrix((16, 32), seed=12)
-    cfg = base_cfg(rht_dx=False, rht_dw=False)
+    cfg = base_cfg(rht_sides=())
     y, cache = ql.linear_forward(x, w, cfg, step=0)
     np.testing.assert_array_equal(cache.x_hat, x)
     np.testing.assert_array_equal(cache.w_hat, w)
@@ -197,7 +213,7 @@ def test_backward_matches_manual_reconstruction_with_rht():
 
 
 def test_backward_matches_manual_reconstruction_no_rht_det():
-    cfg = base_cfg(rht_dx=False, rht_dw=False, stochastic_backward=False)
+    cfg = base_cfg(rht_sides=(), stochastic_backward=False)
     x, w = rnd((8, 32), 20), rnd((16, 32), 21)
     dy = rnd((8, 16), 22)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
@@ -240,13 +256,13 @@ def _manual_backward(dy, cache, cfg, rng, step):
         return a, np.ascontiguousarray(b.T)
 
     a, b = dy, cache.w_hat
-    if cfg.rht_dx:
+    if "dx" in cfg.rht_sides:
         a, b = rotate(a, b, "dx")
     square = cfg.weight_block is bq.Orientation.SQUARE_16X16
     w_orient = bq.Orientation.SQUARE_16X16 if square else bq.Orientation.COL_GROUPS_16X1
     dx = q(a, bq.Orientation.ROW_GROUPS_1X16) @ q(b, w_orient)
     at, bt = dy.T, (cache.x_hat if cfg.align_xhat else cache.x_raw)
-    if cfg.rht_dw:
+    if "dw" in cfg.rht_sides:
         at, bt = rotate(at, bt, "dw")
     dw = q(at, bq.Orientation.ROW_GROUPS_1X16) @ q(bt, bq.Orientation.COL_GROUPS_16X1)
     return dx, dw
@@ -298,7 +314,7 @@ def test_alignment_forward_consumed_equals_cache():
 
 
 def test_align_xhat_ablation_switches_q6_input():
-    cfg = base_cfg(rht_dx=False, rht_dw=False, stochastic_backward=False)
+    cfg = base_cfg(rht_sides=(), stochastic_backward=False)
     cfg_raw = dataclasses.replace(cfg, align_xhat=False)
     x, w = rnd((8, 32), 27), rnd((16, 32), 28)
     dy = rnd((8, 16), 29)
@@ -366,7 +382,7 @@ def _assert_mc_mean(stats, n, nsigma=4.0):
     "label,kw,with_outlier",
     [
         ("rht", dict(rht_block=16), False),
-        ("no-rht", dict(rht_dx=False, rht_dw=False), False),
+        ("no-rht", dict(rht_sides=()), False),
         ("rht-outlier", dict(rht_block=16), True),
     ],
 )
@@ -510,6 +526,14 @@ def test_outlier_index_out_of_range_rejected():
         ql.linear_forward(x, w, base_cfg(outlier=bad), step=0)
 
 
+@pytest.mark.parametrize("channel", [1.7, 1.0, True, "3", None])
+def test_outlier_channels_take_only_integers(channel):
+    # a float or bool channel is rejected, not truncated to another channel
+    with pytest.raises(ValueError, match=f"outlier channels must be integers, got {channel!r}"):
+        ql.OutlierConfig(channels=(0, channel))
+    assert ql.OutlierConfig(channels=(np.int64(4), 2)).channels == (4, 2)
+
+
 @pytest.mark.parametrize("name", ["e4m3", "E2M1"])
 def test_config_takes_only_the_element_formats(name):
     # a format reaches the config only as fp6_variant or through precision
@@ -583,7 +607,7 @@ def test_square_weight_block_reuses_forward_weight():
     assert cfg.weight_block is bq.Orientation.SQUARE_16X16
     assert not cfg.stochastic_backward
     assert not cfg.align_xhat
-    assert (not cfg.rht_dx) and cfg.rht_dw
+    assert cfg.rht_sides == ("dw",)
     assert cfg.outer_granularity is bq.OuterGranularity.PER_TENSOR
     x, w = rnd((16, 32), 49), rnd((16, 32), 50)
     dy = rnd((16, 16), 51)
@@ -598,17 +622,15 @@ def test_square_weight_block_reuses_forward_weight():
 
 def test_presets_match_documented_recipes():
     b = ql.preset("fp4-base")
-    assert all(
-        getattr(b, f"quantize_{s}") for s in ql.QUANTIZER_SITES
-    )
-    assert b.rht_dx and b.rht_dw
+    assert b.sites == ql.QUANTIZER_SITES
+    assert b.rht_sides == ("dx", "dw")
     assert b.weight_block is bq.Orientation.ROW_GROUPS_1X16
     assert b.outer_granularity is bq.OuterGranularity.BLOCK_1X128
     assert b.align_xhat and b.stochastic_backward and b.outlier is None
     full = ql.preset("fp4-full")
     assert full == b
     z = ql.preset("fp32")
-    assert not any(getattr(z, f"quantize_{s}") for s in ql.QUANTIZER_SITES)
+    assert z.sites == () and z.rht_sides == ()
     with pytest.raises(ValueError):
         ql.preset("fp8-magic")
 
@@ -657,7 +679,7 @@ def test_clamp_counters_recorded():
 def test_backward_returns_its_clamp_counts_and_leaves_the_cache():
     # the 448-carrier / 6.1 pair of test_clamp_counters_recorded, placed in
     # one row of dy, clamps Q3; the counts come back, the cache keeps Q1/Q2's
-    cfg = base_cfg(rht_dx=False, rht_dw=False, stochastic_backward=False)
+    cfg = base_cfg(rht_sides=(), stochastic_backward=False)
     x, w = rnd((32, 32), 71), rnd((32, 32), 72)
     _, cache = ql.linear_forward(x, w, cfg, step=0)
     fwd_counts = dict(cache.clamp_counts)
@@ -672,3 +694,42 @@ def test_backward_returns_its_clamp_counts_and_leaves_the_cache():
     assert cache.clamp_counts == fwd_counts
     _, _, none = ql.linear_backward(dy, cache, ql.preset("fp32"))
     assert none == {}
+
+
+# ── byte pin of the site and rotation choices ────────────────────────────────
+# Recorded while each site and each rotated matmul had a boolean field of its
+# own: naming them as two sets must give every choice below the same bytes.
+
+_PIN_SITE_SETS = (
+    (),
+    *((s,) for s in ql.QUANTIZER_SITES),
+    ql.QUANTIZER_SITES[:2],
+    ql.QUANTIZER_SITES[2:],
+    ql.QUANTIZER_SITES,
+)
+_PIN_RHT_SIDES = ((), ("dx",), ("dw",), ("dx", "dw"))
+
+SITES_SHA256 = {
+    "fp4-base": "9c2dda9ed14dd6eb084eb946a8811065a84d0c2f1b55ba0986d4afa38ae81273",
+    "fp4-rtn": "a82d10319421bf0c6ed70525b5c01d401832feb69b2e04c9562349f9d22ebe58",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SITES_SHA256))
+def test_site_and_rotation_choices_keep_their_bytes(name):
+    # a ragged layer (no dimension a multiple of 16) with two outlier channels
+    x, w, dy = rnd((24, 80), 81), rnd((40, 80), 82), rnd((24, 40), 83)
+    x[:, [5, 61]] *= 40.0
+    outlier = ql.OutlierConfig(channels=(5, 61))
+    h = hashlib.sha256()
+    for sites in _PIN_SITE_SETS:
+        for sides in _PIN_RHT_SIDES:
+            cfg = dataclasses.replace(ql.preset(name), sites=sites, rht_sides=sides,
+                                      outlier=outlier, layer_tag="pin", rht_seed=7)
+            y, cache = ql.linear_forward(x, w, cfg, step=3)
+            dx, dw, clamps = ql.linear_backward(dy, cache, cfg, rng=fc.stream(9, "pin"))
+            for a in (y, dx, dw):
+                h.update(a.tobytes())
+            for counts in (cache.clamp_counts, clamps):
+                h.update(repr(sorted((k, int(v)) for k, v in counts.items())).encode())
+    assert h.hexdigest() == SITES_SHA256[name]

@@ -119,14 +119,6 @@ def test_charlm_determinism_and_split(corpus_file):
     assert len(ids) - t.val_start >= t.seq_len + 1
 
 
-def test_charlm_roundtrip_decode(corpus_file):
-    t = tk.CharLM(corpus_file, seq_len=24)
-    x, y = t.batch("train", step=2, batch_size=2, seed=4)
-    s = t.decode(x[0])
-    assert isinstance(s, str) and len(s) == 24
-    assert set(s) <= set(t.alphabet)
-
-
 def test_charlm_rejects_fat_vocab(tmp_path):
     p = tmp_path / "fat.txt"
     p.write_text("".join(chr(33 + i) for i in range(80)), encoding="ascii")

@@ -105,6 +105,15 @@ def test_config_rejects_bad_switch_and_overrides():
         tr.train(mlp_cfg(cfg_overrides={"not_a_field": 1}))
 
 
+@pytest.mark.parametrize("key", [
+    "sites", *(f"quantize_{s}" for s in ql.QUANTIZER_SITES), "rht_dx", "rht_dw",
+])
+def test_cfg_overrides_reject_the_site_keys_by_name(key):
+    # site_subset is the one run-level path to a recipe's sites
+    with pytest.raises(ValueError, match=rf"cfg_overrides sets \['{key}'\]; it takes"):
+        mlp_cfg(cfg_overrides={key: []})
+
+
 def test_optimizer_eps_reaches_adamw():
     sched = {"warmup_steps": 2, "total_steps": 8, "floor_lr": 0.0}
     plain = tr.train(mlp_cfg(schedule=sched))
@@ -256,15 +265,15 @@ def test_tracking_without_resets_still_exports_windows():
 
 def test_validation_aligns_with_suppression_windows():
     report = tr.train(suppressed_cfg())
-    val_steps = [s for s, _ in report.val_records]
+    val_steps = [r.step for r in report.rows if r.val_loss is not None]
     assert val_steps == [s for s in range(1, 41) if s % 8 == 4] + [40]
 
 
 def test_validation_cadence_without_schedule():
     report = tr.train(mlp_cfg(val_every=15))
-    val_steps = [s for s, _ in report.val_records]
-    assert val_steps == [15, 30, 40]
-    assert report.final_val_loss == report.val_records[-1][1]
+    vals = [r for r in report.rows if r.val_loss is not None]
+    assert [r.step for r in vals] == [15, 30, 40]
+    assert report.final_val_loss == vals[-1].val_loss
 
 
 # ── precision switching ──────────────────────────────────────────────────────
@@ -436,7 +445,7 @@ def test_metrics_files_schema_and_content(tmp_path):
     # losses in the file match the report to printed precision
     assert float(rows[-1][1]) == pytest.approx(report.final_train_loss, rel=1e-8)
     # val_loss cells are empty off-cadence, filled on-cadence
-    val_steps = {s for s, _ in report.val_records}
+    val_steps = {r.step for r in report.rows if r.val_loss is not None}
     for r in rows:
         assert (r[2] != "") == (int(r[0]) in val_steps)
     # the report's totals are the columns' sums, and the resets column agrees
@@ -513,6 +522,8 @@ def test_sweep_rejects_unknown_sites_and_tags():
     ([{"id": "a", "site_subset": 5}], "subset 0: site_subset must be a list of strings"),
     ([{"id": "a", "site_subset": "fwd_x"}], "subset 0: site_subset must be a list of strings"),
     ([{"id": "a", "site_subset": [1]}], "subset 0: site_subset must be a list of strings"),
+    ([{"id": "a", "site_subset": ["fwd_x", "fwd_x"]}], "subset 0: site_subset names a value twice"),
+    ([{"id": "a", "site_subset": ["fwd_q"]}], r"subset 0: site_subset names unknown \['fwd_q'\]"),
     ([{"id": "a", "exclude_tags": 7}], "subset 0: exclude_tags must be a list of strings"),
     ([{"id": "a"}, {"id": "b", "exclude_tags": [None]}],
      "subset 1: exclude_tags must be a list of strings"),
@@ -523,7 +534,8 @@ def test_sweep_rejects_unknown_sites_and_tags():
      r"subset 1: exclude_tags \['fc9'\] are not layers of this model"),
     ([{"id": "a"}, {"id": "b", "model": {"kind": "mlp", "widths": [16, 32, 7]}}],
      "subset 1: MLP widths .* do not match the task's 64 -> 8"),
-], ids=["int", "str-second", "sites-int", "sites-str", "sites-int-item", "exclude-int",
+], ids=["int", "str-second", "sites-int", "sites-str", "sites-int-item", "sites-duplicate",
+        "sites-unknown", "exclude-int",
         "exclude-null-item", "unknown-key", "out-dir", "duplicate-id", "exclude-unknown-tag",
         "model-task-mismatch"])
 def test_sweep_rejects_malformed_entries_by_index(monkeypatch, subsets, named):
@@ -688,6 +700,13 @@ TRAIN_SHA256 = {
         "oscillation.csv": "16c5aeb89940a51d3b3b8c08868a1289c4a464d1b09102138819ffeee1bb189a",
         "params": "9f7ffd01e193145ae8aa4ed45582cc434d848b2900fefb0bce97c301c15587a2",
     },
+    # recorded while each site had a boolean field of its own: naming the
+    # quantized sites as one set must give this run the same bytes
+    "mlp-site-subset": {
+        "metrics.csv": "30067be486cedc491e64e5cb88c90d80cab6a036dd67679df63c959e024e0c55",
+        "oscillation.csv": "91267dd3efa3c402d9288107fa9db0d6bc0b939bb884cc161c5761244ec9583d",
+        "params": "2af152a4726f8e9f51bcb6b591c7dad9adf2b60861d94f9af23e9e4d6f8a1e6d",
+    },
 }
 
 
@@ -703,6 +722,8 @@ def _pinned_run_cfg(name, tmp_path):
                schedule={"warmup_steps": 5, "total_steps": 20, "floor_lr": 0.0})
     if name == "mlp-fp4-base":
         return mlp_cfg(**run)
+    if name == "mlp-site-subset":
+        return mlp_cfg(**run, site_subset=("fwd_x", "w_for_dx"), exclude_tags=("fc1",))
     # a switch at step 10, inside the window that opens at step 8 and resets
     # at step 14: fp6xfp4 keeps the weight's trackers, fp6xfp6 drops them
     mode = name.split("-")[2]
