@@ -3,7 +3,8 @@
 Subcommands cover the main workflows: ``quantize`` a matrix file through the
 double-block codec, ``bench-bias`` the quantized backward pass, ``train`` a
 model from a JSON config (a mid-run precision switch is the config's
-``switch_step`` and ``switch_mode``), ``sweep`` variants of that config
+``switch_step`` and ``switch_mode``, an ``<activation>x<weight>`` format pair
+such as ``e3m2xe2m1``), ``sweep`` variants of that config
 (each a set of config fields, such as ``site_subset`` or ``exclude_tags``,
 merged over it) against an all-bypass reference, and ``osci-analyze``
 exported oscillation tables.  Every subcommand creates its ``--out``

@@ -27,6 +27,7 @@ from .blockquant import as_matrix
 __all__ = [
     "DEFAULT_BLOCK",
     "RhtContext",
+    "check_block",
     "hadamard_dense",
     "rht_context",
     "rht_apply",
@@ -36,11 +37,21 @@ __all__ = [
 DEFAULT_BLOCK = 32
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def check_block(block, name: str = "Hadamard block") -> int:
+    """``block`` if it is an integer power of two >= 2, else a ValueError naming ``name``."""
+    if type(block) is not int or block < 2 or block & (block - 1):
+        raise ValueError(f"{name} must be an integer power of two >= 2, got {block!r}")
+    return block
 
 
-@functools.lru_cache(maxsize=None)
+def _padded_width(dim: int, block: int) -> int:
+    """The contraction length ``dim`` (>= 1) rounded up to a multiple of ``block``."""
+    if dim < 1:
+        raise ValueError(f"contraction length must be >= 1, got {dim}")
+    return -(-dim // check_block(block)) * block
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # so 32.0 is no hit for 32
 def hadamard_dense(d: int) -> np.ndarray:
     """Dense orthogonal Hadamard matrix of size d (power of two, >= 2).
 
@@ -48,8 +59,7 @@ def hadamard_dense(d: int) -> np.ndarray:
     entry is +/- 1/sqrt(d) and H @ H.T = I.  The returned array is cached and
     read-only.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2 or not _is_pow2(int(d)):
-        raise ValueError(f"Hadamard size must be a power of two >= 2, got {d!r}")
+    check_block(d, "Hadamard size")
     h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     m = h2
     while m.shape[0] < d:
@@ -73,21 +83,15 @@ class RhtContext:
     signs: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"contraction length must be >= 1, got {self.dim}")
-        if self.block < 2 or not _is_pow2(self.block):
+        padded = _padded_width(self.dim, self.block)
+        if self.signs.shape != (padded,):
             raise ValueError(
-                f"Hadamard block must be a power of two >= 2, got {self.block}"
-            )
-        if self.signs.shape != (self.padded_dim,):
-            raise ValueError(
-                f"signs must have padded length {self.padded_dim}, "
-                f"got shape {self.signs.shape}"
+                f"signs must have padded length {padded}, got shape {self.signs.shape}"
             )
 
     @property
     def padded_dim(self) -> int:
-        return -(-self.dim // self.block) * self.block
+        return self.signs.shape[0]
 
 
 def rht_context(
@@ -100,11 +104,7 @@ def rht_context(
     block: int = DEFAULT_BLOCK,
 ) -> RhtContext:
     """Create a context with signs drawn from the (seed, layer, step, side) stream."""
-    if dim < 1:
-        raise ValueError(f"contraction length must be >= 1, got {dim}")
-    if block < 2 or not _is_pow2(block):
-        raise ValueError(f"Hadamard block must be a power of two >= 2, got {block}")
-    padded = -(-dim // block) * block
+    padded = _padded_width(dim, block)
     rng = fpcodec.stream(seed, "rht", layer, step, side)
     signs = np.ones(padded, dtype=np.float32)
     signs[:dim] = np.where(rng.random(dim) < 0.5, -1.0, 1.0)

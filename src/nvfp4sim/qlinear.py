@@ -10,10 +10,10 @@ quantizers, one per matmul operand:
 Every operand is quantized with 1x16 groups along its contraction axis
 (weights optionally in 16x16 square tiles).  Site ``s`` is quantized when the
 recipe's ``sites`` name it, in the element format ``site_format(s)`` that the
-``precision`` mode gives it.  Q4 and Q6 consume the cached *dequantized*
-forward operands so the backward sees exactly the tensors the forward
-multiplied; disabling that alignment (``align_xhat=False``) makes Q6
-quantize the raw activation instead.
+``precision`` mode ``<activation side>x<weight side>`` gives it.  Q4 and Q6
+consume the cached *dequantized* forward operands so the backward sees exactly
+the tensors the forward multiplied; disabling that alignment
+(``align_xhat=False``) makes Q6 quantize the raw activation instead.
 
 The backward matmuls that ``rht_sides`` names ("dx", "dw") rotate both
 operands with a shared signed block-Hadamard transform along the contraction
@@ -90,25 +90,26 @@ OUTLIER_PRECISIONS = ("e4m3", "float16", "float32")
 class OutlierStyle(enum.Enum):
     LARGEST_NORM = "largest-norm"
     RANDOM = "random"
-    NONE = "none"
 
 
 class PrecisionMode(enum.Enum):
-    """The element formats of a layer's six sites: ``fp4xfp4`` is FP4 (e2m1)
-    on all six; ``fp6xfp4`` lifts the activation side (the forward activation,
-    the output gradient feeding dx and the activation feeding dw) to the
-    recipe's ``fp6_variant``; ``fp6xfp6`` lifts all six."""
+    """A layer's six site formats as ``<activation side>x<weight side>`` in
+    :data:`~nvfp4sim.blockquant.ELEMENT_FORMATS` names.  The activation side
+    is Q1, Q3 and Q6 (``fwd_x``, ``dy_for_dx``, ``x_for_dw``: the activation
+    and the output gradient feeding dx); the weight side is the other three."""
 
-    FP4XFP4 = "fp4xfp4"
-    FP6XFP4 = "fp6xfp4"
-    FP6XFP6 = "fp6xfp6"
+    E2M1XE2M1 = "e2m1xe2m1"
+    E3M2XE2M1 = "e3m2xe2m1"
+    E2M3XE2M1 = "e2m3xe2m1"
+    E3M2XE3M2 = "e3m2xe3m2"
+    E2M3XE2M3 = "e2m3xe2m3"
 
 
-# the sites each mode lifts to fp6_variant; every other site is e2m1
-_FP6_SITES = {
-    PrecisionMode.FP4XFP4: (),
-    PrecisionMode.FP6XFP4: ("fwd_x", "dy_for_dx", "x_for_dw"),
-    PrecisionMode.FP6XFP6: QUANTIZER_SITES,
+# mode -> site -> element format, read once per quantizer call
+_SITE_FORMATS = {
+    mode: {s: mode.value.split("x")[s not in ("fwd_x", "dy_for_dx", "x_for_dw")]
+           for s in QUANTIZER_SITES}
+    for mode in PrecisionMode
 }
 
 
@@ -120,18 +121,20 @@ class OutlierConfig:
     precision: str = "e4m3"
 
     def __post_init__(self):
+        if not isinstance(self.channels, (list, tuple)):
+            raise ValueError(f"outlier channels must be a list of integers, got {self.channels!r}")
         bad = [c for c in self.channels if not isinstance(c, (int, np.integer))
                or isinstance(c, bool)]
         if bad:
             raise ValueError(f"outlier channels must be integers, got {bad[0]!r}")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        if min(self.channels, default=0) < 0 or len(set(self.channels)) != len(self.channels):
+            raise ValueError(f"outlier channels must be distinct and >= 0, got {self.channels}")
         if self.precision not in OUTLIER_PRECISIONS:
             raise ValueError(
                 f"outlier precision must be one of {OUTLIER_PRECISIONS}, "
                 f"got {self.precision!r}"
             )
-        if len(set(self.channels)) != len(self.channels):
-            raise ValueError("outlier channels must be unique")
 
 
 def name_set(field: str, value, valid: Tuple[str, ...]) -> Tuple[str, ...]:
@@ -155,14 +158,13 @@ class LayerQuantConfig:
     distinct names, stored in that order."""
 
     sites: Tuple[str, ...] = QUANTIZER_SITES
-    precision: PrecisionMode = PrecisionMode.FP4XFP4
+    precision: PrecisionMode = PrecisionMode.E2M1XE2M1
     rht_sides: Tuple[str, ...] = tuple(_BACKWARD_SITES)
     rht_block: int = hd.DEFAULT_BLOCK
     weight_block: Orientation = Orientation.ROW_GROUPS_1X16
     outer_granularity: OuterGranularity = OuterGranularity.BLOCK_1X128
     align_xhat: bool = True
     stochastic_backward: bool = True
-    fp6_variant: str = "e3m2"
     outlier: Optional[OutlierConfig] = None
     layer_tag: str = "linear"
     rht_seed: int = 0
@@ -189,16 +191,11 @@ class LayerQuantConfig:
         if (self.weight_block is Orientation.SQUARE_16X16
                 and self.outer_granularity is not OuterGranularity.PER_TENSOR):
             raise ValueError("weight_block square takes outer_granularity per-tensor")
-        if self.fp6_variant not in ("e3m2", "e2m3"):
-            raise ValueError(f"fp6_variant must be e3m2 or e2m3, got {self.fp6_variant!r}")
-        block = self.rht_block
-        if type(block) is not int or block < 2 or block & (block - 1):
-            raise ValueError(f"rht_block must be an integer power of two >= 2, got {block!r}")
+        hd.check_block(self.rht_block, "rht_block")
 
     def site_format(self, site: str) -> str:
-        """The element format of ``site``: ``fp6_variant`` where ``precision``
-        lifts the site, e2m1 elsewhere."""
-        return self.fp6_variant if site in _FP6_SITES[self.precision] else "e2m1"
+        """The element format ``precision`` gives ``site``."""
+        return _SITE_FORMATS[self.precision][site]
 
     @property
     def format_fwd_w(self) -> str:  # the format the weight's oscillation view reads
@@ -224,7 +221,7 @@ _PRESETS = {
 
 
 def preset(name: str) -> LayerQuantConfig:
-    """Named layer recipes, each in ``precision`` fp4xfp4 until a run's
+    """Named layer recipes, each in ``precision`` e2m1xe2m1 until a run's
     ``cfg_overrides`` or mid-run switch sets another mode.
 
     * ``fp32``     — no site quantized and no matmul rotated: the binary32
@@ -233,7 +230,9 @@ def preset(name: str) -> LayerQuantConfig:
       matmuls, 1x16 weight groups, 1x128 outer scaling blocks, aligned
       backward inputs, stochastic backward rounding.
     * ``fp4-full`` — same layer recipe as ``fp4-base``; outlier retention and
-      oscillation suppression attach at the training-run level.
+      oscillation suppression attach at the training-run level.  The name
+      stays only because the benchmark's workloads name it: deleting it
+      takes a benchmark-only change first.
     * ``fp4-rtn``  — the deterministic vendor-style recipe: round-to-nearest
       everywhere, 16x16 weight tiles with one per-tensor outer scale,
       unaligned weight-gradient input, rotation on the weight-gradient
@@ -298,18 +297,14 @@ def select_outlier_channels(
     D is the column count of the ``calibration`` activation matrix.
     ``largest-norm`` ranks channels by their L2 norm over its rows (ties
     broken by channel index); ``random`` samples uniformly from the seeded
-    stream; ``none`` retains nothing.
+    stream.  A ratio of 0 retains nothing.
     """
     style = OutlierStyle(style)
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"outlier ratio must be in [0, 100], got {p}")
     m = as_matrix(calibration)
     d = m.shape[1]
-    if style is OutlierStyle.NONE:
-        return OutlierConfig(channels=(), precision=precision)
     k = int(round(p / 100.0 * d))
-    if k == 0:
-        return OutlierConfig(channels=(), precision=precision)
     if style is OutlierStyle.RANDOM:
         rng = fc.stream(seed, "outlier-select")
         chosen = rng.choice(d, size=k, replace=False)
@@ -386,7 +381,7 @@ def linear_forward(
     outlier = cfg.outlier if (cfg.outlier and cfg.outlier.channels) else None
     if outlier is not None:
         a_idx = np.asarray(outlier.channels, dtype=np.intp)
-        if a_idx.min() < 0 or a_idx.max() >= d:
+        if a_idx.max() >= d:
             raise ValueError(
                 f"outlier channel indices must lie in [0, {d}), got {outlier.channels}"
             )

@@ -15,7 +15,9 @@ peak of the ``schedule``, which is CosineSchedule's).
 ``train`` builds the run, calls ``_train_step`` once per step and writes the
 files.  The run is one record: task, model, the dict ``init_params`` returned,
 AdamW, schedule, current layer recipes, oscillation trackers and validation
-steps.  A step asks for its train batch first.  Its optimizer update and
+steps: each ``val_every``-th and the last, but with ``suppression`` set, where
+``val_every`` has no effect, each ``t_accu + 1`` past a multiple of ``t_period``
+and the last.  A step asks for its train batch first.  Its optimizer update and
 resets write the binary32 master weights into that dict in place, and its
 suppression hook builds each weight view from the current recipe.  Its
 gradients stay in the record until the next backward returns: freed sooner,
@@ -103,7 +105,7 @@ class TrainRunConfig:
     schedule: Mapping
     batch_size: int
     seed: int
-    preset: str = "fp4-full"
+    preset: str = "fp4-base"
     suppression: Optional[osc.SuppressionSchedule] = None
     out_dir: Optional[str] = None
     apply_resets: bool = True

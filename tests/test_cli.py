@@ -301,7 +301,8 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
      "in_dim must be an integer, got '64'"),
     ({"cfg_overrides": {"format_fwd_x": 5}}, "cfg_overrides sets ['format_fwd_x']; it takes"),
     ({"cfg_overrides": {"precision": 5}},
-     "precision must be one of ['fp4xfp4', 'fp6xfp4', 'fp6xfp6'], got 5"),
+     "precision must be one of ['e2m1xe2m1', 'e3m2xe2m1', 'e2m3xe2m1', 'e3m2xe3m2', "
+     "'e2m3xe2m3'], got 5"),
     ({"cfg_overrides": {"precision": "FP4XFP4"}}, "precision must be one of"),
     ({"cfg_overrides": {"rht_block": "32"}},
      "rht_block must be an integer power of two >= 2, got '32'"),
@@ -312,7 +313,8 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
     ({"cfg_overrides": {"outer_granularity": "2x64"}},
      "outer_granularity must be one of ['1x128', 'per-row', 'per-tensor'], got '2x64'"),
     ({"switch_step": 3, "switch_mode": "FP6XFP4"},
-     "switch_mode must be one of ['fp4xfp4', 'fp6xfp4', 'fp6xfp6'], got 'FP6XFP4'"),
+     "switch_mode must be one of ['e2m1xe2m1', 'e3m2xe2m1', 'e2m3xe2m1', 'e3m2xe3m2', "
+     "'e2m3xe2m3'], got 'FP6XFP4'"),
     ({"task": {"kind": "synthetic-regression", "in_dim": 64, "out_dim": 8,
                "outlier_gain": math.inf}}, "outlier_gain must be a finite number, got inf"),
     ({"model": {"kind": "mlp", "widths": [64, 32.5, 32, 8]}},
@@ -324,6 +326,10 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
     ({"cfg_overrides": {"sites": ["fwd_x"]}}, "cfg_overrides sets ['sites']; it takes"),
     ({"cfg_overrides": {"rht_sides": "dx"}}, "rht_sides must be a list of strings"),
     ({"site_subset": ["fwd_x", "fwd_x"]}, "site_subset names a value twice"),
+    ({"cfg_overrides": {"fp6_variant": "e2m3"}}, "cfg_overrides sets ['fp6_variant']; it takes"),
+    ({"switch_step": 3, "switch_mode": "fp6xfp4"}, "switch_mode must be one of"),
+    ({"outlier_style": "none", "outlier_ratio": 5.0},
+     "outlier_style must be one of ('largest-norm', 'random'), got 'none'"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
         "model-key", "corpus-path", "square-outer", "outlier-precision",
         "outlier-style", "optimizer-key", "schedule-key", "missing-lr",
@@ -336,7 +342,8 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
         "int-format", "int-precision", "upper-precision", "string-rht-block",
         "float-rht-block", "diag-weight-block", "bad-outer",
         "upper-switch-mode", "infinite-outlier-gain", "fractional-width", "bool-width",
-        "removed-site-flag", "override-sites", "string-rht-sides", "duplicate-site"])
+        "removed-site-flag", "override-sites", "string-rht-sides", "duplicate-site",
+        "removed-fp6-variant", "old-switch-mode", "outlier-style-none"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -423,7 +430,7 @@ def test_missing_input_file_exits_two(tmp_path, capsys, argv):
 def test_train_command_switch_at_total_steps_matches_plain_train(tmp_path):
     cfg_path, switch_path = tmp_path / "cfg.json", tmp_path / "switch.json"
     write_mlp_config(cfg_path)
-    write_mlp_config(switch_path, switch_step=20, switch_mode="fp6xfp4")
+    write_mlp_config(switch_path, switch_step=20, switch_mode="e3m2xe2m1")
     plain, switched = tmp_path / "plain", tmp_path / "switched"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(plain)]) == 0
     assert cli.main(["train", "--config", str(switch_path), "--out", str(switched)]) == 0
@@ -431,7 +438,7 @@ def test_train_command_switch_at_total_steps_matches_plain_train(tmp_path):
     assert (plain / "metrics.csv").read_bytes() == (switched / "metrics.csv").read_bytes()
     snap = json.loads((switched / "config.json").read_text())
     assert snap["switch_step"] == 20
-    assert snap["switch_mode"] == "fp6xfp4"
+    assert snap["switch_mode"] == "e3m2xe2m1"
 
 
 # ── sweep ────────────────────────────────────────────────────────────────────
@@ -718,6 +725,17 @@ def test_quantize_offers_the_library_element_formats():
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["quantize", "m.csv", "--out", "q", "--format", "e4m3"])
     assert exc.value.code == 2
+
+
+def test_bench_bias_offers_the_library_outlier_styles(capsys):
+    parser = cli.build_parser()
+    for style in ("largest-norm", "random"):
+        args = parser.parse_args(["bench-bias", "--out", "b", "--outlier-style", style])
+        assert args.outlier_style == style
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["bench-bias", "--out", "b", "--outlier-style", "none"])
+    assert exc.value.code == 2
+    assert "argument --outlier-style: invalid choice: 'none'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_an_error(capsys):

@@ -10,6 +10,7 @@ Oracles used here are independent of the implementation:
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from nvfp4sim import blockquant as bq
 from nvfp4sim import hadamard as hd
+from nvfp4sim import qlinear as ql
 
 F32 = np.float32
 
@@ -126,6 +128,20 @@ def test_ctx_padding_signs_are_plus_one():
 def test_ctx_invalid_block(block):
     with pytest.raises(ValueError):
         hd.rht_context(32, seed=1, layer="l", step=0, side="dx", block=block)
+
+
+@pytest.mark.parametrize("block", [0, 1, 3, 12, -16, 32.0, "32", True, np.int64(32)])
+def test_every_entry_states_the_block_rule_once(block):
+    # a Hadamard size, a context's block and a recipe's rht_block are one rule
+    rule = f"must be an integer power of two >= 2, got {block!r}"
+    with pytest.raises(ValueError, match=re.escape(f"Hadamard size {rule}")):
+        hd.hadamard_dense(block)
+    with pytest.raises(ValueError, match=re.escape(f"Hadamard block {rule}")):
+        hd.rht_context(32, seed=1, layer="l", step=0, side="dx", block=block)
+    with pytest.raises(ValueError, match=re.escape(f"Hadamard block {rule}")):
+        hd.RhtContext(dim=32, block=block, signs=np.ones(32, dtype=F32))
+    with pytest.raises(ValueError, match=re.escape(f"rht_block {rule}")):
+        ql.LayerQuantConfig(rht_block=block)
 
 
 def test_ctx_invalid_dim():

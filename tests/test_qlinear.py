@@ -502,6 +502,7 @@ def test_select_outlier_channels_styles_and_errors():
     sel = ql.select_outlier_channels(acts, p=100.0 * 3 / 64, style="largest-norm")
     assert sel.channels == (4, 17, 40)
     assert ql.select_outlier_channels(acts, p=0.0, style="largest-norm").channels == ()
+    assert ql.select_outlier_channels(acts, p=0.0, style="random").channels == ()
     assert (
         ql.select_outlier_channels(acts, p=100.0, style="largest-norm").channels
         == tuple(range(64))
@@ -510,7 +511,9 @@ def test_select_outlier_channels_styles_and_errors():
     r2 = ql.select_outlier_channels(acts, p=25.0, style="random", seed=5)
     assert r1.channels == r2.channels
     assert len(r1.channels) == round(0.25 * 64)
-    assert ql.select_outlier_channels(acts, p=50.0, style="none").channels == ()
+    # a ratio of 0 retains nothing, so no style says it again
+    with pytest.raises(ValueError, match="'none' is not a valid OutlierStyle"):
+        ql.select_outlier_channels(acts, p=50.0, style="none")
     with pytest.raises(ValueError):
         ql.select_outlier_channels(acts[0], p=10.0, style="largest-norm")  # 1-D
     with pytest.raises(ValueError):
@@ -534,24 +537,39 @@ def test_outlier_channels_take_only_integers(channel):
     assert ql.OutlierConfig(channels=(np.int64(4), 2)).channels == (4, 2)
 
 
+@pytest.mark.parametrize("channels, message", [
+    (5, "outlier channels must be a list of integers, got 5"),
+    ("12", "outlier channels must be a list of integers, got '12'"),
+    ((-1,), r"outlier channels must be distinct and >= 0, got \(-1,\)"),
+    ((3, np.int64(-2)), r"outlier channels must be distinct and >= 0, got \(3, -2\)"),
+    ((4, 2, 4), r"outlier channels must be distinct and >= 0, got \(4, 2, 4\)"),
+])
+def test_outlier_channels_are_checked_at_construction(channels, message):
+    # a non-list was a bare TypeError and a negative channel failed only later
+    with pytest.raises(ValueError, match=message):
+        ql.OutlierConfig(channels=channels)
+
+
 @pytest.mark.parametrize("name", ["e4m3", "E2M1"])
 def test_config_takes_only_the_element_formats(name):
-    # a format reaches the config only as fp6_variant or through precision
-    with pytest.raises(ValueError, match=f"fp6_variant must be e3m2 or e2m3, got '{name}'"):
-        ql.LayerQuantConfig(fp6_variant=name)
+    # a format reaches the config only through precision
     with pytest.raises(ValueError, match=f"precision must be one of .*, got '{name}'"):
         ql.LayerQuantConfig(precision=name)
     with pytest.raises(TypeError):
         ql.LayerQuantConfig(format_w_for_dx="e2m1")  # no site has a format field
+    with pytest.raises(TypeError):
+        ql.LayerQuantConfig(fp6_variant="e2m3")  # nor the FP6 variant apart from the mode
 
 
-@pytest.mark.parametrize("value", ["FP4XFP4", 5, None])
+_MODES = "['e2m1xe2m1', 'e3m2xe2m1', 'e2m3xe2m1', 'e3m2xe3m2', 'e2m3xe2m3']"
+
+
+@pytest.mark.parametrize("value", ["FP4XFP4", "fp6xfp4", "E2M1XE2M1", 5, None])
 def test_precision_takes_only_the_mode_names(value):
     with pytest.raises(ValueError) as exc:
         ql.LayerQuantConfig(precision=value)
-    assert str(exc.value) == (
-        f"precision must be one of ['fp4xfp4', 'fp6xfp4', 'fp6xfp6'], got {value!r}")
-    assert ql.LayerQuantConfig(precision="fp6xfp4").precision is ql.PrecisionMode.FP6XFP4
+    assert str(exc.value) == f"precision must be one of {_MODES}, got {value!r}"
+    assert ql.LayerQuantConfig(precision="e3m2xe2m1").precision is ql.PrecisionMode.E3M2XE2M1
 
 
 @pytest.mark.parametrize("name", ["fp8", 5, None, ["fp32"]])
@@ -566,24 +584,23 @@ def test_preset_rejects_an_unknown_name_naming_it(name):
 
 def test_set_precision_mode_fp4_is_identity():
     cfg = ql.preset("fp4-base")
-    assert cfg.precision is ql.PrecisionMode.FP4XFP4
-    assert dataclasses.replace(cfg, precision="fp4xfp4") == cfg
+    assert cfg.precision is ql.PrecisionMode.E2M1XE2M1
+    assert dataclasses.replace(cfg, precision="e2m1xe2m1") == cfg
     assert {cfg.site_format(s) for s in ql.QUANTIZER_SITES} == {"e2m1"}
 
 
 def test_set_precision_mode_fp6xfp4_placement():
-    cfg = base_cfg(precision="fp6xfp4")
-    fp6 = cfg.fp6_variant
-    assert cfg.site_format("fwd_x") == fp6
-    assert cfg.site_format("dy_for_dx") == fp6
-    assert cfg.site_format("x_for_dw") == fp6
+    cfg = base_cfg(precision="e3m2xe2m1")
+    assert cfg.site_format("fwd_x") == "e3m2"
+    assert cfg.site_format("dy_for_dx") == "e3m2"
+    assert cfg.site_format("x_for_dw") == "e3m2"
     assert cfg.site_format("fwd_w") == cfg.format_fwd_w == "e2m1"
     assert cfg.site_format("w_for_dx") == "e2m1"
     assert cfg.site_format("dy_for_dw") == "e2m1"
 
 
 def test_set_precision_mode_fp6xfp6_lifts_all_sites():
-    cfg = base_cfg(precision="fp6xfp6", fp6_variant="e2m3")
+    cfg = base_cfg(precision="e2m3xe2m3")
     assert {cfg.site_format(s) for s in ql.QUANTIZER_SITES} == {"e2m3"}
     assert cfg.format_fwd_w == "e2m3"
 
@@ -592,11 +609,11 @@ def test_fp6_forward_mse_not_worse_than_fp4():
     x, w = rnd((16, 64), 47), rnd((16, 64), 48)
     exact = x.astype(np.float64) @ w.astype(np.float64).T
     errs = {}
-    for mode in ("fp4xfp4", "fp6xfp6"):
+    for mode in ("e2m1xe2m1", "e3m2xe3m2"):
         cfg = base_cfg(precision=mode)
         y, _ = ql.linear_forward(x, w, cfg, step=0)
         errs[mode] = float(np.mean((y - exact) ** 2))
-    assert errs["fp6xfp6"] <= errs["fp4xfp4"]
+    assert errs["e3m2xe3m2"] <= errs["e2m1xe2m1"]
 
 
 # ── weight block shapes / presets ────────────────────────────────────────────

@@ -98,7 +98,7 @@ def test_config_rejects_dimension_mismatches(tmp_path):
 
 def test_config_rejects_bad_switch_and_overrides():
     with pytest.raises(ValueError):
-        tr.train(mlp_cfg(switch_step=41, switch_mode="fp6xfp4"))
+        tr.train(mlp_cfg(switch_step=41, switch_mode="e3m2xe2m1"))
     with pytest.raises(ValueError):
         tr.train(mlp_cfg(switch_step=10))  # mode missing
     with pytest.raises(ValueError):
@@ -281,14 +281,14 @@ def test_validation_cadence_without_schedule():
 
 def test_switch_at_total_steps_is_identity():
     plain = tr.train(mlp_cfg(preset="fp4-base"))
-    switched = tr.train(mlp_cfg(preset="fp4-base", switch_step=40, switch_mode="fp6xfp4"))
+    switched = tr.train(mlp_cfg(preset="fp4-base", switch_step=40, switch_mode="e3m2xe2m1"))
     assert plain.losses == switched.losses
     assert plain.final_val_loss == switched.final_val_loss
 
 
 def test_switch_changes_trajectory_after_switch_step():
     plain = tr.train(mlp_cfg(preset="fp4-base"))
-    switched = tr.train(mlp_cfg(preset="fp4-base", switch_step=20, switch_mode="fp6xfp6"))
+    switched = tr.train(mlp_cfg(preset="fp4-base", switch_step=20, switch_mode="e3m2xe3m2"))
     assert plain.losses[:20] == switched.losses[:20]
     assert plain.losses[20:] != switched.losses[20:]
 
@@ -320,7 +320,7 @@ def _spied_switch_run(monkeypatch, mode):
 
 def test_switch_mid_window_does_not_count_the_format_change(monkeypatch):
     # the window opens at step 16 and the switch takes effect at step 18
-    calls = _spied_switch_run(monkeypatch, "fp6xfp6")
+    calls = _spied_switch_run(monkeypatch, "e3m2xe3m2")
     assert len(calls[18]) == len(calls[17]) > 0
     for (tracker, dist_q), (before, _) in zip(calls[18], calls[17]):
         assert tracker is not before
@@ -329,8 +329,8 @@ def test_switch_mid_window_does_not_count_the_format_change(monkeypatch):
 
 
 def test_switch_keeps_trackers_whose_weight_format_stays(monkeypatch):
-    # fp6xfp4 leaves the forward weight in FP4, so its view does not change
-    calls = _spied_switch_run(monkeypatch, "fp6xfp4")
+    # e3m2xe2m1 leaves the forward weight in FP4, so its view does not change
+    calls = _spied_switch_run(monkeypatch, "e3m2xe2m1")
     assert len(calls[18]) == len(calls[17]) > 0
     for (tracker, _), (before, _) in zip(calls[18], calls[17]):
         assert tracker is before
@@ -339,26 +339,37 @@ def test_switch_keeps_trackers_whose_weight_format_stays(monkeypatch):
 def test_a_format_has_one_spelling():
     # the precision switch compares the weight's format before and after: a
     # second spelling of a mode would drop the oscillation trackers it keeps
-    run = dict(preset="fp4-base", switch_step=3, switch_mode="fp4xfp4",
+    run = dict(preset="fp4-base", switch_step=3, switch_mode="e2m1xe2m1",
                suppression=osc.SuppressionSchedule(t_max=40, t_start=1, t_period=8, t_accu=5))
     with pytest.raises(ValueError, match="precision must be one of .*, got 'FP4XFP4'"):
         tr.train(mlp_cfg(cfg_overrides={"precision": "FP4XFP4"}, **run))
     # a config from before the precision field fails loudly, not differently
     with pytest.raises(ValueError, match=r"cfg_overrides sets \['format_fwd_w'\]; it takes"):
         tr.train(mlp_cfg(cfg_overrides={"format_fwd_w": "e2m1"}, **run))
-    spelled = tr.train(mlp_cfg(cfg_overrides={"precision": "fp4xfp4"}, **run))
+    spelled = tr.train(mlp_cfg(cfg_overrides={"precision": "e2m1xe2m1"}, **run))
     plain = tr.train(mlp_cfg(**run))
     assert (spelled.rows, spelled.osci_rows) == (plain.rows, plain.osci_rows)
 
 
-# the sites each mode lifts to the run's fp6_variant; every other site is e2m1
-_FP6_SITES = {"fp4xfp4": (), "fp6xfp4": ("fwd_x", "dy_for_dx", "x_for_dw"),
-              "fp6xfp6": ql.QUANTIZER_SITES}
+# each (mode, fp6_variant) pair of a recipe that named its FP6 variant apart
+# from its mode: the one mode that now names both formats, and the six site
+# formats, in QUANTIZER_SITES order, that the pair gave
+_PAIRS = {
+    ("fp4xfp4", "e3m2"): ("e2m1xe2m1", ("e2m1",) * 6),
+    ("fp4xfp4", "e2m3"): ("e2m1xe2m1", ("e2m1",) * 6),
+    ("fp6xfp4", "e3m2"): ("e3m2xe2m1", ("e3m2", "e2m1", "e3m2", "e2m1", "e2m1", "e3m2")),
+    ("fp6xfp4", "e2m3"): ("e2m3xe2m1", ("e2m3", "e2m1", "e2m3", "e2m1", "e2m1", "e2m3")),
+    ("fp6xfp6", "e3m2"): ("e3m2xe3m2", ("e3m2",) * 6),
+    ("fp6xfp6", "e2m3"): ("e2m3xe2m3", ("e2m3",) * 6),
+}
 
 
-@pytest.mark.parametrize("variant", ["e3m2", "e2m3"])
-@pytest.mark.parametrize("mode", sorted(_FP6_SITES))
-def test_a_precision_mode_sets_each_site_format(monkeypatch, mode, variant):
+@pytest.mark.parametrize("pair", sorted(_PAIRS), ids="-".join)
+def test_a_precision_mode_sets_each_site_format(monkeypatch, pair):
+    mode, pinned = _PAIRS[pair]
+    site = dict(zip(ql.QUANTIZER_SITES, pinned))
+    recipe = ql.LayerQuantConfig(precision=mode)
+    assert {s: recipe.site_format(s) for s in ql.QUANTIZER_SITES} == site
     formats = []
     quantize = bq.quantize_dequantize
 
@@ -368,9 +379,7 @@ def test_a_precision_mode_sets_each_site_format(monkeypatch, mode, variant):
 
     monkeypatch.setattr(bq, "quantize_dequantize", spy)
     tr.train(mlp_cfg(preset="fp4-base", val_batches=1, switch_step=0, switch_mode=mode,
-                     schedule={"warmup_steps": 0, "total_steps": 1, "floor_lr": 0.0},
-                     cfg_overrides={"fp6_variant": variant}))
-    site = {s: variant if s in _FP6_SITES[mode] else "e2m1" for s in ql.QUANTIZER_SITES}
+                     schedule={"warmup_steps": 0, "total_steps": 1, "floor_lr": 0.0}))
     forward = [site["fwd_x"], site["fwd_w"]] * 2  # the quantized fc0 and fc1
     backward = [site[s] for s in ql.QUANTIZER_SITES[2:]] * 2
     assert formats == forward + backward + forward  # the step, then its validation
@@ -379,10 +388,23 @@ def test_a_precision_mode_sets_each_site_format(monkeypatch, mode, variant):
 def test_switch_records_config(tmp_path):
     out = tmp_path / "sw"
     tr.train(mlp_cfg(preset="fp4-base", out_dir=str(out), switch_step=20,
-                     switch_mode="fp6xfp4"))
+                     switch_mode="e3m2xe2m1"))
     snap = json.loads((out / "config.json").read_text())
     assert snap["switch_step"] == 20
-    assert snap["switch_mode"] == "fp6xfp4"
+    assert snap["switch_mode"] == "e3m2xe2m1"
+
+
+@pytest.mark.parametrize("run, message", [
+    (dict(cfg_overrides={"fp6_variant": "e2m3"}),
+     r"cfg_overrides sets \['fp6_variant'\]; it takes \['precision', "),
+    (dict(cfg_overrides={"precision": "fp6xfp4"}),
+     r"precision must be one of \['e2m1xe2m1', .*\], got 'fp6xfp4'"),
+    (dict(switch_step=3, switch_mode="fp6xfp6"),
+     r"switch_mode must be one of \['e2m1xe2m1', .*\], got 'fp6xfp6'"),
+], ids=["fp6-variant", "precision", "switch-mode"])
+def test_an_old_precision_spelling_fails_naming_its_key(run, message):
+    with pytest.raises(ValueError, match=message):
+        mlp_cfg(**run)
 
 
 # ── outlier channel wiring ───────────────────────────────────────────────────
@@ -399,9 +421,15 @@ def test_outlier_selection_recovers_planted_columns():
     assert len(chosen) == 4
 
 
-def test_outlier_style_none_retains_nothing():
-    report = tr.train(mlp_cfg(outlier_ratio=6.25, outlier_style="none"))
-    assert all(len(ch) == 0 for ch in report.outlier_channels.values())
+def test_outlier_style_none_is_rejected():
+    # a ratio of 0 retains nothing; style none beside a ratio above 0 only
+    # ran a calibration forward pass for nothing
+    with pytest.raises(ValueError) as exc:
+        mlp_cfg(outlier_ratio=6.25, outlier_style="none")
+    assert str(exc.value) == (
+        "outlier_style must be one of ('largest-norm', 'random'), got 'none'")
+    report = tr.train(mlp_cfg(outlier_ratio=0.0, outlier_style="random"))
+    assert report.outlier_channels == {}
 
 
 def test_bypass_keeps_no_outliers():
@@ -725,10 +753,9 @@ def _pinned_run_cfg(name, tmp_path):
     if name == "mlp-site-subset":
         return mlp_cfg(**run, site_subset=("fwd_x", "w_for_dx"), exclude_tags=("fc1",))
     # a switch at step 10, inside the window that opens at step 8 and resets
-    # at step 14: fp6xfp4 keeps the weight's trackers, fp6xfp6 drops them
-    mode = name.split("-")[2]
-    overrides = {"fp6_variant": "e2m3"} if name.endswith("e2m3") else {}
-    return mlp_cfg(**run, switch_step=9, switch_mode=mode, cfg_overrides=overrides,
+    # at step 14: e2m3xe2m1 keeps the weight's trackers, e3m2xe3m2 drops them
+    mode = {"mlp-switch-fp6xfp4-e2m3": "e2m3xe2m1", "mlp-switch-fp6xfp6": "e3m2xe3m2"}[name]
+    return mlp_cfg(**run, switch_step=9, switch_mode=mode,
                    suppression=osc.SuppressionSchedule(t_max=20, t_start=1, t_period=8,
                                                        t_accu=5, tau_osci=0.5))
 
