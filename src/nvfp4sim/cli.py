@@ -107,6 +107,10 @@ def _cmd_quantize(args) -> int:
 def _cmd_bench_bias(args) -> int:
     if args.draws < 10000:
         return _fail("--draws must be at least 10000 for a meaningful z-test")
+    if args.outlier_percent is None and args.outlier_style is not None:
+        return _fail("--outlier-style needs --outlier-percent: it picks the channels "
+                     "that percent retains")
+    style = args.outlier_style or ql.OutlierStyle.LARGEST_NORM.value
     try:
         cfg = ql.preset(args.preset)
     except ValueError as exc:
@@ -122,12 +126,12 @@ def _cmd_bench_bias(args) -> int:
             x_craft=args.x_craft,
             w_craft=args.w_craft,
             outlier_percent=args.outlier_percent,
-            outlier_style=args.outlier_style,
+            outlier_style=style,
         )
     except ValueError as exc:
         return _fail(str(exc))
     tr.write_json(Path(args.out) / "bias_report.json", dataclasses.asdict(report))
-    _write_config(args)
+    _write_config(args, outlier_style=style)
     verdict = "passed" if report.passed else "FAILED"
     print(f"bias check {verdict}: max |z| {tr.fmt_num(float(report.max_z))} "
           f"over {args.draws} draws (limit {tr.fmt_num(args.nsigma)})")
@@ -370,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-percent", type=float, default=None,
                    help="retain this percent of channels at high precision")
     p.add_argument("--outlier-style", choices=_values(ql.OutlierStyle),
-                   default="largest-norm", help="outlier channel selection")
+                   help="outlier channel selection, with --outlier-percent "
+                        "(default: largest-norm)")
     p.set_defaults(func=_cmd_bench_bias)
 
     p = _sub(subparsers, "train",

@@ -22,8 +22,9 @@ Malformed files raise :class:`FileFormatError` carrying the byte offset of
 the offending field (for truncation, the offset where the file ended). That
 covers a quantized payload with a scale format byte (byte 20) other than 0 or
 a group byte (byte 21) other than 16, whose array counts do not fit its
-layout or whose code bytes overflow a 6-bit element format, and a non-finite
-dense entry, which neither writer produces.
+layout, whose code bytes overflow a 6-bit element format, whose inner scale
+is no positive E4M3 value or whose outer scale is NaN or negative, and a
+non-finite dense entry, none of which the quantizer and writers produce.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ _GROUP_BYTE = 16  # elements per inner block
 _ORIENT_NAMES = {v: k for k, v in _ORIENT_CODES.items()}
 _OUTER_NAMES = {v: k for k, v in _OUTER_CODES.items()}
 _ELEMENT_NAMES = {v: k for k, v in _ELEMENT_CODES.items()}
+# a binary32 holding a positive E4M3 value has all but its top 12 bits clear;
+# this marks the top 12 bits of each such value
+_POSITIVE_E4M3 = np.zeros(1 << 12, dtype=bool)
+_POSITIVE_E4M3[fc.FP8_E4M3.mag[1:].astype(F32).view(np.uint32) >> 20] = True
 
 
 class FileFormatError(ValueError):
@@ -206,8 +211,15 @@ def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
             f"code byte {codes[at]} exceeds {fmt.bits}-bit {element_fmt}",
             offset=codes_at + at,
         )
+    inner_at = r.pos + 8
     inner = _counted_array(r, n_inner, F32, "inner-scale")
+    bits = inner.view(np.uint32)
+    _reject_first(inner, ~_POSITIVE_E4M3[bits >> 20] | ((bits & 0xFFFFF) != 0), inner_at,
+                  "inner scale {} is not a positive E4M3 value")
+    outer_at = r.pos + 8
     outer_scales = _counted_array(r, n_outer, F32, "outer-scale")
+    _reject_first(outer_scales, np.signbit(outer_scales) | np.isnan(outer_scales), outer_at,
+                  "outer scale {} is NaN or negative")
     (clamp_count,) = r.unpack("<Q", "clamp count")
     return QuantizedMatrix(
         rows=rows,
@@ -220,6 +232,14 @@ def _read_quantized(r: _Reader, rows: int, cols: int) -> QuantizedMatrix:
         outer_scales=outer_scales,
         clamp_count=clamp_count,
     )
+
+
+def _reject_first(scales: np.ndarray, bad: np.ndarray, offset: int, message: str) -> None:
+    """Raise at the first of ``scales`` that ``bad`` marks; the scales start
+    at byte ``offset``."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise FileFormatError(message.format(scales[i]), offset=offset + 4 * i)
 
 
 def _counted_array(r: _Reader, expected: int, dtype, what: str) -> np.ndarray:

@@ -24,7 +24,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import blockquant as bq
 from . import fpcodec as fc
 from . import qlinear as ql
 

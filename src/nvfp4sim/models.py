@@ -14,10 +14,10 @@ Both expose the same protocol: ``init_params(seed)``, ``quant_tags()``,
 ``weight_param(tag)``, ``forward_loss``, ``loss_and_grads``, ``input_acts``,
 driven by a mapping ``tag -> LayerQuantConfig`` (see :func:`uniform_cfgs`).
 ``forward_loss`` returns the loss alone; ``loss_and_grads`` returns
-``(loss, grads, aux)``.  Each forward keeps its layers' ``(tag,
-LinearCache)`` pairs in forward order, and the clamp telemetry in ``aux``
-(``clamp_events``, ``clamp_by_layer``) sums each cache's forward clamp
-counts with the backward counts ``linear_backward`` returns.
+``(loss, grads, aux)``.  Every quantized layer runs through ``_linear``,
+which files its ``LinearCache`` under its tag, and ``_linear_backward``,
+which pops it and stores the cache's forward plus the backward's clamp
+counts in ``aux["clamp_by_layer"][tag]``, whose total is ``clamp_events``.
 ``input_acts(params, batch, step)`` runs the all-bypass (``fp32``) recipe
 itself and returns each cache's ``x_hat``, which under that recipe is the
 layer input itself.  The backward pass visits quantized layers in exactly
@@ -40,12 +40,12 @@ layer caches) are never written; :func:`_softmax_causal` overwrites the
 scores it is given, and :func:`_rmsnorm_bwd` the gradient it is given.
 
 Lifetime rule: ``loss_and_grads`` consumes the forward context it made.  It
-takes the forward clamp counts first, then pops each block, each array and
-each layer's cache off the context as the backward reads it (a cache just
-before its ``linear_backward``), and rebinds one running gradient name, so
-a forward array or cache lives only until its last backward use and a step
-peaks with only the blocks still ahead of the backward alive.  This changes
-lifetimes only: no op, operand or evaluation order, hence no byte.
+pops each block, each array and each layer's cache off the context as the
+backward reads it (a cache just before its ``linear_backward``), and rebinds
+one running gradient name, so a forward array or cache lives only until its
+last backward use and a step peaks with only the blocks still ahead of the
+backward alive.  This changes lifetimes only: no op, operand or evaluation
+order, hence no byte.
 """
 
 from __future__ import annotations
@@ -75,24 +75,13 @@ def uniform_cfgs(model, base_cfg: ql.LayerQuantConfig) -> Dict[str, ql.LayerQuan
     }
 
 
-def _clamp_aux(forward, backward) -> dict:
-    """Clamp telemetry of one step: per layer, in the order of ``forward``,
-    its forward counts ``forward[tag]`` plus its backward counts
-    ``backward[tag]``."""
-    by_layer = {
-        tag: sum(counts.values()) + sum(backward[tag].values())
-        for tag, counts in forward.items()
-    }
-    return {"clamp_events": sum(by_layer.values()), "clamp_by_layer": by_layer}
-
-
 class _QuantizedModel:
     """The protocol both models share.
 
     A subclass sets ``_tags`` and implements ``_forward(params, batch, cfgs,
-    step) -> (loss, ctx)``, where ``ctx["caches"]`` maps each quantized
-    layer's tag to its :class:`~nvfp4sim.qlinear.LinearCache`, in forward
-    order.
+    step) -> (loss, ctx)``, where ``ctx["caches"]`` is the dict its
+    :meth:`_linear` calls filed, and ``loss_and_grads``, which runs each layer
+    back through :meth:`_linear_backward`.
     """
 
     def quant_tags(self) -> Tuple[str, ...]:
@@ -100,6 +89,21 @@ class _QuantizedModel:
 
     def weight_param(self, tag: str) -> str:
         return f"{tag}.w"
+
+    def _linear(self, tag, x, params, cfgs, step, caches):
+        """Layer ``tag``'s forward of ``x``, its cache filed in ``caches``."""
+        y, caches[tag] = ql.linear_forward(x, params[self.weight_param(tag)], cfgs[tag], step=step)
+        return y
+
+    def _linear_backward(self, tag, dy, caches, cfgs, rng, grads, clamps):
+        """Layer ``tag``'s backward of ``dy`` from the cache it pops; ``dx``,
+        with ``dw`` and the layer's clamp count stored under its tag."""
+        cache = caches.pop(tag)
+        dx, grads[self.weight_param(tag)], counts = ql.linear_backward(
+            dy, cache, cfgs[tag], rng=rng
+        )
+        clamps[tag] = sum(cache.clamp_counts.values()) + sum(counts.values())
+        return dx
 
     def _run(self, params, batch, cfgs: Mapping[str, ql.LayerQuantConfig], step):
         missing = [t for t in self._tags if t not in cfgs]
@@ -127,9 +131,9 @@ class MLP(_QuantizedModel):
     """Bias-free ReLU MLP; hidden linears quantized, head binary32."""
 
     def __init__(self, widths: Tuple[int, ...] = (784, 256, 256, 10)):
-        widths = tuple(widths)
-        if not all(type(w) is int for w in widths):
-            raise ValueError(f"widths must be whole numbers, got {widths}")
+        widths = tuple(widths) if isinstance(widths, (list, tuple)) else widths
+        if not (isinstance(widths, tuple) and all(type(w) is int for w in widths)):
+            raise ValueError(f"widths must be whole numbers, got {widths!r}")
         if len(widths) < 3:
             raise ValueError("MLP needs at least (input, hidden, output) widths")
         if any(w < 1 for w in widths):
@@ -156,9 +160,7 @@ class MLP(_QuantizedModel):
         h = np.asarray(x, dtype=F32)
         caches, pre = {}, []
         for tag in self._tags:
-            a, caches[tag] = ql.linear_forward(
-                h, params[f"{tag}.w"], cfgs[tag], step=step
-            )
+            a = self._linear(tag, h, params, cfgs, step, caches)
             pre.append(a)
             h = np.maximum(a, F32(0.0))
         err = h @ params["head.w"].T
@@ -169,18 +171,15 @@ class MLP(_QuantizedModel):
     def loss_and_grads(self, params, batch, cfgs, step, rng):
         loss, ctx = self._run(params, batch, cfgs, step)
         caches, pre = ctx["caches"], ctx["pre"]
-        forward = {tag: cache.clamp_counts for tag, cache in caches.items()}
         g = ctx.pop("err")
         g = np.multiply(2.0 / g.size, g, out=g)
         grads = {"head.w": g.T @ ctx.pop("h")}
         g = g @ params["head.w"]
-        backward = {}
+        clamps = {}
         for tag in reversed(self._tags):
             g = np.multiply(g, pre.pop() > 0, out=g)
-            g, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
-                g, caches.pop(tag), cfgs[tag], rng=rng
-            )
-        return loss, grads, _clamp_aux(forward, backward)
+            g = self._linear_backward(tag, g, caches, cfgs, rng, grads, clamps)
+        return loss, grads, {"clamp_events": sum(clamps.values()), "clamp_by_layer": clamps}
 
 
 # ── transformer building blocks ──────────────────────────────────────────────
@@ -366,9 +365,7 @@ class TinyTransformer(_QuantizedModel):
             n1, r1 = _rmsnorm_fwd(x, g_a)
             blk["r1"] = r1
             n1_2 = n1.reshape(b * length, d)
-            qkv, caches[f"l{i}.qkv"] = ql.linear_forward(
-                n1_2, params[f"l{i}.qkv.w"], cfgs[f"l{i}.qkv"], step=step
-            )
+            qkv = self._linear(f"l{i}.qkv", n1_2, params, cfgs, step, caches)
             trip = qkv.reshape(b, length, 3, h, hd).transpose(2, 0, 3, 1, 4)
             q, k, v = trip[0], trip[1], trip[2]
             scores = q @ k.transpose(0, 1, 3, 2)
@@ -377,9 +374,7 @@ class TinyTransformer(_QuantizedModel):
             ctx = p @ v
             blk.update(q=q, k=k, v=v, p=p)
             ctx2 = ctx.transpose(0, 2, 1, 3).reshape(b * length, d)
-            att, caches[f"l{i}.att_out"] = ql.linear_forward(
-                ctx2, params[f"l{i}.att_out.w"], cfgs[f"l{i}.att_out"], step=step
-            )
+            att = self._linear(f"l{i}.att_out", ctx2, params, cfgs, step, caches)
             att = att.reshape(b, length, d)
             x = np.add(x, att, out=att)
 
@@ -388,18 +383,14 @@ class TinyTransformer(_QuantizedModel):
             n2, r2 = _rmsnorm_fwd(x, g_f)
             blk["r2"] = r2
             n2_2 = n2.reshape(b * length, d)
-            uv, caches[f"l{i}.ffn1"] = ql.linear_forward(
-                n2_2, params[f"l{i}.ffn1.w"], cfgs[f"l{i}.ffn1"], step=step
-            )
+            uv = self._linear(f"l{i}.ffn1", n2_2, params, cfgs, step, caches)
             fdim = self.ffn_hidden
             u, w_half = uv[:, :fdim], uv[:, fdim:]
             sig = _sigmoid(u)
             s = np.multiply(u, sig)  # silu(u), then the gate in place
             s *= w_half
             blk.update(u=u, w_half=w_half, sig=sig)
-            ffn, caches[f"l{i}.ffn2"] = ql.linear_forward(
-                s, params[f"l{i}.ffn2.w"], cfgs[f"l{i}.ffn2"], step=step
-            )
+            ffn = self._linear(f"l{i}.ffn2", s, params, cfgs, step, caches)
             ffn = ffn.reshape(b, length, d)
             x = np.add(x, ffn, out=ffn)
             blocks.append(blk)
@@ -443,15 +434,9 @@ class TinyTransformer(_QuantizedModel):
         hd = d // h
         scale = F32(1.0 / math.sqrt(hd))
         n_tok = b * length
-        caches = ctx["caches"]
-        forward = {tag: cache.clamp_counts for tag, cache in caches.items()}
-        grads, backward = {}, {}
-
-        def linear_backward(tag, dy):
-            dx, grads[f"{tag}.w"], backward[tag] = ql.linear_backward(
-                dy, caches.pop(tag), cfgs[tag], rng=rng
-            )
-            return dx
+        grads, clamps = {}, {}
+        linear_backward = functools.partial(self._linear_backward, caches=ctx["caches"],
+                                            cfgs=cfgs, rng=rng, grads=grads, clamps=clamps)
 
         g = ctx.pop("softmax")  # d(logits)
         g[np.arange(n_tok), ctx.pop("targets")] -= F32(1.0)
@@ -495,4 +480,4 @@ class TinyTransformer(_QuantizedModel):
         dpos[:length] = dx.sum(axis=0)
         grads["pos_emb"] = dpos
 
-        return loss, grads, _clamp_aux(forward, backward)
+        return loss, grads, {"clamp_events": sum(clamps.values()), "clamp_by_layer": clamps}

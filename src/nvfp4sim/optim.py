@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
 F32 = np.float32
 
 __all__ = ["AdamW", "CosineSchedule"]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,6 +42,8 @@ class CosineSchedule:
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("peak_lr", "floor_lr"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
@@ -68,11 +75,12 @@ class AdamW:
     """
 
     def __init__(self, params, betas=(0.9, 0.95), eps=1e-8, weight_decay=0.0):
-        if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if not 0 < eps < math.inf:
+        if not (isinstance(betas, (list, tuple)) and len(betas) == 2
+                and all(_is_number(b) and 0 <= b < 1 for b in betas)):
+            raise ValueError(f"betas must be two numbers in [0, 1), got {betas!r}")
+        if not (_is_number(eps) and 0 < eps < math.inf):
             raise ValueError(f"eps must be a positive finite number, got {eps!r}")
-        if not 0 <= weight_decay < math.inf:
+        if not (_is_number(weight_decay) and 0 <= weight_decay < math.inf):
             raise ValueError(
                 f"weight_decay must be a nonnegative finite number, got {weight_decay!r}")
         self.params = params

@@ -97,7 +97,9 @@ def _freeze(value):
 @dataclasses.dataclass(frozen=True)
 class TrainRunConfig:
     """Everything needed to reproduce one training run from a seed; building
-    it checks every setting but the model, task and ``exclude_tags``."""
+    it checks every setting but the model, task and ``exclude_tags``.
+    ``outlier_style`` and ``outlier_precision`` act only when
+    ``outlier_ratio`` is above 0."""
 
     model: Mapping
     task: Mapping
@@ -122,6 +124,8 @@ class TrainRunConfig:
 
     def __post_init__(self):
         for name in ("model", "task", "optimizer", "schedule", "cfg_overrides"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
             object.__setattr__(self, name, _freeze(dict(getattr(self, name))))
         if self.site_subset is not None:  # kept in the order given, as config.json shows it
             ql.name_set("site_subset", self.site_subset, ql.QUANTIZER_SITES)
@@ -321,33 +325,26 @@ def _layer_recipe(cfg: TrainRunConfig) -> ql.LayerQuantConfig:
 
 
 def _build_layer_cfgs(model, task, params, cfg: TrainRunConfig):
-    """Per-tag layer recipes plus the selected outlier channels per tag."""
-    base = _layer_recipe(cfg)
-    cfgs = {}
-    for tag in model.quant_tags():
-        c = dataclasses.replace(base, layer_tag=tag, rht_seed=cfg.seed)
-        if tag in cfg.exclude_tags:
-            c = dataclasses.replace(c, sites=())
-        cfgs[tag] = c
-
-    outlier_channels: Dict[str, Tuple[int, ...]] = {}
-    if cfg.outlier_ratio > 0.0:
-        eligible = [tag for tag, c in cfgs.items() if c.sites]
-        if eligible:
-            calib = task.batch("train", 0, cfg.batch_size, cfg.seed)
-            acts = model.input_acts(params, calib, step=0)
-            for tag in eligible:
-                oc = ql.select_outlier_channels(
-                    acts[tag],
-                    cfg.outlier_ratio,
-                    cfg.outlier_style,
-                    seed=cfg.seed,
-                    precision=cfg.outlier_precision,
-                )
-                outlier_channels[tag] = oc.channels
-                if oc.channels:
-                    cfgs[tag] = dataclasses.replace(cfgs[tag], outlier=oc)
-    return cfgs, outlier_channels
+    """Per-tag layer recipes; with ``outlier_ratio`` above 0 each layer that
+    quantizes a site retains the channels selected from its input."""
+    cfgs = models.uniform_cfgs(model, dataclasses.replace(_layer_recipe(cfg), rht_seed=cfg.seed))
+    for tag in cfg.exclude_tags:
+        cfgs[tag] = dataclasses.replace(cfgs[tag], sites=())
+    eligible = [tag for tag, c in cfgs.items() if c.sites]
+    if cfg.outlier_ratio > 0.0 and eligible:
+        calib = task.batch("train", 0, cfg.batch_size, cfg.seed)
+        acts = model.input_acts(params, calib, step=0)
+        for tag in eligible:
+            oc = ql.select_outlier_channels(
+                acts[tag],
+                cfg.outlier_ratio,
+                cfg.outlier_style,
+                seed=cfg.seed,
+                precision=cfg.outlier_precision,
+            )
+            if oc.channels:
+                cfgs[tag] = dataclasses.replace(cfgs[tag], outlier=oc)
+    return cfgs
 
 
 # ── output files ─────────────────────────────────────────────────────────────
@@ -516,7 +513,7 @@ def train(cfg: TrainRunConfig) -> RunReport:
     model = _build_model(cfg, task)
     params = model.init_params(cfg.seed)
     opt, sched = _build_optim(cfg, params)
-    cfgs, outlier_channels = _build_layer_cfgs(model, task, params, cfg)
+    cfgs = _build_layer_cfgs(model, task, params, cfg)
     run = _Run(cfg, task, model, params, opt, sched, cfgs, {}, _val_steps(cfg))
     out_path = None
     if cfg.out_dir is not None:
@@ -541,7 +538,10 @@ def train(cfg: TrainRunConfig) -> RunReport:
         config=cfg,
         rows=tuple(rows),
         osci_rows=tuple(osci_rows),
-        outlier_channels=outlier_channels,
+        outlier_channels={  # per layer that selected channels, what its recipe retains
+            tag: c.outlier.channels if c.outlier else ()
+            for tag, c in cfgs.items() if cfg.outlier_ratio > 0.0 and c.sites
+        },
     )
 
 
@@ -573,7 +573,7 @@ def loss_decomposition_sweep(
         try:
             prepared[sid] = TrainRunConfig.from_dict({**base, **fields, "out_dir": out_dir})
             _build_model(prepared[sid], _build_task(prepared[sid]))
-        except (ValueError, TypeError) as exc:  # TypeError: a section that is no mapping
+        except ValueError as exc:
             raise ValueError(f"subset {i}: {exc}") from None
 
     reference = train(dataclasses.replace(cfg, site_subset=(), out_dir=None))

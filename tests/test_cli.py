@@ -203,6 +203,7 @@ def test_bench_bias_enforces_minimum_draws(tmp_path, capsys):
     ("--nsigma", "-2", "nsigma"),
     ("--nsigma", "nan", "nsigma"),
     ("--nsigma", "inf", "nsigma"),
+    ("--outlier-style", "random", "--outlier-style needs --outlier-percent"),
 ])
 def test_bench_bias_rejects_bad_argument_with_exit_two(tmp_path, capsys, flag, value, named):
     out = tmp_path / "bias"
@@ -330,6 +331,19 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
     ({"switch_step": 3, "switch_mode": "fp6xfp4"}, "switch_mode must be one of"),
     ({"outlier_style": "none", "outlier_ratio": 5.0},
      "outlier_style must be one of ('largest-norm', 'random'), got 'none'"),
+    ({"model": None}, "model must be an object, got None"),
+    ({"task": None}, "task must be an object, got None"),
+    ({"optimizer": None}, "optimizer must be an object, got None"),
+    ({"schedule": None}, "schedule must be an object, got None"),
+    ({"cfg_overrides": None}, "cfg_overrides must be an object, got None"),
+    ({"model": {"kind": "mlp", "widths": None}}, "widths must be whole numbers, got None"),
+    ({"model": {"kind": "mlp", "widths": 5}}, "widths must be whole numbers, got 5"),
+    ({"optimizer": {"lr": None}}, "peak_lr must be a number, got None"),
+    ({"schedule": {"total_steps": 20, "floor_lr": None}}, "floor_lr must be a number, got None"),
+    ({"optimizer": {"lr": 5e-3, "eps": None}}, "eps must be a positive finite number, got None"),
+    ({"optimizer": {"lr": 5e-3, "weight_decay": None}},
+     "weight_decay must be a nonnegative finite number, got None"),
+    ({"optimizer": {"lr": 5e-3, "betas": [0.9]}}, "betas must be two numbers in [0, 1), got"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
         "model-key", "corpus-path", "square-outer", "outlier-precision",
         "outlier-style", "optimizer-key", "schedule-key", "missing-lr",
@@ -343,7 +357,10 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
         "float-rht-block", "diag-weight-block", "bad-outer",
         "upper-switch-mode", "infinite-outlier-gain", "fractional-width", "bool-width",
         "removed-site-flag", "override-sites", "string-rht-sides", "duplicate-site",
-        "removed-fp6-variant", "old-switch-mode", "outlier-style-none"])
+        "removed-fp6-variant", "old-switch-mode", "outlier-style-none", "null-model",
+        "null-task", "null-optimizer", "null-schedule", "null-overrides", "null-widths",
+        "int-widths", "null-lr", "null-floor-lr", "null-eps", "null-weight-decay",
+        "one-beta"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -648,6 +665,10 @@ _BIAS_TAIL = ('  "preset": "fp32",\n  "seed": {seed},\n  "shape": [\n    4,\n   
      '{\n  "command": "bench-bias",\n  "draws": 10000,\n  "dy_craft": "signs",\n'
      '  "nsigma": 5.0,\n  "outlier_percent": 12.5,\n  "outlier_style": "random",\n'
      + _BIAS_TAIL.format(seed=2)),
+    (["bench-bias", "--preset", "fp32", "--shape", "4,16,8", "--outlier-percent", "12.5"],
+     '{\n  "command": "bench-bias",\n  "draws": 10000,\n  "dy_craft": "gaussian",\n'
+     '  "nsigma": 5.0,\n  "outlier_percent": 12.5,\n  "outlier_style": "largest-norm",\n'
+     + _BIAS_TAIL.format(seed=0)),
     (["osci-analyze", "a.csv"],
      '{\n  "command": "osci-analyze",\n  "file": "a.csv",\n  "paired": null,\n'
      + _OSCI_THRESHOLDS),
@@ -658,7 +679,7 @@ _BIAS_TAIL = ('  "preset": "fp32",\n  "seed": {seed},\n  "shape": [\n    4,\n   
      '{\n  "command": "osci-analyze",\n  "file": "a.csv",\n  "paired": null,\n'
      + _OSCI_THRESHOLDS),
 ], ids=["quantize", "quantize-stoch", "quantize-square", "bench-bias",
-        "bench-bias-flags", "osci", "osci-paired", "osci-paired-empty"])
+        "bench-bias-flags", "bench-bias-default-style", "osci", "osci-paired", "osci-paired-empty"])
 def test_config_record_bytes(tmp_path, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)
     mio.save_csv("m.csv", rnd((16, 48), seed=5))

@@ -7,6 +7,7 @@ granularity, and clamp count); malformed inputs must fail with the byte
 offset of the first bad field.
 """
 
+import itertools
 import struct
 
 import numpy as np
@@ -223,6 +224,62 @@ def test_square_tiles_with_a_per_row_outer_level_are_rejected(tmp_path):
     raw = _quantized_bytes(tmp_path, bq.quantize_double_block(np.ones((16, 16), F32), "square"))
     raw[_OUTER_AT] = 1  # per-row
     assert _load_patched(tmp_path, raw) == _OUTER_AT
+
+
+def _gaussian(shape):
+    return fc.stream(13, "mio-scales", *shape).standard_normal(shape).astype(F32)
+
+
+def _scale_offsets(q):
+    """Byte offsets of the first inner and the first outer scale of ``q``'s dump."""
+    inner_at = _CODE_COUNT_AT + 8 + q.codes.size + 8
+    return inner_at, inner_at + 4 * q.inner_scales.size + 8
+
+
+@pytest.mark.parametrize("which, value", [
+    ("inner", 0.0), ("inner", -0.0), ("inner", -2.0), ("inner", 1000.0), ("inner", 1.1),
+    ("inner", 2.0**-10), ("inner", np.inf), ("inner", np.nan),
+    ("outer", np.nan), ("outer", -np.nan), ("outer", -1.0), ("outer", -0.0),
+    ("outer", -np.inf),
+])
+def test_a_scale_no_quantizer_writes_is_rejected(tmp_path, which, value):
+    q = bq.quantize_double_block(_gaussian((4, 64)), "row", outer="per-row")
+    raw = _quantized_bytes(tmp_path, q)
+    inner_at, outer_at = _scale_offsets(q)
+    at = (inner_at + 4 * 5) if which == "inner" else (outer_at + 4 * 2)
+    struct.pack_into("<f", raw, at, value)
+    assert _load_patched(tmp_path, raw) == at
+
+
+def test_every_positive_e4m3_inner_scale_and_a_degenerate_outer_scale_load(tmp_path):
+    # the outer scales of 0, +inf and huge values that underflowing and
+    # infinite inputs write still load
+    positive = fc.FP8_E4M3.mag[1:].astype(F32)
+    q = bq.quantize_double_block(_gaussian((positive.size, 16)), "row", outer="per-row")
+    raw = _quantized_bytes(tmp_path, q)
+    inner_at, outer_at = _scale_offsets(q)
+    raw[inner_at:inner_at + 4 * positive.size] = positive.tobytes()
+    degenerate = np.array([0.0, np.inf, 3e38], F32)
+    raw[outer_at:outer_at + 12] = degenerate.tobytes()
+    p = tmp_path / "ok.qmxf"
+    p.write_bytes(bytes(raw))
+    loaded = mio.load_quantized(p)
+    np.testing.assert_array_equal(loaded.inner_scales, positive)
+    np.testing.assert_array_equal(loaded.outer_scales[:3], degenerate)
+
+
+def test_dumps_of_corner_inputs_load(tmp_path):
+    layouts = [(o, g) for o in ("row", "col") for g in ("1x128", "per-row", "per-tensor")]
+    layouts.append(("square", "per-tensor"))
+    p = tmp_path / "c.qmxf"
+    with np.errstate(invalid="ignore", over="ignore"):
+        for corner in (np.nan, np.inf, -np.inf, 1e-45, 3e38, -3e38):
+            m = _gaussian((20, 40))
+            m[3, 5] = m[7, ::3] = corner
+            for (orientation, outer), fmt in itertools.product(layouts, bq.ELEMENT_FORMATS):
+                q = bq.quantize_double_block(m, orientation, outer=outer, element_fmt=fmt)
+                mio.save_quantized(p, q)
+                assert mio.load_quantized(p) == q
 
 
 # ── non-finite dense input ───────────────────────────────────────────────────

@@ -414,3 +414,51 @@ def test_mlp_fp4_rtn_golden_digest():
     out = m.loss_and_grads(params, mlp_batch(m, seed=37, n=20), cfgs,
                            step=2, rng=fc.stream(38, "golden-mlp"))
     assert _step_digest(*out) == MLP_FP4_RTN_SHA256
+
+
+# recorded before the per-layer bookkeeping moved into _QuantizedModel; the
+# transformer's clamp telemetry is pinned inside its golden digests above
+MLP_CLAMP_AUX = {
+    "fp4-base": (854, [("fc0", 327), ("fc1", 271), ("fc2", 256)]),
+    "fp4-rtn": (588, [("fc0", 172), ("fc1", 193), ("fc2", 223)]),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(MLP_CLAMP_AUX))
+def test_mlp_clamp_telemetry_keeps_its_counts(preset):
+    m = md.MLP(widths=(48, 40, 40, 40, 6))
+    cfgs = md.uniform_cfgs(m, ql.preset(preset))
+    _, _, aux = m.loss_and_grads(m.init_params(36), mlp_batch(m, seed=37, n=20), cfgs,
+                                 step=2, rng=fc.stream(38, "golden-mlp"))
+    assert sorted(aux) == ["clamp_by_layer", "clamp_events"]
+    assert (aux["clamp_events"], sorted(aux["clamp_by_layer"].items())) == MLP_CLAMP_AUX[preset]
+
+
+@pytest.mark.parametrize("kind", ["mlp", "lm"])
+def test_each_layer_runs_one_forward_then_one_backward(monkeypatch, kind):
+    # the models reach the layer through the qlinear module attributes, which
+    # is where perfbench's tracer wraps its linear_forward and linear_backward
+    # spans
+    if kind == "mlp":
+        m = md.MLP(widths=(32, 32, 32, 32, 8))
+        batch = mlp_batch(m, seed=7, n=16)
+    else:
+        m = md.TinyTransformer(layers=2, d_model=16, heads=2, seq_len=8, vocab=13)
+        batch = lm_batch(m, seed=7)
+    calls, forward, backward = [], ql.linear_forward, ql.linear_backward
+
+    def traced_forward(x, w, cfg, step=0):
+        calls.append(("forward", cfg.layer_tag))
+        return forward(x, w, cfg, step=step)
+
+    def traced_backward(dy, cache, cfg, rng=None):
+        calls.append(("backward", cfg.layer_tag))
+        return backward(dy, cache, cfg, rng=rng)
+
+    monkeypatch.setattr(ql, "linear_forward", traced_forward)
+    monkeypatch.setattr(ql, "linear_backward", traced_backward)
+    cfgs = quant_cfgs(m)
+    m.loss_and_grads(m.init_params(8), batch, cfgs, step=1, rng=fc.stream(9, "g"))
+    tags = m.quant_tags()
+    assert calls == ([("forward", t) for t in tags]
+                     + [("backward", t) for t in reversed(tags)])

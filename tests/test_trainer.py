@@ -562,10 +562,11 @@ def test_sweep_rejects_unknown_sites_and_tags():
      r"subset 1: exclude_tags \['fc9'\] are not layers of this model"),
     ([{"id": "a"}, {"id": "b", "model": {"kind": "mlp", "widths": [16, 32, 7]}}],
      "subset 1: MLP widths .* do not match the task's 64 -> 8"),
+    ([{"id": "a", "model": None}], "subset 0: model must be an object, got None"),
 ], ids=["int", "str-second", "sites-int", "sites-str", "sites-int-item", "sites-duplicate",
         "sites-unknown", "exclude-int",
         "exclude-null-item", "unknown-key", "out-dir", "duplicate-id", "exclude-unknown-tag",
-        "model-task-mismatch"])
+        "model-task-mismatch", "null-model"])
 def test_sweep_rejects_malformed_entries_by_index(monkeypatch, subsets, named):
     calls = []
     monkeypatch.setattr(tr, "train", lambda cfg: calls.append(cfg))
