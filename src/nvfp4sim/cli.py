@@ -131,7 +131,7 @@ def _cmd_bench_bias(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     tr.write_json(Path(args.out) / "bias_report.json", dataclasses.asdict(report))
-    _write_config(args, outlier_style=style)
+    _write_config(args, outlier_style=None if args.outlier_percent is None else style)
     verdict = "passed" if report.passed else "FAILED"
     print(f"bias check {verdict}: max |z| {tr.fmt_num(float(report.max_z))} "
           f"over {args.draws} draws (limit {tr.fmt_num(args.nsigma)})")

@@ -24,15 +24,14 @@ its storage format — and elements whose reset target would exceed the block
 amax and take the carrier role over.  Rewriting any of these would re-derive
 the scale chain and silently shift every other element in the block.
 
-The scheduling hook mirrors a trainer loop that, once suppression starts,
-accumulates statistics for the first ``t_accu + 1`` steps of every period and
-fires one suppression immediately after the window closes.
+``SuppressionSchedule.phase`` gives each step's place in the schedule: once
+suppression starts, statistics accumulate over the first ``t_accu + 1`` steps
+of every period and one suppression fires immediately after the window closes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import numbers
 
@@ -43,15 +42,12 @@ from . import blockquant as bq
 F32 = np.float32
 
 __all__ = [
-    "HookAction",
-    "HookDecision",
     "OscillationTracker",
     "QuantizedWeightView",
     "SuppressionSchedule",
     "double_block_weight_view",
     "osci_risk",
     "oscillation_suppress",
-    "suppression_hook",
     "update_oscillation_stats",
 ]
 
@@ -215,40 +211,24 @@ class SuppressionSchedule:
             raise ValueError("t_max must be >= 1")
         if not 0 <= self.t_start <= self.t_max:
             raise ValueError("t_start must lie in [0, t_max]")
-        if self.t_period < 1:
-            raise ValueError("t_period must be >= 1")
-        if not 0 <= self.t_accu < self.t_period:
-            raise ValueError("t_accu must lie in [0, t_period)")
+        if not 0 <= self.t_accu < self.t_period - 1:  # else no window closes
+            raise ValueError(f"t_accu must lie in [0, t_period - 1), got t_accu "
+                             f"{self.t_accu} with t_period {self.t_period}")
         if not (math.isfinite(self.tau_osci) and self.tau_osci > 0):
             raise ValueError("tau_osci must be a positive finite number")
 
+    def phase(self, step: int) -> int | None:
+        """Training step ``step``'s (1-based) place in its period, or None.
 
-class HookAction(enum.Enum):
-    NONE = "none"
-    ACCUMULATE = "accumulate"
-    SUPPRESS = "suppress"
-
-
-@dataclasses.dataclass(frozen=True)
-class HookDecision:
-    action: HookAction
-    t0: int | None = None
-
-
-def suppression_hook(step: int, schedule: SuppressionSchedule) -> HookDecision:
-    """Decide the oscillation action for training step ``step`` (1-based).
-
-    Once ``step >= t_start``: the first ``t_accu + 1`` steps of each period
-    (phases 0..t_accu) accumulate statistics, the step right after the window
-    fires suppression, and the rest of the period is idle.
-    """
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    if step < schedule.t_start:
-        return HookDecision(HookAction.NONE)
-    t0 = step % schedule.t_period
-    if t0 <= schedule.t_accu:
-        return HookDecision(HookAction.ACCUMULATE, t0)
-    if t0 == schedule.t_accu + 1:
-        return HookDecision(HookAction.SUPPRESS)
-    return HookDecision(HookAction.NONE)
+        From ``t_start`` on, the first ``t_accu + 1`` steps of each period give
+        their window position 0..t_accu, the ``t0`` of
+        :func:`update_oscillation_stats`; the next step gives ``t_accu + 1``
+        and fires suppression; the rest of the period, and every step before
+        ``t_start``, give None.
+        """
+        if step < 1:
+            raise ValueError("step must be >= 1")
+        t0 = step % self.t_period
+        if step < self.t_start or t0 > self.t_accu + 1:
+            return None
+        return t0

@@ -185,9 +185,8 @@ class LayerQuantConfig:
                 raise ValueError(f"{name} must be one of {[m.value for m in kind]}, "
                                  f"got {getattr(self, name)!r}") from None
         if self.weight_block is Orientation.COL_GROUPS_16X1:
-            raise ValueError(
-                "weight_block must be ROW_GROUPS_1X16 or SQUARE_16X16"
-            )
+            raise ValueError(f"weight_block must be 'row' or 'square', "
+                             f"got {self.weight_block.value!r}")
         if (self.weight_block is Orientation.SQUARE_16X16
                 and self.outer_granularity is not OuterGranularity.PER_TENSOR):
             raise ValueError("weight_block square takes outer_granularity per-tensor")

@@ -41,14 +41,16 @@ class SyntheticRegression:
         outlier_count: int = 16,
         outlier_gain: float = 50.0,
     ):
-        for name, value in (("in_dim", in_dim), ("out_dim", out_dim),
-                            ("outlier_count", outlier_count)):
+        for name, value, low in (("in_dim", in_dim, 1), ("out_dim", out_dim, 1),
+                                 ("outlier_count", outlier_count, 0)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if (not isinstance(outlier_gain, numbers.Real) or isinstance(outlier_gain, bool)
                 or not math.isfinite(outlier_gain)):
             raise ValueError(f"outlier_gain must be a finite number, got {outlier_gain!r}")
-        if not 0 <= outlier_count <= in_dim:
+        if outlier_count > in_dim:
             raise ValueError(
                 f"outlier_count must be in [0, {in_dim}], got {outlier_count}"
             )

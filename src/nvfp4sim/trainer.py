@@ -19,7 +19,7 @@ steps: each ``val_every``-th and the last, but with ``suppression`` set, where
 ``val_every`` has no effect, each ``t_accu + 1`` past a multiple of ``t_period``
 and the last.  A step asks for its train batch first.  Its optimizer update and
 resets write the binary32 master weights into that dict in place, and its
-suppression hook builds each weight view from the current recipe.  Its
+tracking and resets build each weight view from the current recipe.  Its
 gradients stay in the record until the next backward returns: freed sooner,
 their pages fault in again there (6,240 minor faults per ``lm-fp32`` step
 against 2,744) to save 2.3 MB of peak RSS.  The returned :class:`RunReport`
@@ -274,12 +274,15 @@ def _build_task(cfg: TrainRunConfig):
     if kind == "synthetic-regression":
         return _construct(tasks.SyntheticRegression, spec, "task")
     if kind == "char-lm":
+        path = spec.get("corpus_path")
+        if "corpus_path" in spec and not isinstance(path, str):
+            raise ValueError(f"task corpus_path must be a string, got {path!r}")
         try:
             return _construct(tasks.CharLM, spec, "task")
         except OSError as exc:
-            raise ValueError(
-                f"task corpus_path {spec['corpus_path']!r}: {exc.strerror}"
-            ) from None
+            raise ValueError(f"task corpus_path {path!r}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"task corpus_path {path!r} is not ASCII: {exc}") from None
     raise ValueError(f"unknown task kind {kind!r}; choose from {_TASK_KINDS}")
 
 
@@ -478,17 +481,17 @@ def _train_step(run: _Run, step: int) -> Tuple[StepRow, list]:
     run.opt.step(run.grads, lr)
 
     resets, windows = 0, []
-    decision = None if cfg.suppression is None else osc.suppression_hook(step, cfg.suppression)
+    t0 = None if cfg.suppression is None else cfg.suppression.phase(step)
     for tag, c in run.cfgs.items():
-        if decision is None or decision.action is osc.HookAction.NONE or not c.quantize_fwd_w:
+        if t0 is None or not c.quantize_fwd_w:
             continue
         w = params[model.weight_param(tag)]
         view = osc.double_block_weight_view(
             c.weight_block, outer=c.outer_granularity, element_fmt=c.format_fwd_w)
-        if decision.action is osc.HookAction.ACCUMULATE:
+        if t0 <= cfg.suppression.t_accu:
             if tag not in run.trackers:
                 run.trackers[tag] = osc.OscillationTracker.zeros(w.shape)
-            osc.update_oscillation_stats(w, view, run.trackers[tag], decision.t0)
+            osc.update_oscillation_stats(w, view, run.trackers[tag], t0)
         elif tag in run.trackers:
             tau, n_reset = cfg.suppression.tau_osci, 0
             if cfg.apply_resets:

@@ -344,6 +344,18 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
     ({"optimizer": {"lr": 5e-3, "weight_decay": None}},
      "weight_decay must be a nonnegative finite number, got None"),
     ({"optimizer": {"lr": 5e-3, "betas": [0.9]}}, "betas must be two numbers in [0, 1), got"),
+    ({"suppression": {**_SUPPRESSION, "t_period": 2, "t_accu": 1}},
+     "t_accu must lie in [0, t_period - 1), got t_accu 1 with t_period 2"),
+    ({"suppression": {**_SUPPRESSION, "t_period": 1, "t_accu": 0}},
+     "t_accu must lie in [0, t_period - 1), got t_accu 0 with t_period 1"),
+    ({"task": {"kind": "char-lm", "corpus_path": 5, "seq_len": 16}},
+     "task corpus_path must be a string, got 5"),
+    ({"task": {"kind": "char-lm", "corpus_path": None, "seq_len": 16}},
+     "task corpus_path must be a string, got None"),
+    ({"task": {"kind": "synthetic-regression", "in_dim": -4, "out_dim": 8}},
+     "in_dim must be >= 1, got -4"),
+    ({"cfg_overrides": {"weight_block": "col"}},
+     "weight_block must be 'row' or 'square', got 'col'"),
 ], ids=["unknown-field", "removed-field", "bad-value", "model-kind", "task-kind",
         "model-key", "corpus-path", "square-outer", "outlier-precision",
         "outlier-style", "optimizer-key", "schedule-key", "missing-lr",
@@ -360,7 +372,8 @@ _SUPPRESSION = {"t_max": 20, "t_start": 1, "t_period": 4, "t_accu": 1}
         "removed-fp6-variant", "old-switch-mode", "outlier-style-none", "null-model",
         "null-task", "null-optimizer", "null-schedule", "null-overrides", "null-widths",
         "int-widths", "null-lr", "null-floor-lr", "null-eps", "null-weight-decay",
-        "one-beta"])
+        "one-beta", "unclosed-window", "one-step-period", "int-corpus-path",
+        "null-corpus-path", "negative-in-dim", "col-weight-block"])
 def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra, named):
     cfg_path = tmp_path / "cfg.json"
     write_mlp_config(cfg_path, **extra)
@@ -369,6 +382,18 @@ def test_train_command_rejects_bad_config_with_exit_two(tmp_path, capsys, extra,
     err = capsys.readouterr().err
     assert err.startswith("error: bad config: ")
     assert named in err
+    assert not (tmp_path / "r" / "config.json").exists()
+
+
+def test_train_command_names_a_non_ascii_corpus_with_exit_two(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes("tam\u00e9 rilo veda. ".encode("utf-8") * 200)
+    cfg_path = tmp_path / "cfg.json"
+    write_mlp_config(cfg_path, task={
+        "kind": "char-lm", "corpus_path": str(corpus), "seq_len": 16})
+    rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert f"task corpus_path {str(corpus)!r} is not ASCII: " in capsys.readouterr().err
     assert not (tmp_path / "r" / "config.json").exists()
 
 
@@ -658,7 +683,7 @@ _BIAS_TAIL = ('  "preset": "fp32",\n  "seed": {seed},\n  "shape": [\n    4,\n   
      '  "seed": 0\n}\n'),
     (["bench-bias", "--preset", "fp32", "--shape", "4,16,8"],
      '{\n  "command": "bench-bias",\n  "draws": 10000,\n  "dy_craft": "gaussian",\n'
-     '  "nsigma": 5.0,\n  "outlier_percent": null,\n  "outlier_style": "largest-norm",\n'
+     '  "nsigma": 5.0,\n  "outlier_percent": null,\n  "outlier_style": null,\n'
      + _BIAS_TAIL.format(seed=0)),
     (["bench-bias", "--preset", "fp32", "--shape", "4,16,8", "--seed", "2",
       "--outlier-percent", "12.5", "--outlier-style", "random", "--dy-craft", "signs"],

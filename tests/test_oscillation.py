@@ -50,7 +50,7 @@ def carrier_row(osc_value, carrier=2688.0, width=16):
     return w
 
 
-# ── schedule and hook ────────────────────────────────────────────────────────
+# ── schedule and phase ───────────────────────────────────────────────────────
 
 
 def test_schedule_defaults():
@@ -74,6 +74,8 @@ def test_schedule_defaults():
         dict(t_max=1000, t_start=400, t_accu=True),
         dict(t_max=1000, t_start=400, tau_osci="8"),
         dict(t_max=1000, t_start=400, tau_osci=True),
+        dict(t_max=40, t_start=1, t_period=8, t_accu=7),  # the window never closes
+        dict(t_max=40, t_start=1, t_period=1, t_accu=0),
     ],
 )
 def test_schedule_validation(kw):
@@ -84,34 +86,50 @@ def test_schedule_validation(kw):
 def test_hook_before_start_is_none():
     s = osc.SuppressionSchedule(t_max=1000, t_start=400)
     for step in (1, 399):
-        d = osc.suppression_hook(step, s)
-        assert d.action is osc.HookAction.NONE and d.t0 is None
+        assert s.phase(step) is None
 
 
 def test_hook_accumulate_window():
     s = osc.SuppressionSchedule(t_max=1000, t_start=400)
-    assert osc.suppression_hook(400, s) == osc.HookDecision(osc.HookAction.ACCUMULATE, 0)
-    assert osc.suppression_hook(437, s) == osc.HookDecision(osc.HookAction.ACCUMULATE, 37)
-    assert osc.suppression_hook(450, s) == osc.HookDecision(osc.HookAction.ACCUMULATE, 50)
-    assert osc.suppression_hook(600, s) == osc.HookDecision(osc.HookAction.ACCUMULATE, 0)
+    assert [s.phase(step) for step in (400, 437, 450, 600)] == [0, 37, 50, 0]
 
 
 def test_hook_suppress_right_after_window():
     s = osc.SuppressionSchedule(t_max=1000, t_start=400)
-    assert osc.suppression_hook(451, s) == osc.HookDecision(osc.HookAction.SUPPRESS, None)
-    assert osc.suppression_hook(651, s) == osc.HookDecision(osc.HookAction.SUPPRESS, None)
+    assert s.phase(451) == s.phase(651) == s.t_accu + 1
 
 
 def test_hook_idle_tail_of_period():
     s = osc.SuppressionSchedule(t_max=1000, t_start=400)
     for step in (452, 599, 999):
-        assert osc.suppression_hook(step, s).action is osc.HookAction.NONE
+        assert s.phase(step) is None
 
 
 def test_hook_rejects_nonpositive_step():
     s = osc.SuppressionSchedule(t_max=1000, t_start=400)
     with pytest.raises(ValueError):
-        osc.suppression_hook(0, s)
+        s.phase(0)
+
+
+@st.composite
+def schedules(draw):
+    t_period = draw(st.integers(2, 64))
+    return osc.SuppressionSchedule(
+        t_max=4 * t_period, t_start=draw(st.integers(0, 4 * t_period)),
+        t_period=t_period, t_accu=draw(st.integers(0, t_period - 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules())
+def test_phase_walks_each_full_period_once(s):
+    # steps 1..4P hold three full periods, the ones opening at P, 2P and 3P
+    phases = {step: s.phase(step) for step in range(1, s.t_max + 1)}
+    assert all(phases[step] is None for step in range(1, s.t_start))
+    window = list(range(s.t_accu + 2))  # accumulate 0..t_accu, then suppress once
+    for first in range(s.t_period, s.t_max, s.t_period):
+        if first >= s.t_start:
+            period = [phases[step] for step in range(first, first + s.t_period)]
+            assert period == window + [None] * (s.t_period - len(window))
 
 
 # ── double-block quantizer view ──────────────────────────────────────────────

@@ -298,18 +298,18 @@ def _spied_switch_run(monkeypatch, mode):
     per tracked step, the ``(tracker, dist_q after the update)`` of each
     tracked layer in the trainer's order."""
     calls, at = {}, {}
-    hook, update = osc.suppression_hook, osc.update_oscillation_stats
+    phase, update = osc.SuppressionSchedule.phase, osc.update_oscillation_stats
 
-    def spy_hook(step, schedule):
+    def spy_phase(schedule, step):
         at["step"] = step
-        return hook(step, schedule)
+        return phase(schedule, step)
 
     def spy_update(w, view, tracker, t0):
         out = update(w, view, tracker, t0)
         calls.setdefault(at["step"], []).append((tracker, tracker.dist_q.copy()))
         return out
 
-    monkeypatch.setattr(osc, "suppression_hook", spy_hook)
+    monkeypatch.setattr(osc.SuppressionSchedule, "phase", spy_phase)
     monkeypatch.setattr(osc, "update_oscillation_stats", spy_update)
     tr.train(mlp_cfg(
         preset="fp4-base", switch_step=17, switch_mode=mode,
